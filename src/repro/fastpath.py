@@ -8,15 +8,20 @@ variable selects the engine at *construction* time — ``CPU``/
 ``MemorySystem`` read it once when built, so flipping the variable
 mid-run has no effect on live objects.
 
-Accepted values:
+Accepted values (case-insensitive):
 
-* unset, ``1`` or anything not listed below — fast path fully on;
+* unset, empty, ``1`` / ``true`` / ``on`` / ``yes`` — fast path fully on;
 * ``0`` / ``false`` / ``off`` / ``no`` — naive path (the
   differential-testing oracle);
 * a comma-separated flag list selectively disabling fast-path layers
   while keeping the rest: ``superblocks=0`` (step thunks only, no
   superblock fusion), ``quiesce=0`` (ticked idle instead of
-  event-skipped), or both (``superblocks=0,quiesce=0``).
+  event-skipped), or both (``superblocks=0,quiesce=0``).  Flag values
+  are the on/off words above.
+
+Anything else — an unknown flag such as the typo ``superblock=0``, a bad
+flag value, a bare unknown word — raises :class:`ValueError` naming the
+valid forms, so a misspelt setting can never silently select an engine.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from dataclasses import dataclass
 ENV_VAR = "PHANTOM_REPRO_FASTPATH"
 
 _DISABLED = ("0", "false", "off", "no")
+_ENABLED = ("1", "true", "on", "yes")
 
 #: Flags the selective syntax understands.
 _FLAGS = ("superblocks", "quiesce")
@@ -49,30 +55,26 @@ class FastpathConfig:
 
 
 def parse_fastpath(value: str | None) -> FastpathConfig:
-    """Parse one ``PHANTOM_REPRO_FASTPATH`` value (None = unset)."""
-    if value is None:
-        return FastpathConfig()
-    text = value.strip().lower()
-    if not text:
+    """Parse one ``PHANTOM_REPRO_FASTPATH`` value (None = unset).
+
+    Raises :class:`ValueError` on anything but the documented forms.
+    """
+    text = (value or "").strip().lower()
+    if not text or text in _ENABLED:
         return FastpathConfig()
     if text in _DISABLED:
         return FastpathConfig(enabled=False, superblocks=False,
                               quiesce=False)
-    flags = {"superblocks": True, "quiesce": True}
-    saw_flag = False
+    flags = {}
     for part in text.split(","):
-        part = part.strip()
-        if "=" not in part:
-            continue
-        name, _, raw = part.partition("=")
-        name = name.strip()
-        if name in _FLAGS:
-            saw_flag = True
-            flags[name] = raw.strip() not in _DISABLED
-    if not saw_flag and text != "1":
-        # Unknown non-flag value: historical behaviour is "anything not
-        # explicitly disabling enables the fast path".
-        return FastpathConfig()
+        name, eq, raw = (piece.strip() for piece in part.partition("="))
+        if not eq or name not in _FLAGS or raw not in _DISABLED + _ENABLED:
+            raise ValueError(
+                f"{ENV_VAR}={value!r}: bad setting {part.strip()!r}; use "
+                f"{'/'.join(_ENABLED)} (fast path), {'/'.join(_DISABLED)} "
+                f"(naive engine), or comma-separated FLAG=VALUE with FLAG "
+                f"in {', '.join(_FLAGS)} and VALUE one of those words")
+        flags[name] = raw in _ENABLED
     return FastpathConfig(enabled=True, **flags)
 
 

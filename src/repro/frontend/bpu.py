@@ -37,8 +37,9 @@ class BPU:
     """Pre-decode next-fetch prediction and post-execute training."""
 
     def __init__(self, indexing: BTBIndexing, *, rsb_depth: int = 32,
-                 pht_entries: int = 4096, btb_ways: int = 8) -> None:
-        self.btb = BTB(indexing, ways=btb_ways)
+                 pht_entries: int = 4096, btb_ways: int = 8,
+                 shared_hashes: bool = True) -> None:
+        self.btb = BTB(indexing, ways=btb_ways, shared_hashes=shared_hashes)
         self.rsb = RSB(rsb_depth)
         self.cond = ConditionalPredictor(pht_entries)
         self.bhb = BHB()

@@ -16,6 +16,7 @@ carries the trainer's semantics — the root of Phantom.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 from ..isa import BranchKind
@@ -130,6 +131,25 @@ class BTBIndexing:
         return candidates[0] << self.set_bits
 
 
+#: Bound on each shared ``(set, tag)`` hash cache, in addresses.  Every
+#: fetched byte is hashed: a contract-fuzz pair touches ~500 addresses
+#: (~12,000 for page-straddling programs), a KASLR break ~12,000.  A
+#: cache that reaches the bound is dropped wholesale, so it never pins
+#: more than that working set.
+HASH_CACHE_SIZE = 1 << 14
+
+
+@functools.lru_cache(maxsize=16)
+def _shared_hash_cache(indexing: BTBIndexing) -> dict:
+    """The process-wide ``(set, tag)`` memo of one hash description.
+
+    :meth:`BTBIndexing.index` is a pure function of the address (and,
+    for privilege-tagged indexings, the mode), so every BTB built on
+    equal indexing shares one memo instead of re-hashing per world.
+    """
+    return {}
+
+
 @dataclass
 class BTBEntry:
     """One predicted branch source."""
@@ -168,7 +188,8 @@ class BTB:
     prediction every round.
     """
 
-    def __init__(self, indexing: BTBIndexing, *, ways: int = 8) -> None:
+    def __init__(self, indexing: BTBIndexing, *, ways: int = 8,
+                 shared_hashes: bool = True) -> None:
         if ways <= 0:
             raise ValueError("ways must be positive")
         self.indexing = indexing
@@ -176,7 +197,11 @@ class BTB:
         from collections import OrderedDict
 
         self._sets: dict[int, "OrderedDict[int, BTBEntry]"] = {}
-        self._hash_cache: dict[tuple[int, bool], tuple[int, int]] = {}
+        #: ``(set, tag)`` memo: the process-wide one of *indexing*, or a
+        #: private one (the naive engine's, which keeps it an
+        #: independent oracle for the shared memo).
+        self._hash_cache = _shared_hash_cache(indexing) if shared_hashes \
+            else {}
         #: Every ``(set, tag)`` currently holding an entry.  Mirror of
         #: ``_sets`` maintained at all mutation points so the superblock
         #: engine can test a block's key footprint against the live
@@ -198,8 +223,16 @@ class BTB:
                                    and self.indexing.privilege_in_tag) else va
         key = self._hash_cache.get(cache_key)
         if key is None:
-            key = self.indexing.index(va, kernel_mode)
-            self._hash_cache[cache_key] = key
+            key = self._hash(cache_key, va, kernel_mode)
+        return key
+
+    def _hash(self, cache_key, va: int, kernel_mode: bool) -> tuple[int, int]:
+        """Hash-cache miss: compute *va*'s key and remember it."""
+        key = self.indexing.index(va, kernel_mode)
+        cache = self._hash_cache
+        if len(cache) >= HASH_CACHE_SIZE:
+            cache.clear()
+        cache[cache_key] = key
         return key
 
     def _ways_of(self, set_index: int):
@@ -273,14 +306,13 @@ class BTB:
         # scan runs for every byte of every fetched instruction, the
         # hottest loop in the frontend.
         cache = self._hash_cache
-        index = self.indexing.index
+        miss = self._hash
         priv = kernel_mode and self.indexing.privilege_in_tag
         for pc in range(block_start, block_start + block_len):
             cache_key = (pc, True) if priv else pc
             key = cache.get(cache_key)
             if key is None:
-                key = index(pc, kernel_mode)
-                cache[cache_key] = key
+                key = miss(cache_key, pc, kernel_mode)
             set_index, tag = key
             ways = sets.get(set_index)
             if ways is None:
@@ -304,15 +336,14 @@ class BTB:
         must still force the block onto the scanning slow path.
         """
         cache = self._hash_cache
-        index = self.indexing.index
+        miss = self._hash
         priv = kernel_mode and self.indexing.privilege_in_tag
         keys = set()
         for pc in range(block_start, block_start + block_len):
             cache_key = (pc, True) if priv else pc
             key = cache.get(cache_key)
             if key is None:
-                key = index(pc, kernel_mode)
-                cache[cache_key] = key
+                key = miss(cache_key, pc, kernel_mode)
             keys.add(key)
         return frozenset(keys)
 

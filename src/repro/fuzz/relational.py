@@ -37,7 +37,7 @@ from .contracts import Contract, contract_by_name
 from .gen import generate
 from .harness import build_world, compare_observables, run_world
 from .oracle import CHUNK, DEFAULT_UARCHES, Divergence
-from .program import FuzzProgram, SECRET_OFFSET, SECRET_SIZE
+from .program import BuiltProgram, FuzzProgram, SECRET_OFFSET, SECRET_SIZE
 
 #: Schema tag on serialized pairs (clean corpus entries).
 PAIR_SCHEMA = "phantom.fuzz-pair/1"
@@ -174,10 +174,10 @@ class ContractVerdict:
                 "divergences": [str(d) for d in self.divergences]}
 
 
-def _run_variant(variant: FuzzProgram, uarch, mitigation: Mitigation,
+def _run_variant(variant: BuiltProgram, uarch, mitigation: Mitigation,
                  report: list[Divergence]) -> LeakTrace:
-    """Run one variant on both engines; cross-check them; return the
-    fast engine's leak trace."""
+    """Run one assembled variant on both engines; cross-check them;
+    return the fast engine's leak trace."""
     slow_world = build_world(variant, uarch, fastpath=False,
                              mitigations=mitigation.config)
     slow_world.cpu.record_episodes = True
@@ -211,10 +211,14 @@ def check_pair(pair: RelationalPair, contract: Contract,
                               mitigation=effective,
                               uarches=tuple(uarches))
     report = verdict.divergences
+    # Assembly is a pure function of the variant: build each once and
+    # hand the images to all of its worlds (engines x µarches).
+    built_a = pair.variant_a.build()
+    built_b = pair.variant_b.build()
     for name in uarches:
         uarch = by_name(name)
-        trace_a = _run_variant(pair.variant_a, uarch, effective, report)
-        trace_b = _run_variant(pair.variant_b, uarch, effective, report)
+        trace_a = _run_variant(built_a, uarch, effective, report)
+        trace_b = _run_variant(built_b, uarch, effective, report)
         verdict.traces[(name, "a")] = trace_a
         verdict.traces[(name, "b")] = trace_b
         for channel, summary in trace_a.diff(trace_b, contract.protects):

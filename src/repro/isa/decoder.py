@@ -108,12 +108,44 @@ _GROUP81 = {0: Mnemonic.ADD_RI, 5: Mnemonic.SUB_RI, 4: Mnemonic.AND_RI,
             7: Mnemonic.CMP_RI}
 
 
+#: Bytes of the window that keys the decode memo.  At least the longest
+#: encoding in the subset (10 bytes, ``mov r64, imm64``), so decoding
+#: the window equals decoding the whole buffer; 16 is the pipeline's
+#: fetch window, so its raw fetches key the memo without a copy.
+_MEMO_WINDOW = 16
+
+#: Bound on the process-wide decode memo, in distinct windows.  The
+#: eight worlds of a contract-fuzz pair share ~130 windows, and a KASLR
+#: break on one booted machine decodes ~3,900; the memo is dropped
+#: wholesale when full, so it never pins more than that working set.
+DECODE_MEMO_SIZE = 4096
+
+_memo: dict[bytes, Instruction] = {}
+
+
 def decode(buf: bytes, offset: int = 0) -> Instruction:
     """Decode one instruction starting at ``buf[offset]``.
 
     Returns an :class:`Instruction` with ``length`` set to the number of
     bytes consumed.  Raises :class:`DecodeError` on invalid encodings.
+
+    Decoding is a pure function of the bytes, so successful decodes are
+    memoized process-wide on the byte window at *offset* (instructions
+    are immutable and safe to share between CPUs).  Errors are never
+    memoized: invalid or truncated bytes raise on every call.
     """
+    window = bytes(buf[offset:offset + _MEMO_WINDOW])
+    instr = _memo.get(window)
+    if instr is None:
+        instr = _decode(window, 0)
+        if len(_memo) >= DECODE_MEMO_SIZE:
+            _memo.clear()
+        _memo[window] = instr
+    return instr
+
+
+def _decode(buf: bytes, offset: int) -> Instruction:
+    """Uncached :func:`decode`."""
     for length, seq in _NOPL_BY_BYTES:
         available = buf[offset:offset + length]
         if available == seq:

@@ -159,5 +159,11 @@ class Cache:
         ways = self._sets[set_index]
         return [w.line for w in sorted(ways, key=lambda w: w.last_used)]
 
+    def occupied_sets(self) -> list[tuple[int, list[int]]]:
+        """``(set_index, resident_lines)`` of every non-empty set, in set
+        order (lines MRU last, as :meth:`resident_lines`)."""
+        return [(index, self.resident_lines(index))
+                for index, ways in enumerate(self._sets) if ways]
+
     def set_occupancy(self, set_index: int) -> int:
         return len(self._sets[set_index])

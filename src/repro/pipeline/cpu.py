@@ -71,6 +71,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
+from types import CodeType
 from typing import Callable
 
 from ..errors import (DecodeError, HaltRequested, PageFault, ReproError,
@@ -133,6 +134,32 @@ _UNCOMPILED = object()
 #: invalidation can retire.
 _SB_MIN_INSTRS = 3
 _SB_MAX_INSTRS = 64
+
+#: Bound on the process-wide memo of compiled block code, in distinct
+#: sources.  The worlds of a contract-fuzz pair share at most ~30
+#: distinct blocks, so this holds a few pairs' blocks; the memo is
+#: dropped wholesale when full.
+CODE_MEMO_SIZE = 128
+
+_code_memo: dict[tuple[str, str], CodeType] = {}
+
+
+def _block_code(source: str, filename: str) -> CodeType:
+    """``compile(source, filename, "exec")``, memoized process-wide.
+
+    Generated block source names every per-CPU object (CPU, state,
+    caches, key footprint) as a free variable, bound by the fresh
+    namespace each ``exec`` runs the code in — so one code object
+    serves every CPU whose block has the same source.
+    """
+    key = (source, filename)
+    code = _code_memo.get(key)
+    if code is None:
+        code = compile(source, filename, "exec")
+        if len(_code_memo) >= CODE_MEMO_SIZE:
+            _code_memo.clear()
+        _code_memo[key] = code
+    return code
 
 
 class Reach(enum.IntEnum):
@@ -210,7 +237,6 @@ class CPU:
         self.uarch = uarch
         self.mem = mem
         self.rng = rng or random.Random(0)
-        self.bpu = BPU(uarch.btb, btb_ways=uarch.btb_ways)
         self.uopcache = UopCache()
         self.pmc = PMC()
         self.state = ArchState()
@@ -232,6 +258,9 @@ class CPU:
         #: to the environment's selective syntax and only apply when the
         #: fast path itself is on.
         self._fastpath = mem.fastpath if fastpath is None else bool(fastpath)
+        #: Only the fast path shares the process-wide BTB hash memo.
+        self.bpu = BPU(uarch.btb, btb_ways=uarch.btb_ways,
+                       shared_hashes=self._fastpath)
         _config = fastpath_config()
         self._superblocks = self._fastpath and (
             _config.superblocks if superblocks is None
@@ -833,8 +862,7 @@ class CPU:
             f"    _cpu.pc = {end:#x}",
             f"    return {n}",
         ]
-        exec(compile("\n".join(src), f"<superblock@{head:#x}>", "exec"),
-             consts)
+        exec(_block_code("\n".join(src), f"<superblock@{head:#x}>"), consts)
         return (n, consts["_sb"])
 
     def _compile_transient_block(self, head: int, tbc: dict,
@@ -943,11 +971,11 @@ class CPU:
         if _SPANS.enabled:
             with _SPANS.span("fastpath:superblock", pc=hex(head),
                              instructions=len(run), transient=True):
-                exec(compile("\n".join(src),
-                             f"<transientblock@{head:#x}>", "exec"), consts)
+                exec(_block_code("\n".join(src),
+                                 f"<transientblock@{head:#x}>"), consts)
         else:
-            exec(compile("\n".join(src),
-                         f"<transientblock@{head:#x}>", "exec"), consts)
+            exec(_block_code("\n".join(src), f"<transientblock@{head:#x}>"),
+                 consts)
         block = (total, end, consts["_tb"])
         tbc[head] = block
         tb_index = self._tb_index

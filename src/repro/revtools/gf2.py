@@ -16,11 +16,11 @@ from collections.abc import Iterable, Sequence
 
 def parity(x: int) -> int:
     """Parity (XOR-fold) of the set bits of *x*."""
-    return bin(x).count("1") & 1
+    return x.bit_count() & 1
 
 
 def popcount(x: int) -> int:
-    return bin(x).count("1")
+    return x.bit_count()
 
 
 def apply_mask(mask: int, value: int) -> int:

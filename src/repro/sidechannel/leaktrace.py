@@ -44,12 +44,8 @@ SPEC_COUNTERS = ("branch_mispredict", "resteer_frontend",
 def _residue(cache) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Non-empty sets of *cache* as ``(set, (line, ...))`` in LRU
     order (replacement order is itself attacker-observable)."""
-    out = []
-    for index in range(cache.num_sets):
-        lines = cache.resident_lines(index)
-        if lines:
-            out.append((index, tuple(lines)))
-    return tuple(out)
+    return tuple((index, tuple(lines))
+                 for index, lines in cache.occupied_sets())
 
 
 def _episode_tuple(episode) -> tuple:

@@ -160,3 +160,15 @@ def test_stats_balance(addrs):
     for addr in addrs:
         cache.access(addr)
     assert cache.stats.hits + cache.stats.misses == len(addrs)
+
+
+@settings(max_examples=50, derandomize=True)
+@given(st.lists(st.integers(0, (1 << 20) - 1), max_size=300))
+def test_occupied_sets_lists_exactly_the_non_empty_sets(addrs):
+    cache = make_cache(4 * 1024, 4)
+    for addr in addrs:
+        cache.access(addr)
+    expected = [(index, cache.resident_lines(index))
+                for index in range(cache.num_sets)
+                if cache.resident_lines(index)]
+    assert cache.occupied_sets() == expected
