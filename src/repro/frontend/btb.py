@@ -107,14 +107,26 @@ class BTBIndexing:
         """
         if self.privilege_in_tag:
             raise ValueError(f"{self.name}: no cross-privilege aliasing")
-        from ..revtools.collider import solve_alias_pattern
+        mask = _kernel_alias_memo.get(self)
+        if mask is None:
+            from ..revtools.collider import solve_alias_pattern
 
-        return solve_alias_pattern(self.tag_functions,
-                                   keep_low_bits=self.set_bits)
+            mask = solve_alias_pattern(self.tag_functions,
+                                       keep_low_bits=self.set_bits)
+            _remember_mask(_kernel_alias_memo, self, mask)
+        return mask
 
     def user_alias_mask(self) -> int:
         """Minimal nonzero user-to-user alias flip pattern (bit 47 clear,
         low set-index bits clear, every tag function preserved)."""
+        mask = _user_alias_memo.get(self)
+        if mask is None:
+            mask = self._solve_user_alias_mask()
+            _remember_mask(_user_alias_memo, self, mask)
+        return mask
+
+    def _solve_user_alias_mask(self) -> int:
+        """Uncached :meth:`user_alias_mask`: one GF(2) solve."""
         from ..revtools import gf2
 
         width = 47 - self.set_bits  # bits [set_bits, 47): user space only
@@ -129,6 +141,23 @@ class BTBIndexing:
         if not candidates:
             raise ValueError(f"{self.name}: no user-space alias exists")
         return candidates[0] << self.set_bits
+
+
+#: Bound on each alias-mask memo, in indexings.  The masks are pure
+#: functions of the (frozen, hashable) :class:`BTBIndexing`, of which the
+#: µarch table has eight; a memo that reaches the bound is dropped
+#: wholesale.
+ALIAS_MEMO_SIZE = 32
+
+_user_alias_memo: dict[BTBIndexing, int] = {}
+_kernel_alias_memo: dict[BTBIndexing, int] = {}
+
+
+def _remember_mask(memo: dict[BTBIndexing, int], indexing: BTBIndexing,
+                   mask: int) -> None:
+    if len(memo) >= ALIAS_MEMO_SIZE:
+        memo.clear()
+    memo[indexing] = mask
 
 
 #: Bound on each shared ``(set, tag)`` hash cache, in addresses.  Every

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from ..params import CACHE_LINE, CACHE_LINE_SHIFT
@@ -64,7 +65,11 @@ class Cache:
                              f"power of two")
         self.replacement = replacement
         self._rng = rng or random.Random(0)
-        self._sets: list[list[_Way]] = [[] for _ in range(self.num_sets)]
+        #: Set index -> resident ways.  :meth:`access` creates a set on
+        #: its first fill and every other method only reads with
+        #: ``get``, so a fresh machine's caches start empty without
+        #: allocating every set (the L2 alone has 1,024).
+        self._sets: defaultdict[int, list[_Way]] = defaultdict(list)
         self._tick = 0
         self.stats = CacheStats()
         # Telemetry instruments (no-op unless the registry is enabled).
@@ -85,7 +90,8 @@ class Cache:
     def lookup(self, addr: int) -> bool:
         """Non-destructive presence check (no fill, no LRU update)."""
         line = self.line_addr(addr)
-        return any(w.line == line for w in self._sets[self.set_index(addr)])
+        return any(w.line == line
+                   for w in self._sets.get(self.set_index(addr), ()))
 
     def access(self, addr: int) -> tuple[bool, int | None]:
         """Access *addr*: returns ``(hit, evicted_line_or_None)``.
@@ -139,7 +145,7 @@ class Cache:
     def invalidate(self, addr: int) -> bool:
         """Drop *addr*'s line if present.  Returns True if it was resident."""
         line = self.line_addr(addr)
-        ways = self._sets[self.set_index(addr)]
+        ways = self._sets.get(self.set_index(addr), ())
         for i, way in enumerate(ways):
             if way.line == line:
                 ways.pop(i)
@@ -148,22 +154,21 @@ class Cache:
         return False
 
     def flush_all(self) -> None:
-        for ways in self._sets:
-            ways.clear()
+        self._sets.clear()
         self.stats.flushes += 1
 
     # -- introspection (tests / attack tooling) -----------------------------
 
     def resident_lines(self, set_index: int) -> list[int]:
         """Line addresses currently resident in *set_index* (MRU last)."""
-        ways = self._sets[set_index]
+        ways = self._sets.get(set_index, ())
         return [w.line for w in sorted(ways, key=lambda w: w.last_used)]
 
     def occupied_sets(self) -> list[tuple[int, list[int]]]:
         """``(set_index, resident_lines)`` of every non-empty set, in set
         order (lines MRU last, as :meth:`resident_lines`)."""
         return [(index, self.resident_lines(index))
-                for index, ways in enumerate(self._sets) if ways]
+                for index, ways in sorted(self._sets.items()) if ways]
 
     def set_occupancy(self, set_index: int) -> int:
-        return len(self._sets[set_index])
+        return len(self._sets.get(set_index, ()))

@@ -53,6 +53,9 @@ def calibrate_threshold(timer: Timer, va: int, *, rounds: int = 32,
     Measures *rounds* hot and cold accesses and picks the midpoint of
     the two means — the standard Flush+Reload calibration loop.
     """
+    if rounds < 1:
+        raise ValueError(f"calibrate_threshold: rounds must be >= 1, "
+                         f"got {rounds}")
     measure = timer.time_exec if exec_ else timer.time_load
     touch = (timer.machine.user_exec_touch if exec_
              else timer.machine.user_touch)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.frontend import BTBIndexing
+from repro.frontend import BTBIndexing, btb
 from repro.params import VA_MASK
+from repro.revtools.collider import solve_alias_pattern
 from repro.pipeline import (ALL_MICROARCHES, AMD_MICROARCHES,
                             INTEL_MICROARCHES, ZEN1, ZEN3)
 
@@ -64,3 +65,46 @@ def test_user_alias_property(addr):
     idx = ZEN3.btb
     mask = idx.user_alias_mask()
     assert idx.collides(addr, addr ^ mask)
+
+
+class TestAliasMaskMemo:
+    """Both masks are solved once per indexing and process."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memos(self):
+        btb._user_alias_memo.clear()
+        btb._kernel_alias_memo.clear()
+        yield
+        btb._user_alias_memo.clear()
+        btb._kernel_alias_memo.clear()
+
+    @pytest.mark.parametrize("uarch", ALL_MICROARCHES,
+                             ids=lambda u: u.name)
+    def test_memoized_masks_equal_fresh_solves(self, uarch):
+        indexing = uarch.btb
+        for _ in range(2):              # a miss, then a hit
+            assert indexing.user_alias_mask() == \
+                indexing._solve_user_alias_mask()
+            if not indexing.privilege_in_tag:
+                assert indexing.kernel_alias_mask() == solve_alias_pattern(
+                    indexing.tag_functions, keep_low_bits=indexing.set_bits)
+        assert btb._user_alias_memo == {
+            indexing: indexing._solve_user_alias_mask()}
+
+    def test_equal_indexings_share_an_entry_and_errors_are_not_kept(self):
+        a = BTBIndexing("a", tag_functions=ZEN1.btb.tag_functions)
+        b = BTBIndexing("a", tag_functions=ZEN1.btb.tag_functions)
+        a.user_alias_mask()
+        b.user_alias_mask()
+        assert len(btb._user_alias_memo) == 1
+        intel = INTEL_MICROARCHES[0].btb
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                intel.kernel_alias_mask()
+        assert intel not in btb._kernel_alias_memo
+
+    def test_full_memo_is_dropped_wholesale(self, monkeypatch):
+        monkeypatch.setattr(btb, "ALIAS_MEMO_SIZE", 2)
+        for uarch in AMD_MICROARCHES[:3]:
+            uarch.btb.user_alias_mask()
+        assert list(btb._user_alias_memo) == [AMD_MICROARCHES[2].btb]

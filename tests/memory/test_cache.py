@@ -98,6 +98,39 @@ class TestAccess:
         assert cache.set_occupancy(0) == 8
 
 
+class TestLazySets:
+    """Sets are allocated on first fill; the views stay as if all
+    ``num_sets`` existed from the start."""
+
+    def test_occupied_sets_are_in_set_order_after_out_of_order_fills(self):
+        cache = make_cache()
+        for index in (40, 3, 63, 17, 3, 0):
+            cache.access(index * LINE)
+        assert [index for index, _ in cache.occupied_sets()] == \
+            [0, 3, 17, 40, 63]
+        assert cache.occupied_sets()[1] == (3, [3 * LINE])
+
+    def test_untouched_set_is_empty(self):
+        cache = make_cache()
+        cache.access(5 * LINE)
+        assert not cache.lookup(6 * LINE)
+        assert not cache.invalidate(6 * LINE)
+        assert cache.set_occupancy(6) == 0
+        assert cache.resident_lines(6) == []
+        assert [index for index, _ in cache.occupied_sets()] == [5]
+
+    def test_flush_all_empties_every_set(self):
+        cache = make_cache(ways=2)
+        lines = [i * LINE for i in range(3 * cache.num_sets)]
+        for addr in lines:
+            cache.access(addr)
+        cache.flush_all()
+        assert cache.occupied_sets() == []
+        assert all(cache.set_occupancy(s) == 0
+                   for s in range(cache.num_sets))
+        assert not any(cache.access(addr)[0] for addr in lines[-2:])
+
+
 class TestPrimeProbe:
     """The eviction behaviour Prime+Probe depends on."""
 

@@ -46,6 +46,14 @@ def test_calibrate_threshold_separates(machine):
     assert timer.time_load(DATA_VA) > threshold
 
 
+@pytest.mark.parametrize("rounds", [0, -1])
+def test_calibration_rejects_fewer_than_one_round(machine, rounds):
+    cycles = machine.cycles
+    with pytest.raises(ValueError, match="rounds"):
+        calibrate_threshold(Timer(machine), DATA_VA, rounds=rounds)
+    assert machine.cycles == cycles
+
+
 def test_exec_calibration(machine):
     code_va = 0x0000_0000_2100_0000
     machine.map_user(code_va, PAGE_SIZE)
