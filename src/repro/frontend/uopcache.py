@@ -64,6 +64,10 @@ class UopCache:
     def invalidate_window(self, va: int) -> None:
         self._cache.invalidate(va)
 
+    def invalidate_range(self, lo: int, hi: int) -> None:
+        """Drop every window overlapping ``[lo, hi)``."""
+        self._cache.invalidate_range(lo, hi)
+
     def flush(self) -> None:
         self._cache.flush_all()
 

@@ -393,25 +393,25 @@ class Machine:
 
         Returns the load latency in cycles (no jitter — callers add
         timer noise via :class:`repro.sidechannel.Timer`)."""
-        _, cyc = self.mem.read_data(canonical(va), 8, user_mode=True)
+        cyc = self.mem.data_latency(canonical(va), 8, user_mode=True)
         self.cpu.cycles += cyc + 2
         return cyc
 
     def timed_user_exec(self, va: int) -> int:
         """Time an instruction fetch at *va* (Figure 5 A's probe)."""
-        _, cyc = self.mem.fetch_code(canonical(va), 8, user_mode=True)
+        cyc = self.mem.code_latency(canonical(va), 8, user_mode=True)
         self.cpu.cycles += cyc + 2
         return cyc
 
     def user_touch(self, va: int) -> None:
         """Untimed user load (prime traffic)."""
-        _, cyc = self.mem.read_data(canonical(va), 8, user_mode=True)
-        self.cpu.cycles += cyc
+        self.cpu.cycles += self.mem.data_latency(canonical(va), 8,
+                                                 user_mode=True)
 
     def user_exec_touch(self, va: int) -> None:
         """Untimed user instruction fetch (I-cache prime traffic)."""
-        _, cyc = self.mem.fetch_code(canonical(va), 8, user_mode=True)
-        self.cpu.cycles += cyc
+        self.cpu.cycles += self.mem.code_latency(canonical(va), 8,
+                                                 user_mode=True)
 
     # -- test-only introspection -------------------------------------------
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..params import CACHE_LINE, CACHE_LINE_SHIFT
 from ..telemetry import metrics as _metrics
@@ -32,12 +32,6 @@ class CacheStats:
 
     def reset(self) -> None:
         self.hits = self.misses = self.evictions = self.flushes = 0
-
-
-@dataclass
-class _Way:
-    line: int           # full line address (line-aligned)
-    last_used: int      # LRU timestamp
 
 
 class Cache:
@@ -65,11 +59,16 @@ class Cache:
                              f"power of two")
         self.replacement = replacement
         self._rng = rng or random.Random(0)
-        #: Set index -> resident ways.  :meth:`access` creates a set on
-        #: its first fill and every other method only reads with
-        #: ``get``, so a fresh machine's caches start empty without
-        #: allocating every set (the L2 alone has 1,024).
-        self._sets: defaultdict[int, list[_Way]] = defaultdict(list)
+        #: Set index -> ``{line address: LRU timestamp}`` of its
+        #: resident ways, in fill order (the order RANDOM replacement
+        #: indexes).  :meth:`access` creates a set on its first fill and
+        #: every other method only reads with ``get``, so a fresh
+        #: machine's caches start empty without allocating every set
+        #: (the L2 alone has 1,024).
+        self._sets: defaultdict[int, dict[int, int]] = defaultdict(dict)
+        #: ``line_addr``/``set_index`` as masks, for the hot paths.
+        self._line_mask = ~(line_size - 1)
+        self._set_mask = self.num_sets - 1
         self._tick = 0
         self.stats = CacheStats()
         # Telemetry instruments (no-op unless the registry is enabled).
@@ -80,18 +79,17 @@ class Cache:
     # -- geometry ----------------------------------------------------------
 
     def line_addr(self, addr: int) -> int:
-        return addr & ~(self.line_size - 1)
+        return addr & self._line_mask
 
     def set_index(self, addr: int) -> int:
-        return (addr >> CACHE_LINE_SHIFT) & (self.num_sets - 1)
+        return (addr >> CACHE_LINE_SHIFT) & self._set_mask
 
     # -- operations --------------------------------------------------------
 
     def lookup(self, addr: int) -> bool:
         """Non-destructive presence check (no fill, no LRU update)."""
-        line = self.line_addr(addr)
-        return any(w.line == line
-                   for w in self._sets.get(self.set_index(addr), ()))
+        return addr & self._line_mask in self._sets.get(
+            (addr >> CACHE_LINE_SHIFT) & self._set_mask, ())
 
     def access(self, addr: int) -> tuple[bool, int | None]:
         """Access *addr*: returns ``(hit, evicted_line_or_None)``.
@@ -99,30 +97,32 @@ class Cache:
         On a miss the line is filled, possibly evicting the LRU (or a
         random) victim from the set.
         """
-        self._tick += 1
-        line = self.line_addr(addr)
-        ways = self._sets[self.set_index(addr)]
-        for way in ways:
-            if way.line == line:
-                way.last_used = self._tick
-                self.stats.hits += 1
-                if _REG.enabled:
-                    self._m_hits.value += 1
-                return True, None
+        self._tick = tick = self._tick + 1
+        line = addr & self._line_mask
+        ways = self._sets[(addr >> CACHE_LINE_SHIFT) & self._set_mask]
+        if line in ways:
+            ways[line] = tick
+            self.stats.hits += 1
+            if _REG.enabled:
+                self._m_hits.value += 1
+            return True, None
         self.stats.misses += 1
         if _REG.enabled:
             self._m_misses.value += 1
         evicted = None
         if len(ways) >= self.ways:
             if self.replacement is Replacement.LRU:
-                victim = min(range(len(ways)), key=lambda i: ways[i].last_used)
+                oldest = tick
+                for way, used in ways.items():
+                    if used < oldest:
+                        evicted, oldest = way, used
             else:
-                victim = self._rng.randrange(len(ways))
-            evicted = ways.pop(victim).line
+                evicted = list(ways)[self._rng.randrange(len(ways))]
+            del ways[evicted]
             self.stats.evictions += 1
             if _REG.enabled:
                 self._m_evictions.value += 1
-        ways.append(_Way(line=line, last_used=self._tick))
+        ways[line] = tick
         return False, evicted
 
     def fill(self, addr: int) -> int | None:
@@ -144,14 +144,32 @@ class Cache:
 
     def invalidate(self, addr: int) -> bool:
         """Drop *addr*'s line if present.  Returns True if it was resident."""
-        line = self.line_addr(addr)
-        ways = self._sets.get(self.set_index(addr), ())
-        for i, way in enumerate(ways):
-            if way.line == line:
-                ways.pop(i)
-                self.stats.flushes += 1
-                return True
+        ways = self._sets.get((addr >> CACHE_LINE_SHIFT) & self._set_mask)
+        if ways and ways.pop(addr & self._line_mask, None) is not None:
+            self.stats.flushes += 1
+            return True
         return False
+
+    def invalidate_range(self, lo: int, hi: int) -> None:
+        """Drop every resident line overlapping ``[lo, hi)``.
+
+        Same effect as calling :meth:`invalidate` on each line of the
+        range (the same lines dropped, the survivors' order kept, one
+        flush counted per dropped line), but walks whichever is
+        smaller: the range's lines or the sets filled so far.
+        """
+        if hi <= lo:
+            return
+        lo &= self._line_mask
+        line_size = self.line_size
+        if (hi - lo + line_size - 1) // line_size <= len(self._sets):
+            for line in range(lo, hi, line_size):
+                self.invalidate(line)
+            return
+        for ways in self._sets.values():
+            for line in [line for line in ways if lo <= line < hi]:
+                del ways[line]
+                self.stats.flushes += 1
 
     def flush_all(self) -> None:
         self._sets.clear()
@@ -161,8 +179,8 @@ class Cache:
 
     def resident_lines(self, set_index: int) -> list[int]:
         """Line addresses currently resident in *set_index* (MRU last)."""
-        ways = self._sets.get(set_index, ())
-        return [w.line for w in sorted(ways, key=lambda w: w.last_used)]
+        ways = self._sets.get(set_index, {})
+        return sorted(ways, key=ways.__getitem__)
 
     def occupied_sets(self) -> list[tuple[int, list[int]]]:
         """``(set_index, resident_lines)`` of every non-empty set, in set

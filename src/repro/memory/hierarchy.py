@@ -9,7 +9,7 @@ L2 Prime+Probe (paper §7.2) evict victim lines for real.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..params import CACHE_LINE
 from .cache import Cache, Replacement
@@ -53,20 +53,18 @@ class MemoryHierarchy:
         self.l2 = Cache("L2", p.l2.size, p.l2.ways,
                         replacement=p.replacement, rng=rng)
 
-    def _access(self, l1: Cache, pa: int) -> int:
-        """Access through *l1* then L2; returns latency in cycles."""
-        p = self.params
-        hit1, _ = l1.access(pa)
-        if hit1:
-            # L1 hits still refresh L2 LRU state lazily? Real caches do
-            # not; we match that: no L2 access on an L1 hit.
-            return p.l1_latency
+    def _l1_miss(self, pa: int) -> int:
+        """Serve an L1 miss from L2 or memory; returns latency in cycles.
+
+        An L1 hit never reaches here: real caches do not refresh L2 LRU
+        state on an L1 hit, and neither does the model.
+        """
         hit2, evicted = self.l2.access(pa)
         if evicted is not None:
             self._back_invalidate(evicted)
         if hit2:
-            return p.l2_latency
-        return p.mem_latency
+            return self.params.l2_latency
+        return self.params.mem_latency
 
     def _back_invalidate(self, line: int) -> None:
         """Inclusive L2: a line leaving L2 leaves the L1s too."""
@@ -75,11 +73,15 @@ class MemoryHierarchy:
 
     def access_data(self, pa: int) -> int:
         """Data load/store at physical address *pa*; returns cycles."""
-        return self._access(self.l1d, pa)
+        if self.l1d.access(pa)[0]:
+            return self.params.l1_latency
+        return self._l1_miss(pa)
 
     def access_instr(self, pa: int) -> int:
         """Instruction fetch at physical address *pa*; returns cycles."""
-        return self._access(self.l1i, pa)
+        if self.l1i.access(pa)[0]:
+            return self.params.l1_latency
+        return self._l1_miss(pa)
 
     def prefetch_instr(self, pa: int) -> None:
         """Fill the instruction path without timing (I-prefetcher)."""

@@ -71,32 +71,103 @@ class MemorySystem:
         self.translate = self.xlat.translate if self.fastpath else \
             self.aspace.translate
 
+    # -- the access walk -------------------------------------------------------
+
+    def _walk(self, va: int, size: int, *, fetch: bool = False,
+              write: bool = False, user_mode: bool = False,
+              chunks: list[tuple[int, int]] | None = None) -> int:
+        """Translate, TLB and cache-line walk of one access; returns cycles.
+
+        The access is split at page boundaries.  Each page is
+        translated (permissions enforced; a :class:`PageFault` stops the
+        walk there, after the earlier pages' TLB and cache traffic),
+        recorded in the I- or D-TLB, then has every line it covers
+        accessed through L1I or L1D, and finally its physical range is
+        bounds-checked.  An instruction fetch overlaps the page walk
+        with the line fills; a data access waits for the walk, and the
+        pages of a straddling data access are served one after the
+        other.  When *chunks* is given, each page's ``(pa, length)`` is
+        appended to it for the caller's byte copy.
+        """
+        if fetch:
+            tlb, touch = self.itlb, self.hier.access_instr
+        else:
+            tlb, touch = self.dtlb, self.hier.access_data
+        translate = self.translate
+        check = self.phys._check
+        cycles = 0
+        pos = va
+        end = va + size
+        while pos < end:
+            pa = translate(pos, write=write, exec_=fetch, user_mode=user_mode)
+            chunk = PAGE_SIZE - (pos & (PAGE_SIZE - 1))
+            if end - pos < chunk:
+                chunk = end - pos
+            cycles += tlb.access(pos)
+            line = pa & ~63
+            latency = touch(line)
+            line += 64
+            while line < pa + chunk:
+                lat = touch(line)
+                if lat > latency:
+                    latency = lat
+                line += 64
+            if not fetch:
+                cycles += latency
+            elif latency > cycles:
+                cycles = latency
+            check(pa, chunk)
+            if chunks is not None:
+                chunks.append((pa, chunk))
+            pos += chunk
+        return cycles
+
     # -- data path -----------------------------------------------------------
+
+    def data_latency(self, va: int, size: int, *,
+                     user_mode: bool = False) -> int:
+        """Cycles of loading *size* bytes at *va*, copying none of them.
+
+        Exactly the translation, TLB and cache traffic (and faults) of
+        :meth:`read_data`."""
+        return self._walk(va, size, user_mode=user_mode)
 
     def read_data(self, va: int, size: int, *,
                   user_mode: bool = False) -> tuple[int, int]:
         """Load *size* bytes at *va*.  Returns ``(value, cycles)``."""
-        pa = self.translate(va, user_mode=user_mode)
-        cycles = self.dtlb.access(va) + self._touch_data(pa, size)
-        return self.phys.read_int(pa, size), cycles
+        chunks: list[tuple[int, int]] = []
+        cycles = self._walk(va, size, user_mode=user_mode, chunks=chunks)
+        read = self.phys.read_int
+        value = shift = 0
+        for pa, length in chunks:
+            value |= read(pa, length) << shift
+            shift += length << 3
+        return value, cycles
 
     def write_data(self, va: int, size: int, value: int, *,
                    user_mode: bool = False) -> int:
-        """Store *value* at *va*.  Returns cycles."""
-        pa = self.translate(va, write=True, user_mode=user_mode)
-        cycles = self.dtlb.access(va) + self._touch_data(pa, size)
-        self.phys.write_int(pa, size, value)
-        return cycles
+        """Store *value* at *va*.  Returns cycles.
 
-    def _touch_data(self, pa: int, size: int) -> int:
-        cycles = 0
-        line = pa & ~63
-        while line < pa + size:
-            cycles = max(cycles, self.hier.access_data(line))
-            line += 64
+        Every page is translated before any byte is written, so a store
+        faulting on its second page leaves memory unchanged."""
+        chunks: list[tuple[int, int]] = []
+        cycles = self._walk(va, size, write=True, user_mode=user_mode,
+                            chunks=chunks)
+        write = self.phys.write_int
+        for pa, length in chunks:
+            write(pa, length, value)
+            value >>= length << 3
         return cycles
 
     # -- instruction path ------------------------------------------------------
+
+    def code_latency(self, va: int, size: int, *,
+                     user_mode: bool = False) -> int:
+        """Cycles of fetching *size* code bytes at *va*, copying none.
+
+        Exactly the translation, TLB and cache traffic (and faults) of
+        :meth:`fetch_code`."""
+        return self._walk(va, size, fetch=True, user_mode=user_mode)
 
     def fetch_code(self, va: int, size: int, *,
                    user_mode: bool = False) -> tuple[bytes, int]:
@@ -105,21 +176,11 @@ class MemorySystem:
         Returns ``(bytes, cycles)``.  Fetches crossing a page boundary
         translate both pages.
         """
-        cycles = 0
-        out = bytearray()
-        pos = va
-        end = va + size
-        while pos < end:
-            pa = self.translate(pos, exec_=True, user_mode=user_mode)
-            chunk = min(end - pos, PAGE_SIZE - (pos & (PAGE_SIZE - 1)))
-            cycles += self.itlb.access(pos)
-            line = pa & ~63
-            while line < pa + chunk:
-                cycles = max(cycles, self.hier.access_instr(line))
-                line += 64
-            out += self.phys.read(pa, chunk)
-            pos += chunk
-        return bytes(out), cycles
+        chunks: list[tuple[int, int]] = []
+        cycles = self._walk(va, size, fetch=True, user_mode=user_mode,
+                            chunks=chunks)
+        read = self.phys.read
+        return b"".join([read(pa, length) for pa, length in chunks]), cycles
 
     # -- loading ---------------------------------------------------------------
 

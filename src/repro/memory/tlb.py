@@ -25,8 +25,11 @@ class TLB:
     def access(self, va: int) -> int:
         """Record a translation of *va*; returns added latency in cycles."""
         vpn = va >> PAGE_SHIFT
-        if vpn in self._map:
+        try:
             self._map.move_to_end(vpn)
+        except KeyError:
+            pass
+        else:
             self.hits += 1
             return 0
         self.misses += 1

@@ -31,6 +31,9 @@ MASK64 = (1 << 64) - 1
 #: Mask selecting a canonical 48-bit virtual address.
 VA_MASK = (1 << VA_BITS) - 1
 
+#: Lower-half addresses below this bound are already canonical.
+_LOWER_HALF_END = 1 << (VA_BITS - 1)
+
 #: Number of possible kernel-image KASLR slots (paper section 7.1, [38]).
 KERNEL_IMAGE_SLOTS = 488
 
@@ -40,6 +43,8 @@ PHYSMAP_SLOTS = 25600
 
 def canonical(va: int) -> int:
     """Sign-extend bit 47 of *va* into bits 48..63 (x86-64 canonical form)."""
+    if 0 <= va < _LOWER_HALF_END:
+        return va
     va &= MASK64
     if va & (1 << (VA_BITS - 1)):
         return va | (MASK64 ^ VA_MASK)

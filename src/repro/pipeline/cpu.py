@@ -383,10 +383,7 @@ class CPU:
                 tb_kernel.pop(pc, None)
             if not pcs:
                 del code_pages[page]
-        line = (lo_reach + 1) & ~63
-        while line < hi:
-            self.uopcache.invalidate_window(line)
-            line += 64
+        self.uopcache.invalidate_range(lo_reach + 1, hi)
 
     def _register_code_pc(self, pc: int) -> None:
         """Index *pc* for page-granular invalidation."""
@@ -1518,9 +1515,18 @@ class CPU:
                     return (s_value >> ((addr - start) << 3)) \
                         & ((1 << (size << 3)) - 1)
         pa = self._translate(addr, user_mode=user)
-        self.mem.hier.access_data(pa & ~63)
+        access_data = self.mem.hier.access_data
+        access_data(pa & ~63)
         self._counts[_IDX_TRANSIENT_LOAD] += 1
-        return self.mem.phys.read_int(pa, size)
+        read = self.mem.phys.read_int
+        head = PAGE_SIZE - (addr & (PAGE_SIZE - 1))
+        if size <= head:
+            return read(pa, size)
+        # A load straddling a page reads its tail from the next page's
+        # frame; a fault there ends the window like any other.
+        tail_pa = self._translate(addr + head, user_mode=user)
+        access_data(tail_pa)
+        return read(pa, head) | (read(tail_pa, size - head) << (head << 3))
 
     # ------------------------------------------------------------------
     # traps and diagnostics

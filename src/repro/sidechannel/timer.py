@@ -28,7 +28,10 @@ class Timer:
         return self.machine.timing_jitter_sigma
 
     def _jitter(self, cycles: int) -> int:
-        noisy = cycles + self.rng.gauss(0.0, self.sigma)
+        sigma = self._sigma
+        if sigma is None:
+            sigma = self.machine.timing_jitter_sigma
+        noisy = cycles + self.rng.gauss(0.0, sigma)
         return max(0, round(noisy))
 
     def time_load(self, va: int) -> int:
