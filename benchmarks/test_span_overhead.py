@@ -34,7 +34,7 @@ def _one_round(tracing: bool, span_dir) -> float:
     SPANS.start(span_dir, name="bench")
     try:
         with SPANS.span("branch_heavy", iters=ITERS):
-            _, wall = _run_program(_branch_heavy, ITERS, fastpath=True)
+            _, wall, _ = _run_program(_branch_heavy, ITERS, fastpath=True)
     finally:
         SPANS.finish()
     return wall

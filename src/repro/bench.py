@@ -14,14 +14,10 @@ simulator's main cost regimes:
 * ``syscall``       — user/kernel round trips on a booted
   :class:`~repro.kernel.Machine`: privilege transitions, IBPB/fence
   mitigation work and kernel-text execution.
-* ``idle_loop``     — short retire bursts separated by long quiescent
-  stretches with scheduled wakeup events: the regime
-  :meth:`~repro.pipeline.CPU.idle` optimises, where the fast engine
-  jumps between event deadlines instead of ticking every cycle.
 
 Results are written as a ``phantom.bench/1`` document; each workload
 entry carries the fast engine's superblock statistics (blocks compiled,
-mean fused length, invalidations, probe bails, cycles skipped) so a
+mean fused length, invalidations, probe bails) so a
 perf regression can be localised to the layer that lost coverage.
 Regression comparison is done on the fast/slow *speedup ratio*, not
 absolute IPS: the ratio divides out host speed, so a baseline committed
@@ -46,7 +42,7 @@ from .pipeline import CPU, ZEN2
 BENCH_SCHEMA = "phantom.bench/1"
 
 #: Workload names in report order.
-WORKLOADS = ("straight_line", "branch_heavy", "syscall", "idle_loop")
+WORKLOADS = ("straight_line", "branch_heavy", "syscall")
 
 #: Iteration counts: (full, quick).  Sized so a full run finishes in a
 #: couple of minutes on a laptop and ``--quick`` fits a CI smoke job.
@@ -57,7 +53,6 @@ _SIZES = {
     # hundred milliseconds of wall time measures the OS scheduler, not
     # the simulator.
     "syscall": (2_000, 300),
-    "idle_loop": (2_000, 300),
 }
 
 _CODE = 0x0000_0010_0000
@@ -73,7 +68,7 @@ class WorkloadResult:
     instructions: int          # simulated instructions per engine run
     slow_seconds: float
     fast_seconds: float
-    #: Fast-engine superblock/quiescence statistics (see
+    #: Fast-engine superblock statistics (see
     #: :func:`superblock_stats`); None when the fast run predates them.
     superblocks: dict | None = None
 
@@ -106,7 +101,8 @@ class WorkloadResult:
 
 
 def superblock_stats(cpu: CPU) -> dict:
-    """Snapshot the fast engine's fusion/quiescence counters."""
+    """Snapshot the fast engine's fusion counters (``cycles_skipped``
+    is always 0; older documents carry non-zero values)."""
     compiled = cpu.sb_compiled
     return {
         "compiled": compiled,
@@ -221,51 +217,6 @@ def _run_syscalls(iters: int,
             superblock_stats(machine.cpu))
 
 
-def _idle_burst(iters: int) -> Assembler:
-    """A short retire burst: the active half of the idle workload."""
-    asm = Assembler(_CODE)
-    asm.mov_ri(Reg.RAX, iters)
-    for _ in range(8):
-        asm.add_ri(Reg.RAX, 5)
-        asm.xor_rr(Reg.RBX, Reg.RAX)
-    asm.hlt()
-    return asm
-
-
-def _run_idle_loop(iters: int,
-                   fastpath: bool) -> tuple[int, float, dict]:
-    """Retire bursts separated by event-punctuated quiescent stretches.
-
-    Each iteration runs the burst program to HLT, arms two wakeup
-    events and idles 2000 cycles through them — the shape of a device
-    model waiting on timer deadlines.  The callbacks only append to a
-    host-side list, so both engines observe identical event traffic;
-    the fast engine's :meth:`CPU.idle` skips straight between the
-    deadlines instead of ticking every cycle.
-    """
-    mem = MemorySystem(256 << 20, fastpath=fastpath)
-    cpu = CPU(ZEN2, mem, fastpath=fastpath)
-    mem.map_anonymous(_STACK - 16 * PAGE_SIZE, 16 * PAGE_SIZE,
-                      user=True, nx=True)
-    cpu.state.write(Reg.RSP, _STACK)
-    mem.load_image(_idle_burst(iters).image(), user=True)
-    fired: list[int] = []
-    start = time.perf_counter()
-    for _ in range(iters):
-        try:
-            cpu.run(_CODE, max_instructions=1_000_000)
-        except HaltRequested:
-            pass
-        cpu.sched.schedule(cpu.cycles, 500, fired.append)
-        cpu.sched.schedule(cpu.cycles, 1300, fired.append)
-        cpu.idle(2000)
-    wall = time.perf_counter() - start
-    if len(fired) != 2 * iters:
-        raise AssertionError(
-            f"idle_loop: {len(fired)} events fired, expected {2 * iters}")
-    return cpu.pmc.read("instructions"), wall, superblock_stats(cpu)
-
-
 #: Repetitions per engine measurement; the best (minimum) wall wins.
 #: Simulated work is deterministic, so the fastest repeat is the one
 #: least disturbed by the host — the ratio of two minima is far more
@@ -289,9 +240,6 @@ def measure(name: str, *, quick: bool = False) -> WorkloadResult:
     if name == "syscall":
         slow_instrs, slow_wall, _ = _best_of(_run_syscalls, iters, False)
         fast_instrs, fast_wall, stats = _best_of(_run_syscalls, iters, True)
-    elif name == "idle_loop":
-        slow_instrs, slow_wall, _ = _best_of(_run_idle_loop, iters, False)
-        fast_instrs, fast_wall, stats = _best_of(_run_idle_loop, iters, True)
     else:
         builder = _straight_line if name == "straight_line" \
             else _branch_heavy

@@ -16,7 +16,6 @@ Commands
   ``summarize`` / ``export`` subcommands inspect a ``--spans`` capture
   (critical path, Perfetto JSON, OpenMetrics)
 * ``fuzz``      — differential fuzz the dual-engine simulator
-* ``chaos``     — fault-injection smoke: recover, resume, diff clean
 * ``stats``     — summarize one run manifest, or diff two
 * ``bench``     — simulator throughput: fast path vs naive interpreter
 * ``uarches``   — list the modelled microarchitectures
@@ -32,7 +31,8 @@ count), and — with ``--results-dir`` — journal every finished job to
 ``DIR/<command>-checkpoint.jsonl``; ``--resume CHECKPOINT`` skips the
 jobs already journaled there (see ``docs/resilience.md``).  Ctrl-C
 with a checkpoint active exits 130 after flushing the journal and
-printing the resume command.
+printing the resume command; a worker process that dies does the same
+but exits 1.
 
 Observability (see ``docs/observability.md``): ``--spans DIR`` records
 ``phantom.span/1`` distributed-trace spans across every worker and
@@ -47,7 +47,6 @@ import argparse
 import os
 import random
 import sys
-from pathlib import Path
 
 from .pipeline import ALL_MICROARCHES, AMD_MICROARCHES, by_name
 from .runner import CampaignOptions
@@ -739,119 +738,6 @@ def cmd_contracts(args) -> int:
     return 0
 
 
-def cmd_chaos(args) -> int:
-    """Fault-injection smoke test: inject every chaos fault kind into a
-    small matrix campaign, interrupt it mid-flight, resume it, and
-    require the resumed manifest to fingerprint-equal a clean
-    ``--jobs 1`` run.  Exit 0 means every recovery path held."""
-    import shutil
-    import tempfile
-
-    from .core.matrix import ASYMMETRIC_COMBOS, MatrixExperiment
-    from .resilience import (ChaosExperiment, ChaosInterruptor,
-                             CheckpointWriter, SupervisionPolicy, plan_chaos)
-    from .runner import (CampaignInterrupted, manifest_fingerprint,
-                         run_campaign)
-
-    uarch = by_name(args.uarch)
-    combos = tuple(ASYMMETRIC_COMBOS[:args.cells]) if args.cells \
-        else ASYMMETRIC_COMBOS
-    experiment = MatrixExperiment(uarches=(uarch.name,), combos=combos,
-                                  seed=args.seed)
-    total = len(experiment.job_specs())
-
-    scratch = None
-    if args.state_dir:
-        state_dir = Path(args.state_dir)
-        state_dir.mkdir(parents=True, exist_ok=True)
-    else:
-        scratch = tempfile.mkdtemp(prefix="repro-chaos-")
-        state_dir = Path(scratch)
-    checkpoint = state_dir / "checkpoint.jsonl"
-
-    plan = plan_chaos(experiment, seed=args.seed, state_dir=state_dir,
-                      hang_s=args.hang)
-    print(f"chaos plan (seed {args.seed}, {total} jobs, "
-          f"--jobs {args.jobs}):")
-    for target, kind in plan.faults:
-        print(f"  {kind:7s} -> {target}")
-
-    progress = _progress_reporter(args)
-    progress_stream = progress.stream if progress is not None else None
-    if getattr(args, "spans", None):
-        SPANS.start(args.spans, name="chaos")
-    try:
-        # The reference nobody argues with: same campaign, serial,
-        # no faults, no checkpoint.
-        reference = run_campaign(experiment, jobs=1,
-                                 timeout_s=args.timeout).raise_on_failure()
-        want = manifest_fingerprint(reference.manifest)
-
-        policy = SupervisionPolicy(watchdog_grace_s=args.watchdog,
-                                   backoff_base_s=0.01,
-                                   jitter_seed=args.seed)
-        chaotic = ChaosExperiment(experiment, plan)
-        interrupt = ChaosInterruptor(plan, after_jobs=max(1, total // 3))
-        writer = CheckpointWriter(checkpoint,
-                                  fault_hook=plan.checkpoint_hook())
-        try:
-            with writer:
-                campaign = run_campaign(chaotic, jobs=args.jobs,
-                                        timeout_s=args.timeout,
-                                        retries=args.retries,
-                                        checkpoint=writer,
-                                        supervision=policy,
-                                        on_job_done=interrupt,
-                                        progress=progress)
-            print(f"campaign ran to completion ({total}/{total} jobs) "
-                  f"without the planned interrupt")
-        except CampaignInterrupted as exc:
-            print(str(exc))
-            campaign = run_campaign(chaotic, jobs=args.jobs,
-                                    timeout_s=args.timeout,
-                                    retries=args.retries,
-                                    checkpoint=checkpoint,
-                                    resume=checkpoint,
-                                    supervision=policy,
-                                    progress=progress)
-            resumed = campaign.manifest["outcome"].get("resume", {})
-            print(f"resumed: {resumed.get('jobs_skipped', 0)} jobs "
-                  f"skipped, {resumed.get('jobs_rerun', 0)} re-run")
-        campaign.raise_on_failure()
-
-        fired = set(plan.fired_tokens())
-        planned = {f"{target}:{kind}" for target, kind in plan.faults}
-        missing = sorted(planned - fired)
-        match = manifest_fingerprint(campaign.manifest) == want
-        line = f"faults fired: {len(planned - set(missing))}/{len(planned)}"
-        if missing:
-            line += f" (never fired: {', '.join(missing)})"
-        print(line)
-        print("resumed manifest "
-              + ("fingerprint-equals" if match else "DIFFERS from")
-              + " the clean --jobs 1 run")
-        ok = match and not missing
-        print(f"chaos smoke: {'OK' if ok else 'FAILED'}")
-        if not ok and args.state_dir:
-            print("hint: the state dir remembers fired faults; rerun "
-                  "with a fresh --state-dir", file=sys.stderr)
-        return 0 if ok else 1
-    finally:
-        if progress is not None:
-            progress.close()
-            if progress_stream not in (None, sys.stdout):
-                try:
-                    progress_stream.close()
-                except OSError:
-                    pass
-        if getattr(args, "spans", None) and SPANS.enabled:
-            span_dir = SPANS.finish()
-            if span_dir is not None:
-                print(f"spans: {stitch_to_file(span_dir)}")
-        if scratch is not None:
-            shutil.rmtree(scratch, ignore_errors=True)
-
-
 def cmd_bench(args) -> int:
     import json
 
@@ -1073,43 +959,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl.set_defaults(fn=cmd_contracts)
     p.set_defaults(fn=cmd_contracts)
 
-    p = sub.add_parser("chaos",
-                       help="fault-injection smoke: inject every fault "
-                            "kind, interrupt, resume, diff vs clean")
-    p.add_argument("--uarch", default="zen 2",
-                   help="microarchitecture for the victim campaign")
-    p.add_argument("--seed", type=int, default=0,
-                   help="chaos seed: drives both the campaign and "
-                        "which fault lands on which job")
-    p.add_argument("--cells", type=int, default=8, metavar="N",
-                   help="matrix cells in the victim campaign "
-                        "(0 = all 22; default 8 keeps the smoke fast)")
-    p.add_argument("--jobs", type=int, default=2,
-                   help="worker processes (default 2; at 1, kill/hang "
-                        "faults soften to in-process raises)")
-    p.add_argument("--timeout", type=float, default=10.0, metavar="SEC",
-                   help="per-job timeout (default 10)")
-    p.add_argument("--retries", type=int, default=2,
-                   help="per-job retries (default 2; must cover the "
-                        "injected raise)")
-    p.add_argument("--watchdog", type=float, default=3.0, metavar="SEC",
-                   help="supervisor heartbeat grace before hung "
-                        "workers are killed (default 3)")
-    p.add_argument("--hang", type=float, default=30.0, metavar="SEC",
-                   help="how long the injected hang sleeps (default "
-                        "30; must outlive the watchdog grace)")
-    p.add_argument("--state-dir", default=None, metavar="DIR",
-                   help="where fired-fault markers and the checkpoint "
-                        "live (default: a fresh temp dir; reusing a "
-                        "dir suppresses already-fired faults)")
-    p.add_argument("--spans", metavar="DIR", default=None,
-                   help="record phantom.span/1 spans under DIR "
-                        "(shows which job each recovery acted on)")
-    p.add_argument("--progress", metavar="FILE", default=None,
-                   help="stream phantom.progress/1 events to FILE "
-                        "('-' = stdout, a number = an inherited fd)")
-    p.set_defaults(fn=cmd_chaos)
-
     p = sub.add_parser("bench",
                        help="simulator throughput: fast vs naive engine")
     p.add_argument("--quick", action="store_true",
@@ -1152,6 +1001,10 @@ def main(argv: list[str] | None = None) -> int:
         if exc.checkpoint:
             print(f"repro: rerun with --resume {exc.checkpoint} to "
                   f"pick up where this run stopped", file=sys.stderr)
+        from concurrent.futures.process import BrokenProcessPool
+
+        if isinstance(exc.__cause__, BrokenProcessPool):
+            return 1
         return 130   # what the shell reports for an uncaught SIGINT
 
 

@@ -84,18 +84,22 @@ class CellResult:
 
 @dataclass(frozen=True)
 class MatrixExperiment:
-    """The Table 1 campaign: one job per (µarch, train, victim) cell."""
+    """The Table 1 campaign: one job per (µarch, train, victim) cell.
+
+    ``uarches`` holds names or :class:`Microarch` models; a modified
+    model reaches the workers intact (see :class:`MachineSpec`).
+    """
 
     name: ClassVar[str] = "matrix"
 
-    uarches: tuple[str, ...]
+    uarches: tuple[str | Microarch, ...]
     combos: tuple[tuple[TrainKind, VictimKind], ...] = ASYMMETRIC_COMBOS
     seed: int = 0
     mitigations: MitigationConfig = DEFAULT_MITIGATIONS
 
     def campaign_config(self) -> dict:
-        return {"uarches": list(self.uarches), "seed": self.seed,
-                "combos": len(self.combos)}
+        return {"uarches": [getattr(u, "name", u) for u in self.uarches],
+                "seed": self.seed, "combos": len(self.combos)}
 
     def job_specs(self) -> list[JobSpec]:
         specs = []
@@ -106,7 +110,7 @@ class MatrixExperiment:
                                   syscall_noise_evictions=0)
             for train, victim in self.combos:
                 specs.append(JobSpec.make(
-                    self.name, (uarch, train.value, victim.value),
+                    self.name, (machine.uarch, train.value, victim.value),
                     self.seed, machine=machine,
                     train=train.name, victim=victim.name))
         return specs
@@ -132,7 +136,7 @@ def measure_cell(uarch: Microarch, train_kind: TrainKind,
                  mitigations: MitigationConfig = DEFAULT_MITIGATIONS
                  ) -> ExperimentResult:
     """Measure one cell; fresh machine per channel (see module doc)."""
-    experiment = MatrixExperiment(uarches=(uarch.name,),
+    experiment = MatrixExperiment(uarches=(uarch,),
                                   combos=((train_kind, victim_kind),),
                                   seed=seed, mitigations=mitigations)
     [spec] = experiment.job_specs()
@@ -151,7 +155,7 @@ def run_matrix(uarches, *, combos=ASYMMETRIC_COMBOS, seed: int = 0,
     :func:`repro.runner.run_campaign` directly for failure capture.
     """
     experiment = MatrixExperiment(
-        uarches=tuple(u.name for u in uarches), combos=tuple(combos),
+        uarches=tuple(uarches), combos=tuple(combos),
         seed=seed, mitigations=mitigations)
     return run_campaign(experiment, jobs=jobs).raise_on_failure().value
 

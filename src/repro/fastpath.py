@@ -13,11 +13,9 @@ Accepted values (case-insensitive):
 * unset, empty, ``1`` / ``true`` / ``on`` / ``yes`` — fast path fully on;
 * ``0`` / ``false`` / ``off`` / ``no`` — naive path (the
   differential-testing oracle);
-* a comma-separated flag list selectively disabling fast-path layers
-  while keeping the rest: ``superblocks=0`` (step thunks only, no
-  superblock fusion), ``quiesce=0`` (ticked idle instead of
-  event-skipped), or both (``superblocks=0,quiesce=0``).  Flag values
-  are the on/off words above.
+* the flag form ``superblocks=0`` (step thunks only, no superblock
+  fusion) or ``superblocks=1``; the value is one of the on/off words
+  above.
 
 Anything else — an unknown flag such as the typo ``superblock=0``, a bad
 flag value, a bare unknown word — raises :class:`ValueError` naming the
@@ -35,23 +33,19 @@ _DISABLED = ("0", "false", "off", "no")
 _ENABLED = ("1", "true", "on", "yes")
 
 #: Flags the selective syntax understands.
-_FLAGS = ("superblocks", "quiesce")
+_FLAGS = ("superblocks",)
 
 
 @dataclass(frozen=True)
 class FastpathConfig:
     """Parsed engine selection.
 
-    ``enabled`` picks the engine; the layer flags only matter when the
-    fast path is on (the naive engine never fuses superblocks, and both
-    engines must agree on idle semantics — quiescence skipping is
-    behaviour-neutral by construction, pinned by
-    ``tests/pipeline/test_quiescence.py``).
+    ``enabled`` picks the engine; ``superblocks`` only matters when the
+    fast path is on (the naive engine never fuses superblocks).
     """
 
     enabled: bool = True
     superblocks: bool = True
-    quiesce: bool = True
 
 
 def parse_fastpath(value: str | None) -> FastpathConfig:
@@ -63,8 +57,7 @@ def parse_fastpath(value: str | None) -> FastpathConfig:
     if not text or text in _ENABLED:
         return FastpathConfig()
     if text in _DISABLED:
-        return FastpathConfig(enabled=False, superblocks=False,
-                              quiesce=False)
+        return FastpathConfig(enabled=False, superblocks=False)
     flags = {}
     for part in text.split(","):
         name, eq, raw = (piece.strip() for piece in part.partition("="))

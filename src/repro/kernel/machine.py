@@ -16,13 +16,13 @@ caches exactly as the equivalent instruction sequence would.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from ..errors import HaltRequested, PageFault, ReproError
 from ..isa import Assembler, Image, Reg
 from ..memory import MemorySystem
 from ..params import HUGE_PAGE_SIZE, PAGE_SIZE, canonical
-from ..pipeline import CPU, Microarch
+from ..pipeline import CPU, Microarch, by_name
 from ..telemetry import metrics as _metrics
 from ..telemetry.trace import TRACE as _TRACE
 
@@ -104,6 +104,12 @@ class MachineSpec:
     crosses the process-pool boundary of :mod:`repro.runner` where a
     booted :class:`Machine` (caches, CPU, mapped memory) cannot.  Two
     boots of the same spec are bit-identical machines.
+
+    ``uarch`` also accepts a :class:`Microarch`: the spec then stores
+    its name plus the fields where it differs from the stock model of
+    that name (``uarch_overrides``), so a modified model such as
+    ``replace(ZEN2, frontend_resteer_latency=2)`` boots as itself
+    instead of as stock Zen 2.
     """
 
     uarch: str
@@ -113,6 +119,30 @@ class MachineSpec:
     mitigations: MitigationConfig = DEFAULT_MITIGATIONS
     sibling_load: bool = False
     syscall_noise_evictions: int = 2
+    #: ``(field, value)`` pairs applied to the stock model; empty for
+    #: stock µarchs.
+    uarch_overrides: tuple[tuple[str, object], ...] = ()
+
+    def __post_init__(self) -> None:
+        uarch = self.uarch
+        if not isinstance(uarch, Microarch):
+            return
+        if self.uarch_overrides:
+            raise ValueError("MachineSpec: pass a Microarch or "
+                             "uarch_overrides, not both")
+        stock = by_name(uarch.name)
+        overrides = tuple((f.name, getattr(uarch, f.name))
+                          for f in fields(Microarch)
+                          if getattr(uarch, f.name) != getattr(stock, f.name))
+        object.__setattr__(self, "uarch", uarch.name)
+        object.__setattr__(self, "uarch_overrides", overrides)
+
+    def microarch(self) -> Microarch:
+        """The model this spec boots."""
+        stock = by_name(self.uarch)
+        if not self.uarch_overrides:
+            return stock
+        return replace(stock, **dict(self.uarch_overrides))
 
     def with_(self, **changes) -> "MachineSpec":
         return replace(self, **changes)
@@ -123,11 +153,10 @@ class MachineSpec:
     def describe(self) -> dict:
         """Manifest ``config`` block for this spec (same shape as
         :func:`repro.telemetry.manifest.machine_config`, no boot
-        required)."""
-        from ..pipeline import by_name
-
-        uarch = by_name(self.uarch)
-        return {
+        required).  ``uarch_overrides`` appears only for a modified
+        model, so stock specs describe (and fingerprint) as before."""
+        uarch = self.microarch()
+        config = {
             "uarch": uarch.name,
             "model": uarch.model,
             "vendor": uarch.vendor,
@@ -137,6 +166,12 @@ class MachineSpec:
                             for k, v in asdict(self.mitigations).items()},
             "phys_mem_bytes": self.phys_mem,
         }
+        if self.uarch_overrides:
+            config["uarch_overrides"] = {
+                name: value if isinstance(value, (bool, int, float, str))
+                else repr(value)
+                for name, value in self.uarch_overrides}
+        return config
 
 
 class Machine:
@@ -168,9 +203,7 @@ class Machine:
     @classmethod
     def from_spec(cls, spec: MachineSpec) -> "Machine":
         """Boot the machine a :class:`MachineSpec` describes."""
-        from ..pipeline import by_name
-
-        return cls(by_name(spec.uarch), phys_mem=spec.phys_mem,
+        return cls(spec.microarch(), phys_mem=spec.phys_mem,
                    kaslr_seed=spec.kaslr_seed, rng_seed=spec.rng_seed,
                    mitigations=spec.mitigations,
                    sibling_load=spec.sibling_load,
@@ -313,13 +346,6 @@ class Machine:
     def seconds(self) -> float:
         """Simulated wall-clock time since boot."""
         return self.cpu.cycles / (self.uarch.clock_ghz * 1e9)
-
-    def idle(self, cycles: int) -> None:
-        """Let the core sit quiescent for *cycles* cycles (e.g. waiting
-        on a timer): delegates to :meth:`CPU.idle`, which either ticks
-        or event-skips depending on the fast-path configuration —
-        identically either way."""
-        self.cpu.idle(cycles)
 
     @property
     def timing_jitter_sigma(self) -> float:

@@ -55,15 +55,13 @@ phantom episodes replay exactly; a miss proves the whole run is
 prediction-free and executes it with batched counter accounting.
 Blocks are retired whole by :meth:`CPU.invalidate_code` (writes landing
 anywhere inside the block, via the interior-pc index) and wholesale
-when the page-table generation moves.  Quiescent stretches
-(:meth:`CPU.idle`) are advanced by an event scheduler that jumps
-between deadlines instead of ticking (see ``pipeline/sched.py``).
+when the page-table generation moves.
 
-``PHANTOM_REPRO_FASTPATH=0`` selects the naive path;
-``superblocks=0``/``quiesce=0`` disable individual fast-path layers
-(see ``docs/performance.md``).  Step thunks are dropped by
-:meth:`CPU.invalidate_code`; privilege is part of the cache key, so
-kernel and user executions of the same bytes never share a thunk.
+``PHANTOM_REPRO_FASTPATH=0`` selects the naive path; ``superblocks=0``
+disables superblock fusion alone (see ``docs/performance.md``).  Step
+thunks are dropped by :meth:`CPU.invalidate_code`; privilege is part of
+the cache key, so kernel and user executions of the same bytes never
+share a thunk.
 """
 
 from __future__ import annotations
@@ -88,7 +86,6 @@ from ..telemetry.spans import SPANS as _SPANS
 from ..telemetry.trace import TRACE as _TRACE
 from .config import Microarch
 from .pmc import PMC
-from .sched import EventScheduler
 
 _REG = _metrics.REGISTRY
 
@@ -96,7 +93,6 @@ _MAX_INSTR_BYTES = 16
 
 #: Pre-resolved PMC counter slots (see :meth:`PMC.index`): the hot path
 #: bumps ``pmc.counts`` entries directly instead of hashing event names.
-_IDX_CYCLES = PMC.index("cycles")
 _IDX_INSTRUCTIONS = PMC.index("instructions")
 _IDX_OP_HIT = PMC.index("op_cache_hit")
 _IDX_OP_MISS = PMC.index("op_cache_miss")
@@ -232,8 +228,7 @@ class CPU:
     def __init__(self, uarch: Microarch, mem: MemorySystem,
                  rng: random.Random | None = None,
                  fastpath: bool | None = None, *,
-                 superblocks: bool | None = None,
-                 quiesce: bool | None = None) -> None:
+                 superblocks: bool | None = None) -> None:
         self.uarch = uarch
         self.mem = mem
         self.rng = rng or random.Random(0)
@@ -253,10 +248,9 @@ class CPU:
         self.instr_hook = None
         self._decode_cache: dict[int, Instruction] = {}
         #: Engine selection; defaults to the memory system's, so one
-        #: PHANTOM_REPRO_FASTPATH read governs the whole machine.  The
-        #: layer flags (superblock fusion, quiescence skipping) default
-        #: to the environment's selective syntax and only apply when the
-        #: fast path itself is on.
+        #: PHANTOM_REPRO_FASTPATH read governs the whole machine.
+        #: Superblock fusion defaults to the environment's selective
+        #: syntax and only applies when the fast path itself is on.
         self._fastpath = mem.fastpath if fastpath is None else bool(fastpath)
         #: Only the fast path shares the process-wide BTB hash memo.
         self.bpu = BPU(uarch.btb, btb_ways=uarch.btb_ways,
@@ -265,8 +259,6 @@ class CPU:
         self._superblocks = self._fastpath and (
             _config.superblocks if superblocks is None
             else bool(superblocks))
-        self._quiesce = self._fastpath and (
-            _config.quiesce if quiesce is None else bool(quiesce))
         #: Memoized (or naive — same results) translation entry point.
         self._translate = mem.translate
         #: L1-miss heuristic threshold, read once: an access is a miss
@@ -305,7 +297,7 @@ class CPU:
         self._tb_user: dict[int, tuple[int, int, Callable] | None] = {}
         self._tb_kernel: dict[int, tuple[int, int, Callable] | None] = {}
         self._tb_index: dict[int, set[tuple[bool, int]]] = {}
-        #: Superblock/quiescence statistics.  Plain attributes, *not*
+        #: Superblock statistics.  Plain attributes, *not*
         #: metrics counters: only the fast engine compiles blocks, and
         #: engine manifests must stay fingerprint-identical.
         self.sb_compiled = 0
@@ -313,9 +305,8 @@ class CPU:
         self.sb_invalidated = 0
         self.sb_probe_bails = 0
         self.tb_compiled = 0
+        #: Always 0; profilers sum it across CPUs.
         self.cycles_skipped = 0
-        #: Deferred-event scheduler driving :meth:`idle`.
-        self.sched = EventScheduler()
         self._m_phantom = _metrics.counter("speculation_episodes",
                                            flavour="phantom")
         self._m_spectre = _metrics.counter("speculation_episodes",
@@ -984,60 +975,6 @@ class CPU:
             owners.add(key)
         self.tb_compiled += 1
         return block
-
-    # ------------------------------------------------------------------
-    # quiescence
-    # ------------------------------------------------------------------
-
-    def idle(self, cycles: int) -> None:
-        """Advance through *cycles* quiescent cycles, firing due events.
-
-        Quiescent cycles retire nothing; their only observable effects
-        are the ``cycles`` clock, the idle-cycle PMC slot and whatever
-        the scheduled event callbacks do.  The ticked mode replays them
-        one by one; the event-skipped mode (fast path default) jumps
-        straight between event deadlines and applies the per-cycle
-        counter effect arithmetically.  Overdue events — armed for a
-        deadline the instruction stream has already run past — fire on
-        the first idle cycle in both modes.  Cycle-exact equivalence of
-        the two modes is pinned by tests/pipeline/test_quiescence.py.
-        """
-        if cycles <= 0:
-            return
-        sched = self.sched
-        counts = self._counts
-        end = self.cycles + cycles
-        if self._quiesce:
-            while True:
-                deadline = sched.next_deadline()
-                if deadline is None:
-                    break
-                now = self.cycles
-                target = deadline if deadline > now else now + 1
-                if target > end:
-                    break
-                dt = target - now
-                self.cycles = target
-                counts[_IDX_CYCLES] += dt
-                self.cycles_skipped += dt
-                callback = sched.pop_due(target)
-                while callback is not None:
-                    callback(target)
-                    callback = sched.pop_due(target)
-            dt = end - self.cycles
-            if dt > 0:
-                self.cycles = end
-                counts[_IDX_CYCLES] += dt
-                self.cycles_skipped += dt
-        else:
-            while self.cycles < end:
-                self.cycles += 1
-                counts[_IDX_CYCLES] += 1
-                now = self.cycles
-                callback = sched.pop_due(now)
-                while callback is not None:
-                    callback(now)
-                    callback = sched.pop_due(now)
 
     # ------------------------------------------------------------------
     # frontend (pre-decode) prediction handling

@@ -1,48 +1,29 @@
-"""Resilient campaigns: checkpoint/resume, supervision, chaos testing.
+"""Resilient campaigns: checkpoint and resume.
 
-The paper's headline tables come from hours-long campaign sweeps, and
-until this package a single worker crash, OOM kill or Ctrl-C threw all
-completed work away.  Three layers fix that, each exercised by the
-next:
+The paper's headline tables come from campaign sweeps, and a single
+worker crash, OOM kill or Ctrl-C used to throw all completed work away.
+Two modules fix that:
 
 * :mod:`~repro.resilience.checkpoint` — an append-only JSONL journal
   of finished jobs keyed by spec fingerprint;
   ``run_campaign(..., resume=path)`` skips journaled jobs and still
   produces a manifest fingerprint-identical to an uninterrupted run.
-* :mod:`~repro.resilience.supervisor` — pool respawn + requeue on
-  ``BrokenProcessPool``, a parent-side heartbeat watchdog for workers
-  the ``SIGALRM`` timeout cannot reach, deterministic backoff, and
-  graceful degradation to in-process execution.
-* :mod:`~repro.resilience.chaos` — seed-driven injection of exactly
-  those faults (raise / sigkill / hang / checkpoint-ENOSPC), each
-  firing once per state dir, so the recovery paths above run under
-  ``pytest`` and the ``repro chaos`` smoke mode.
+* :mod:`~repro.resilience.supervisor` — the plain pool loop behind
+  pooled campaigns.  A broken pool is not recovered: the campaign fails
+  with the journal flushed and a resume hint, and ``--resume`` is the
+  one recovery path.
 
 See ``docs/resilience.md``.
 """
 
-from .chaos import (CAMPAIGN_TARGET, CHECKPOINT_TARGET, FAULT_KINDS,
-                    ChaosExperiment, ChaosFault, ChaosInterruptor,
-                    ChaosPlan, plan_chaos)
 from .checkpoint import (CHECKPOINT_SCHEMA, CheckpointRecord,
                          CheckpointWriter, load_checkpoint,
                          spec_fingerprint)
-from .supervisor import SupervisionPolicy, supervise
 
 __all__ = [
-    "CAMPAIGN_TARGET",
     "CHECKPOINT_SCHEMA",
-    "CHECKPOINT_TARGET",
-    "ChaosExperiment",
-    "ChaosFault",
-    "ChaosInterruptor",
-    "ChaosPlan",
     "CheckpointRecord",
     "CheckpointWriter",
-    "FAULT_KINDS",
-    "SupervisionPolicy",
     "load_checkpoint",
-    "plan_chaos",
     "spec_fingerprint",
-    "supervise",
 ]

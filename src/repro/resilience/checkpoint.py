@@ -24,8 +24,8 @@ Design points:
 * **Write failures degrade.**  ENOSPC (or any ``OSError``) on append
   is counted (``resilience.checkpoint_write_errors``), warned about
   once, and otherwise ignored — the campaign keeps running and the
-  un-journaled job simply re-runs on resume.  The chaos harness
-  injects exactly this fault through ``fault_hook``.
+  un-journaled job simply re-runs on resume.  Tests substitute a
+  failing disk through ``fault_hook``.
 
 One journal file can serve every campaign of a run (the CLI shares one
 per ``--results-dir``): fingerprints cover the experiment name, key,
@@ -138,7 +138,7 @@ class CheckpointWriter:
     flushes on huge campaigns).  A flushed record survives the process
     being killed, not a power loss: the writer never calls ``fsync``.
     ``fault_hook``, when set, runs before each append and may raise
-    ``OSError`` — the chaos harness's ENOSPC injection point; real and
+    ``OSError`` (a test seam for a full or failing disk); real and
     injected write errors take the same degradation path.
     """
 

@@ -1,135 +1,23 @@
-"""Worker supervision: survive crashed, killed and hung pool workers.
+"""The pooled campaign loop: one process pool, no recovery.
 
-``concurrent.futures`` treats a worker that dies (SIGKILL, OOM) as
-fatal: every pending future raises ``BrokenProcessPool`` and the
-campaign aborts.  :func:`supervise` turns that into a recoverable
-event:
-
-* **Respawn + requeue.**  When a pool breaks, the jobs that already
-  completed are kept (and checkpointed); only the in-flight and queued
-  jobs are resubmitted to a fresh pool.  A job that keeps taking its
-  worker down is failed after ``max_requeues`` resubmissions instead of
-  looping forever.
-* **Heartbeat watchdog.**  The per-job ``SIGALRM`` timeout is enforced
-  inside the worker — which means a worker stuck with the signal
-  blocked (or stuck in C code) never fires it.  A sidecar thread in the
-  *parent* watches wall-clock progress: when no job has completed for
-  ``grace`` seconds it SIGKILLs the pool's workers, which surfaces as a
-  broken pool and flows through the respawn/requeue path above.
-* **Deterministic backoff.**  Respawns are spaced by exponential
-  backoff with jitter derived from :func:`repro.runner.derive_seed`
-  (never ``random``), so two runs of the same failing campaign behave
-  identically.
-* **Graceful degradation.**  After ``max_pool_respawns`` consecutive
-  pool failures the supervisor stops trusting process isolation and
-  runs the remaining jobs in-process (where a plain exception is
-  capturable), unless the policy says to fail them instead.
-
-The supervisor only schedules; job semantics stay in
-:func:`repro.runner.execute_job`, so results remain byte-identical to
-an unsupervised run — crash recovery is an execution detail, not part
-of the result.
+:func:`run_pool` submits every pending job to a single
+``ProcessPoolExecutor`` through :func:`repro.runner.execute_job` and
+records each result in completion order.  It does not try to survive a
+dead worker: a SIGKILLed or OOM-killed worker breaks the pool, the
+``BrokenProcessPool`` propagates, and :func:`repro.runner.run_campaign`
+turns it into :class:`~repro.runner.CampaignInterrupted` with the
+checkpoint journal flushed — so ``--resume`` is the one recovery path.
+Per-job timeouts and retries stay inside :func:`execute_job`.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 
-from ..runner.executor import JobContext, execute_job
-from ..runner.reduce import job_manifest
-from ..runner.spec import derive_seed
-from ..telemetry import metrics as _metrics
-from ..telemetry.spans import SPANS
-from ..telemetry.trace import TRACE
-
-_EMPTY_METRICS = {"counters": {}, "gauges": {}, "histograms": {},
-                  "base_labels": {}}
+from ..runner.executor import execute_job
 
 
-@dataclass(frozen=True)
-class SupervisionPolicy:
-    """Knobs for pool supervision (all deterministic)."""
-
-    #: Consecutive pool failures tolerated before degrading.
-    max_pool_respawns: int = 3
-    #: Times one job may be resubmitted after taking a pool down.
-    max_requeues: int = 3
-    #: Exponential backoff between respawns: base * factor**n, capped.
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 2.0
-    #: Seed for the backoff jitter (derived, never ``random``).
-    jitter_seed: int = 0
-    #: Wall-clock stall before the watchdog kills the pool; ``None``
-    #: derives it from the job timeout (2x, floor 1 s) and disables the
-    #: watchdog entirely when there is no timeout to scale from.
-    watchdog_grace_s: float | None = None
-    #: Run leftover jobs in-process once respawns are exhausted.
-    degrade_in_process: bool = True
-
-    def backoff_s(self, respawn: int) -> float:
-        """Delay before the *respawn*-th pool respawn (1-based)."""
-        delay = min(self.backoff_base_s
-                    * self.backoff_factor ** max(respawn - 1, 0),
-                    self.backoff_max_s)
-        # 0..25% seed-derived jitter: decorrelates restart stampedes
-        # across parallel campaigns without sacrificing replayability.
-        jitter = derive_seed(self.jitter_seed, ("backoff", respawn)) \
-            % 1000 / 4000
-        return delay * (1.0 + jitter)
-
-    def grace_s(self, timeout_s: float | None) -> float | None:
-        if self.watchdog_grace_s is not None:
-            return self.watchdog_grace_s
-        if timeout_s:
-            return max(2.0 * timeout_s, 1.0)
-        return None
-
-
-class _Watchdog(threading.Thread):
-    """Heartbeat sidecar: wall-clock stall detector for one pool.
-
-    Lives in the parent process and therefore needs no cooperation
-    from the workers — ``beat()`` is called on every job completion,
-    and ``grace`` seconds of silence while jobs are outstanding gets
-    the pool's worker processes SIGKILLed (the resulting
-    ``BrokenProcessPool`` is the supervisor's requeue signal).
-    """
-
-    def __init__(self, pool: ProcessPoolExecutor, grace_s: float) -> None:
-        super().__init__(name="campaign-watchdog", daemon=True)
-        self._pool = pool
-        self._grace = grace_s
-        self._last_beat = time.monotonic()
-        self._halt = threading.Event()
-        self.fired = False
-
-    def beat(self) -> None:
-        self._last_beat = time.monotonic()
-
-    def stop(self) -> None:
-        self._halt.set()
-        self.join()
-
-    def run(self) -> None:
-        interval = max(min(self._grace / 4.0, 0.25), 0.01)
-        while not self._halt.wait(interval):
-            if time.monotonic() - self._last_beat >= self._grace:
-                self.fired = True
-                _metrics.REGISTRY.counter(
-                    "resilience.watchdog_kills").inc()
-                TRACE.emit("watchdog_kill", 0, grace_s=self._grace)
-                SPANS.event("supervisor:watchdog_kill", status="error",
-                            grace_s=self._grace)
-                _kill_pool_workers(self._pool)
-                return
-
-
-def _kill_pool_workers(pool: ProcessPoolExecutor) -> None:
+def _kill_workers(pool: ProcessPoolExecutor) -> None:
     """SIGKILL every live worker (best effort; ``_processes`` is the
     stdlib's only handle on them)."""
     processes = getattr(pool, "_processes", None) or {}
@@ -140,148 +28,25 @@ def _kill_pool_workers(pool: ProcessPoolExecutor) -> None:
             pass
 
 
-def _lost_job_result(spec, requeues: int, *, hung: bool):
-    """Terminal failure for a job that exhausted its requeue budget."""
-    from ..runner.executor import JobResult
+def run_pool(experiment, specs, todo, record, *, n_workers, timeout_s,
+             retries) -> None:
+    """Run *todo* (indices into *specs*) on a pool of *n_workers*.
 
-    kind = "hung" if hung else "worker-lost"
-    message = (f"job lost its worker {requeues} times"
-               + (" (watchdog killed a stalled pool)" if hung else "")
-               + "; requeue budget exhausted")
-    manifest = job_manifest(spec, JobContext(), dict(_EMPTY_METRICS),
-                            status="failure", wall_time_s=0.0,
-                            error=message, error_kind=kind,
-                            attempts=requeues)
-    return JobResult(spec=spec, error=message, error_kind=kind,
-                     attempts=requeues, manifest=manifest)
-
-
-def _one_round(experiment, specs, todo, record, *, n_workers, timeout_s,
-               retries, grace_s):
-    """One pool lifetime: submit *todo*, harvest until done or broken.
-
-    Returns ``(completed_indices, broken, hung)``.  A ``BaseException``
-    from *record* (the chaos interruptor raises ``KeyboardInterrupt``
-    there, and a real Ctrl-C lands here too) kills the workers before
-    propagating so shutdown never waits on a stalled job.
+    Calls ``record(index, JobResult)`` once per job, in completion
+    order.  Any exception — a ``BrokenProcessPool``, or a
+    ``KeyboardInterrupt`` raised by *record* or a real Ctrl-C — kills
+    the workers before propagating, so shutdown never waits on a
+    stalled job.
     """
-    completed: list[int] = []
-    broken = False
-    hung = False
     pool = ProcessPoolExecutor(max_workers=min(n_workers, len(todo)))
-    watchdog = _Watchdog(pool, grace_s) if grace_s else None
     try:
-        try:
-            futures = {pool.submit(execute_job, experiment, specs[i],
-                                   timeout_s=timeout_s, retries=retries): i
-                       for i in todo}
-            if watchdog is not None:
-                watchdog.start()
-            for future in as_completed(futures):
-                try:
-                    result = future.result()
-                except BrokenProcessPool:
-                    broken = True
-                    break
-                record(futures[future], result)
-                completed.append(futures[future])
-                if watchdog is not None:
-                    watchdog.beat()
-        except BrokenProcessPool:      # pool broke during submit
-            broken = True
-        except BaseException:
-            _kill_pool_workers(pool)
-            raise
+        futures = {pool.submit(execute_job, experiment, specs[i],
+                               timeout_s=timeout_s, retries=retries): i
+                   for i in todo}
+        for future in as_completed(futures):
+            record(futures[future], future.result())
+    except BaseException:
+        _kill_workers(pool)
+        raise
     finally:
-        if watchdog is not None:
-            watchdog.stop()
-            hung = watchdog.fired
-        if broken or hung:
-            _kill_pool_workers(pool)
         pool.shutdown(wait=True, cancel_futures=True)
-    return completed, broken or hung, hung
-
-
-def supervise(experiment, specs, todo, record, *, n_workers, timeout_s,
-              retries, policy: SupervisionPolicy) -> dict:
-    """Run *todo* (indices into *specs*) to completion under supervision.
-
-    Calls ``record(index, JobResult)`` exactly once per job, in
-    completion order.  Returns supervision statistics (all zero for an
-    uneventful campaign) for the campaign manifest's ``outcome``.
-    """
-    pending = list(todo)
-    requeues = {i: 0 for i in pending}
-    stats = {"pool_respawns": 0, "requeues": 0, "watchdog_kills": 0,
-             "jobs_lost": 0, "degraded_in_process": False}
-    grace_s = policy.grace_s(timeout_s)
-    respawns = 0
-    while pending:
-        completed, broken, hung = _one_round(
-            experiment, specs, pending, record, n_workers=n_workers,
-            timeout_s=timeout_s, retries=retries, grace_s=grace_s)
-        done = set(completed)
-        pending = [i for i in pending if i not in done]
-        if not broken:
-            break                      # as_completed drained everything
-        if hung:
-            stats["watchdog_kills"] += 1
-        still_pending = []
-        for i in pending:
-            requeues[i] += 1
-            stats["requeues"] += 1
-            _metrics.REGISTRY.counter("resilience.requeues").inc()
-            if requeues[i] > policy.max_requeues:
-                stats["jobs_lost"] += 1
-                TRACE.emit("job_lost", 0, job=specs[i].label,
-                           requeues=requeues[i], hung=hung)
-                SPANS.event("supervisor:job_lost", status="error",
-                            job=specs[i].label, requeues=requeues[i])
-                record(i, _lost_job_result(specs[i], requeues[i],
-                                           hung=hung))
-            else:
-                still_pending.append(i)
-        pending = still_pending
-        if not pending:
-            break
-        respawns += 1
-        stats["pool_respawns"] += 1
-        _metrics.REGISTRY.counter("resilience.pool_respawns").inc()
-        requeued = [specs[i].label for i in pending]
-        TRACE.emit("pool_respawn", 0, respawn=respawns, hung=hung,
-                   requeued=requeued)
-        SPANS.event("supervisor:pool_respawn", respawn=respawns,
-                    hung=hung, requeued=requeued)
-        if respawns > policy.max_pool_respawns:
-            if policy.degrade_in_process:
-                # Process isolation keeps failing: finish in-process,
-                # where a plain exception is still capturable and a
-                # crash is at least attributable.
-                stats["degraded_in_process"] = True
-                _metrics.REGISTRY.counter(
-                    "resilience.degraded_in_process").inc()
-                TRACE.emit("degraded_in_process", 0, jobs=requeued)
-                SPANS.event("supervisor:degraded_in_process",
-                            status="error", jobs=requeued)
-                for i in pending:
-                    record(i, execute_job(experiment, specs[i],
-                                          timeout_s=timeout_s,
-                                          retries=retries))
-            else:
-                for i in pending:
-                    stats["jobs_lost"] += 1
-                    TRACE.emit("job_lost", 0, job=specs[i].label,
-                               requeues=requeues[i], hung=hung)
-                    SPANS.event("supervisor:job_lost", status="error",
-                                job=specs[i].label, requeues=requeues[i])
-                    record(i, _lost_job_result(specs[i], requeues[i],
-                                               hung=hung))
-            pending = []
-            break
-        delay = policy.backoff_s(respawns)
-        TRACE.emit("backoff", 0, respawn=respawns,
-                   delay_s=round(delay, 6))
-        with SPANS.span("supervisor:backoff", respawn=respawns,
-                        delay_s=round(delay, 6)):
-            time.sleep(delay)
-    return stats

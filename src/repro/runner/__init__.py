@@ -9,9 +9,9 @@ embarrassingly parallel.  This package schedules them:
   descriptions with deterministic per-job seeds (results are
   byte-identical at any ``--jobs`` value);
 * :func:`run_campaign` — shard jobs across a process pool with per-job
-  timeout/retry and failure capture instead of campaign abort; pooled
-  runs are supervised (pool respawn, requeue, watchdog) and can
-  journal to / resume from a checkpoint (see :mod:`repro.resilience`);
+  timeout/retry and failure capture instead of campaign abort; runs
+  can journal to / resume from a checkpoint (see
+  :mod:`repro.resilience`);
 * :func:`merge_job_manifests` — fold per-job
   ``phantom.run-manifest/1`` documents into one campaign manifest.
 
@@ -21,8 +21,8 @@ See ``docs/parallel-runner.md``.
 """
 
 from .executor import (CampaignError, CampaignInterrupted, CampaignResult,
-                       CheckpointOps, JobContext, JobResult, JobTimeout,
-                       execute_job, resolve_jobs, run_campaign)
+                       JobContext, JobResult, JobTimeout, execute_job,
+                       resolve_jobs, run_campaign)
 from .options import CampaignOptions
 from .reduce import job_manifest, manifest_fingerprint, merge_job_manifests
 from .spec import JobSpec, derive_seed
@@ -32,7 +32,6 @@ __all__ = [
     "CampaignInterrupted",
     "CampaignOptions",
     "CampaignResult",
-    "CheckpointOps",
     "JobContext",
     "JobResult",
     "JobSpec",

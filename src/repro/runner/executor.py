@@ -13,14 +13,13 @@ wrappers that predate the runner (``run_matrix`` …) call
 :meth:`CampaignResult.raise_on_failure` to restore raise-on-error
 behaviour.
 
-Beyond per-job failures, campaigns survive *infrastructure* failures
-(see :mod:`repro.resilience`): pooled execution runs under a
-supervisor that respawns broken pools and requeues in-flight jobs,
+Infrastructure failures are not retried (see :mod:`repro.resilience`):
 ``checkpoint=`` journals each finished job to an append-only JSONL
 file, and ``resume=`` skips jobs already journaled there — producing a
 campaign manifest fingerprint-identical to an uninterrupted run.  A
-``KeyboardInterrupt`` while a checkpoint is active flushes the journal
-and surfaces as :class:`CampaignInterrupted` with a resume hint.
+``KeyboardInterrupt``, or a pool broken by a dead worker, while a
+checkpoint is active flushes the journal and surfaces as
+:class:`CampaignInterrupted` with a resume hint.
 
 Every job runs in its own metrics scope (the worker's registry is
 reset around it) and returns a small ``phantom.run-manifest/1``
@@ -36,7 +35,7 @@ import time
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Sequence
 
 from ..errors import ReproError
 from ..telemetry import metrics as _metrics
@@ -52,8 +51,9 @@ class CampaignError(ReproError):
 class CampaignInterrupted(ReproError):
     """A campaign was interrupted with its checkpoint journal intact.
 
-    Raised in place of ``KeyboardInterrupt`` when ``checkpoint=`` is
-    active: the journal has been flushed, so re-running with
+    Raised in place of ``KeyboardInterrupt`` or ``BrokenProcessPool``
+    (chained as ``__cause__``) when ``checkpoint=`` is active: the
+    journal has been flushed, so re-running with
     ``resume=checkpoint`` picks up where the interrupt landed.
     """
 
@@ -67,36 +67,6 @@ class CampaignInterrupted(ReproError):
 
 class JobTimeout(ReproError):
     """A job exceeded its per-job timeout."""
-
-
-@dataclass(frozen=True)
-class CheckpointOps:
-    """The checkpoint primitives the campaign loop needs, as one typed
-    object.
-
-    ``run_campaign`` imports :mod:`repro.resilience.checkpoint` lazily
-    (the resilience package imports the runner, so a module-level
-    import would cycle) and hands the pieces to :func:`_run_campaign`.
-    They used to travel as a positional 3-tuple unpacked by order — a
-    silent-swap hazard; named fields make any mismatch an
-    ``AttributeError`` at the call site instead.
-    """
-
-    #: :class:`repro.resilience.CheckpointWriter` (class, not instance).
-    writer_cls: type
-    #: ``load_checkpoint(path) -> {fingerprint: CheckpointRecord}``.
-    load: Callable[..., Mapping]
-    #: ``spec_fingerprint(spec) -> str``.
-    fingerprint: Callable[[JobSpec], str]
-
-    @classmethod
-    def default(cls) -> "CheckpointOps":
-        from ..resilience.checkpoint import (CheckpointWriter,
-                                             load_checkpoint,
-                                             spec_fingerprint)
-
-        return cls(writer_cls=CheckpointWriter, load=load_checkpoint,
-                   fingerprint=spec_fingerprint)
 
 
 def resolve_jobs(jobs: int | None) -> int:
@@ -166,8 +136,7 @@ class JobResult:
     spec: JobSpec
     value: Any = None
     error: str | None = None
-    error_kind: str | None = None   # "exception" | "timeout" |
-    #                                 "worker-lost" | "hung"
+    error_kind: str | None = None   # "exception" | "timeout"
     attempts: int = 1
     #: Failed attempts that preceded the final outcome, oldest first:
     #: ``{"attempt": n, "error_kind": ..., "error": ...}`` — so a
@@ -248,8 +217,7 @@ class _JobAlarm:
                 warnings.warn(
                     f"job timeout of {self.timeout_s}s cannot be "
                     "enforced here (SIGALRM unavailable or not on the "
-                    "main thread); the job runs unbounded — rely on "
-                    "the campaign watchdog instead",
+                    "main thread); the job runs unbounded",
                     RuntimeWarning, stacklevel=3)
         if self.armed:
             def _on_alarm(signum, frame):
@@ -333,12 +301,20 @@ def execute_job(experiment, spec: JobSpec, *, timeout_s: float | None = None,
                      wall_time_s=wall, manifest=manifest)
 
 
+def _broken_pool_error() -> type:
+    """``BrokenProcessPool``, imported on first use: an ``except``
+    clause evaluates it only while matching an exception, so serial
+    campaigns never pay the multiprocessing import (tens of ms)."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    return BrokenProcessPool
+
+
 def run_campaign(experiment, *, jobs: int | None = None,
                  timeout_s: float | None = None, retries: int = 0,
                  config: dict | None = None, checkpoint=None,
                  checkpoint_every: int = 1, resume=None,
-                 supervision=None, on_job_done=None,
-                 progress=None) -> CampaignResult:
+                 on_job_done=None, progress=None) -> CampaignResult:
     """Execute every job of *experiment* and reduce the results.
 
     ``jobs=None``/``0`` uses one worker per available CPU; ``jobs=1``
@@ -350,16 +326,14 @@ def run_campaign(experiment, *, jobs: int | None = None,
 
     * ``checkpoint`` — a path (or prepared ``CheckpointWriter``) to
       journal each finished job to, flushed every ``checkpoint_every``
-      records; a ``KeyboardInterrupt`` then surfaces as
-      :class:`CampaignInterrupted` with the journal flushed.
+      records; a ``KeyboardInterrupt`` or a broken process pool then
+      surfaces as :class:`CampaignInterrupted` with the journal
+      flushed.  Without a checkpoint either one propagates unchanged.
     * ``resume`` — a checkpoint path whose journaled jobs are skipped;
       their recorded results merge into the manifest exactly as if
       they had just run.
-    * ``supervision`` — a :class:`repro.resilience.SupervisionPolicy`
-      for the pooled path (pool respawn, requeue, watchdog, backoff);
-      the default policy applies when omitted.
     * ``on_job_done`` — callback invoked with each recorded
-      :class:`JobResult` (the chaos harness's interruption point).
+      :class:`JobResult`.
 
     Observability (see ``docs/observability.md``): when the process
     span recorder is active, the campaign runs under a
@@ -371,6 +345,10 @@ def run_campaign(experiment, *, jobs: int | None = None,
     observational: manifests and results are byte-identical with them
     on or off.
     """
+    # Imported here: the resilience package imports the runner.
+    from ..resilience.checkpoint import (CheckpointWriter, load_checkpoint,
+                                         spec_fingerprint)
+
     specs: Sequence[JobSpec] = list(experiment.job_specs())
     n_workers = resolve_jobs(jobs)
     name = getattr(experiment, "name", type(experiment).__name__)
@@ -381,112 +359,101 @@ def run_campaign(experiment, *, jobs: int | None = None,
         trace_ctx = SPANS.context()
         if trace_ctx is not None:
             specs = [replace(spec, trace=trace_ctx) for spec in specs]
-        return _run_campaign(
-            experiment, specs, n_workers=n_workers, name=name,
-            wall_start=wall_start, timeout_s=timeout_s, retries=retries,
-            config=config, checkpoint=checkpoint,
-            checkpoint_every=checkpoint_every, resume=resume,
-            supervision=supervision, on_job_done=on_job_done,
-            progress=progress, checkpoint_ops=CheckpointOps.default())
 
+        slots: list[JobResult | None] = [None] * len(specs)
+        resume_info = None
+        if resume is not None:
+            journal = load_checkpoint(resume)
+            hits = 0
+            for index, spec in enumerate(specs):
+                record = journal.get(spec_fingerprint(spec))
+                if record is not None:
+                    slots[index] = record.to_job_result(spec)
+                    hits += 1
+            _metrics.REGISTRY.counter("resilience.jobs_resumed").inc(hits)
+            resume_info = {"from": str(resume), "jobs_skipped": hits,
+                           "jobs_rerun": len(specs) - hits}
 
-def _run_campaign(experiment, specs, *, n_workers, name, wall_start,
-                  timeout_s, retries, config, checkpoint, checkpoint_every,
-                  resume, supervision, on_job_done, progress,
-                  checkpoint_ops: CheckpointOps) -> CampaignResult:
-    slots: list[JobResult | None] = [None] * len(specs)
-    resume_info = None
-    if resume is not None:
-        journal = checkpoint_ops.load(resume)
-        hits = 0
-        for index, spec in enumerate(specs):
-            record = journal.get(checkpoint_ops.fingerprint(spec))
-            if record is not None:
-                slots[index] = record.to_job_result(spec)
-                hits += 1
-        _metrics.REGISTRY.counter("resilience.jobs_resumed").inc(hits)
-        resume_info = {"from": str(resume), "jobs_skipped": hits,
-                       "jobs_rerun": len(specs) - hits}
-
-    owns_writer = False
-    if isinstance(checkpoint, checkpoint_ops.writer_cls):
-        writer = checkpoint
-    elif checkpoint is not None:
-        writer = checkpoint_ops.writer_cls(checkpoint, every=checkpoint_every)
-        owns_writer = True
-    else:
-        writer = None
-    if writer is not None and resume is not None \
-            and writer.path != Path(resume):
-        # Journaling to a different file than we resumed from: copy the
-        # inherited results over so the new journal is self-contained.
-        for index, inherited in enumerate(slots):
-            if inherited is not None:
-                writer.append(specs[index], inherited)
-
-    todo = [index for index in range(len(specs)) if slots[index] is None]
-    if progress is not None:
-        progress.begin(campaign=name, total=len(specs),
-                       done=len(specs) - len(todo))
-
-    def record(index: int, result: JobResult) -> None:
-        slots[index] = result
-        if writer is not None:
-            writer.append(specs[index], result)
-        if progress is not None:
-            progress.on_job_done(result)
-        if on_job_done is not None:
-            on_job_done(result)
-
-    supervision_stats = None
-    try:
-        if n_workers <= 1 or len(todo) <= 1:
-            for index in todo:
-                record(index, execute_job(experiment, specs[index],
-                                          timeout_s=timeout_s,
-                                          retries=retries))
+        owns_writer = False
+        if isinstance(checkpoint, CheckpointWriter):
+            writer = checkpoint
+        elif checkpoint is not None:
+            writer = CheckpointWriter(checkpoint, every=checkpoint_every)
+            owns_writer = True
         else:
-            from ..resilience.supervisor import SupervisionPolicy, supervise
+            writer = None
+        if writer is not None and resume is not None \
+                and writer.path != Path(resume):
+            # Journaling to a different file than we resumed from: copy
+            # the inherited results over so the new journal is
+            # self-contained.
+            for index, inherited in enumerate(slots):
+                if inherited is not None:
+                    writer.append(specs[index], inherited)
 
-            supervision_stats = supervise(
-                experiment, specs, todo, record, n_workers=n_workers,
-                timeout_s=timeout_s, retries=retries,
-                policy=supervision or SupervisionPolicy())
-    except KeyboardInterrupt:
+        todo = [index for index in range(len(specs))
+                if slots[index] is None]
         if progress is not None:
-            progress.end("interrupted")
-        if writer is None:
-            raise
-        writer.flush()
-        done = sum(result is not None for result in slots)
-        raise CampaignInterrupted(
-            f"campaign {name!r} interrupted with {done}/{len(specs)} "
-            f"jobs done; resume from {writer.path}",
-            done=done, total=len(specs),
-            checkpoint=str(writer.path)) from None
-    finally:
-        if writer is not None:
-            if owns_writer:
-                writer.close()
-            else:
-                writer.flush()
+            progress.begin(campaign=name, total=len(specs),
+                           done=len(specs) - len(todo))
 
-    results: list[JobResult] = slots   # every slot filled now
-    with SPANS.span("reduce", job_count=len(results)):
-        value = experiment.reduce(results)
-        campaign_config = {"experiment": name, "jobs": n_workers,
-                           "job_count": len(specs)}
-        campaign_config.update(getattr(experiment, "campaign_config",
-                                       dict)() or {})
-        campaign_config.update(config or {})
-        manifest = merge_job_manifests(
-            name, campaign_config, results,
-            wall_time_s=time.perf_counter() - wall_start)
-    if resume_info is not None:
-        manifest["outcome"]["resume"] = resume_info
-    if supervision_stats and any(supervision_stats.values()):
-        manifest["outcome"]["supervision"] = supervision_stats
-    if progress is not None:
-        progress.end(manifest["outcome"]["status"])
-    return CampaignResult(experiment=name, jobs=n_workers,
-                          results=results, value=value, manifest=manifest)
+        def record(index: int, result: JobResult) -> None:
+            slots[index] = result
+            if writer is not None:
+                writer.append(specs[index], result)
+            if progress is not None:
+                progress.on_job_done(result)
+            if on_job_done is not None:
+                on_job_done(result)
+
+        try:
+            if n_workers <= 1 or len(todo) <= 1:
+                for index in todo:
+                    record(index, execute_job(experiment, specs[index],
+                                              timeout_s=timeout_s,
+                                              retries=retries))
+            else:
+                from ..resilience.supervisor import run_pool
+
+                run_pool(experiment, specs, todo, record,
+                         n_workers=n_workers, timeout_s=timeout_s,
+                         retries=retries)
+        except (KeyboardInterrupt, _broken_pool_error()) as exc:
+            if progress is not None:
+                progress.end("interrupted")
+            if writer is None:
+                raise
+            writer.flush()
+            done = sum(result is not None for result in slots)
+            broken = not isinstance(exc, KeyboardInterrupt)
+            cause = " by a broken process pool" if broken else ""
+            raise CampaignInterrupted(
+                f"campaign {name!r} interrupted{cause} with "
+                f"{done}/{len(specs)} jobs done; resume from {writer.path}",
+                done=done, total=len(specs),
+                checkpoint=str(writer.path)) from (exc if broken else None)
+        finally:
+            if writer is not None:
+                if owns_writer:
+                    writer.close()
+                else:
+                    writer.flush()
+
+        results: list[JobResult] = slots   # every slot filled now
+        with SPANS.span("reduce", job_count=len(results)):
+            value = experiment.reduce(results)
+            campaign_config = {"experiment": name, "jobs": n_workers,
+                               "job_count": len(specs)}
+            campaign_config.update(getattr(experiment, "campaign_config",
+                                           dict)() or {})
+            campaign_config.update(config or {})
+            manifest = merge_job_manifests(
+                name, campaign_config, results,
+                wall_time_s=time.perf_counter() - wall_start)
+        if resume_info is not None:
+            manifest["outcome"]["resume"] = resume_info
+        if progress is not None:
+            progress.end(manifest["outcome"]["status"])
+        return CampaignResult(experiment=name, jobs=n_workers,
+                              results=results, value=value,
+                              manifest=manifest)

@@ -113,16 +113,16 @@ def manifest_fingerprint(doc: dict) -> dict:
     fields — equal fingerprints mean two campaigns did byte-identical
     simulated work (the whole point of the deterministic
     decomposition: ``--jobs`` is an execution detail, not part of the
-    result).  Retry/resume/supervision lineage is stripped for the
-    same reason: a campaign that lost workers, was interrupted and
-    resumed must fingerprint equal to one that ran clean."""
+    result).  Retry/resume lineage is stripped for the same reason: a
+    campaign that was interrupted and resumed must fingerprint equal to
+    one that ran clean."""
     out = copy.deepcopy(doc)
     out.pop("created_at", None)
     out.get("config", {}).pop("jobs", None)
     outcome = out.get("outcome", {})
     for execution_detail in ("jobs", "attempts", "attempt_history",
-                             "retried", "resume", "supervision",
-                             "spans", "progress", "elapsed_seconds"):
+                             "retried", "resume", "spans", "progress",
+                             "elapsed_seconds"):
         outcome.pop(execution_detail, None)
     out.get("totals", {}).pop("wall_time_s", None)
     for phase in out.get("phases", ()):

@@ -87,16 +87,6 @@ MANIFEST_JSON_SCHEMA = {
                         },
                     },
                 },
-                "supervision": {
-                    "type": "object",
-                    "properties": {
-                        "pool_respawns": {"type": "integer"},
-                        "requeues": {"type": "integer"},
-                        "watchdog_kills": {"type": "integer"},
-                        "jobs_lost": {"type": "integer"},
-                        "degraded_in_process": {"type": "integer"},
-                    },
-                },
             },
         },
         "totals": {

@@ -329,9 +329,9 @@ class SpanRecorder:
 
     def event(self, name: str, *, parent_id: str | None = "",
               status: str = "ok", **attrs) -> None:
-        """A zero-duration span: something *happened* (a watchdog kill,
-        a chaos fault firing) rather than took time.  Thread-safe —
-        the watchdog sidecar emits from its own thread."""
+        """A zero-duration span: something *happened* (a checkpoint
+        flush, a failed journal write) rather than took time.
+        Thread-safe."""
         if not self.enabled:
             return
         parent = self.current_id if parent_id == "" else parent_id

@@ -29,16 +29,10 @@ Event kinds and their extra fields:
 * ``trace_truncated`` — dropped (instructions beyond a tracer's limit)
 * ``orphan_episodes`` — count (episodes with no traced instruction)
 
-Supervision/chaos lifecycle events (cycle 0 — they happen in real
-time, not simulated time; see :mod:`repro.resilience`):
+Checkpoint lifecycle event (cycle 0 — it happens in real time, not
+simulated time; see :mod:`repro.resilience`):
 
-* ``pool_respawn``  — respawn, hung, requeued (job labels)
-* ``watchdog_kill`` — grace_s
-* ``backoff``       — respawn, delay_s
-* ``job_lost``      — job, requeues, hung
-* ``degraded_in_process`` — jobs (labels run without isolation)
 * ``checkpoint_write_error`` — job, error
-* ``chaos_fault``   — target, fault (the injected fault that fired)
 """
 
 from __future__ import annotations

@@ -192,7 +192,7 @@ def run_suite(uarch: Microarch, *,
     are identical at any value.
     """
     experiment = SuiteExperiment(
-        machine=MachineSpec(uarch=uarch.name, mitigations=mitigations,
+        machine=MachineSpec(uarch=uarch, mitigations=mitigations,
                             rng_seed=seed, sibling_load=sibling_load),
         runs=runs, seed=seed)
     return run_campaign(experiment, jobs=jobs).raise_on_failure().value

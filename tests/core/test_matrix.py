@@ -1,11 +1,13 @@
 """Table 1 matrix runner: combo enumeration and key cells."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import ASYMMETRIC_COMBOS, TrainKind, VictimKind, measure_cell
 from repro.core.matrix import (CHANNEL_MEASUREMENTS, format_matrix,
                                measure_channel, run_matrix)
-from repro.pipeline import Reach, ZEN1, ZEN3
+from repro.pipeline import Reach, ZEN1, ZEN2, ZEN3
 
 
 def test_twenty_two_combinations():
@@ -46,3 +48,15 @@ def test_run_matrix_subset_and_format():
     table = format_matrix(results)
     assert "Zen 3" in table
     assert "ID" in table
+
+
+def test_measure_cell_keeps_a_modified_uarch():
+    """A resteer latency at or below issue latency means the decoder
+    wins the race on Zen 2 too: the modified model must reach the job,
+    not stock Zen 2 rebuilt from its name."""
+    fast_resteer = replace(ZEN2, frontend_resteer_latency=2)
+    result = measure_cell(fast_resteer, TrainKind.INDIRECT,
+                          VictimKind.NON_BRANCH)
+    assert result.reach is Reach.DECODE
+    stock = measure_cell(ZEN2, TrainKind.INDIRECT, VictimKind.NON_BRANCH)
+    assert stock.reach is Reach.EXECUTE

@@ -1,8 +1,13 @@
 """JobSpec / derive_seed: the deterministic decomposition contract."""
 
 import pickle
+from dataclasses import replace
+
+import pytest
 
 from repro.kernel import MachineSpec, MitigationConfig
+from repro.pipeline import ZEN2
+from repro.resilience import spec_fingerprint
 from repro.runner import JobSpec, derive_seed
 
 
@@ -63,3 +68,25 @@ def test_machine_spec_describe_needs_no_boot():
     assert config["kaslr_seed"] == 3
     assert config["phys_mem_bytes"] == 2 << 30
     assert isinstance(config["mitigations"], dict)
+
+
+def test_machine_spec_carries_a_modified_uarch():
+    custom = replace(ZEN2, frontend_resteer_latency=2, btb_ways=4)
+    spec = MachineSpec(uarch=custom, kaslr_seed=3)
+    assert spec.uarch == "Zen 2"
+    assert dict(spec.uarch_overrides) == {"frontend_resteer_latency": 2,
+                                          "btb_ways": 4}
+    assert spec.boot().uarch == custom
+    assert pickle.loads(pickle.dumps(spec)).microarch() == custom
+    assert spec.describe()["uarch_overrides"] == {
+        "frontend_resteer_latency": 2, "btb_ways": 4}
+    stock = MachineSpec(uarch=ZEN2, kaslr_seed=3)
+    assert stock == MachineSpec(uarch="Zen 2", kaslr_seed=3)
+    assert "uarch_overrides" not in stock.describe()
+    assert spec_fingerprint(JobSpec.make("m", (0,), 0, machine=spec)) \
+        != spec_fingerprint(JobSpec.make("m", (0,), 0, machine=stock))
+
+
+def test_machine_spec_rejects_a_model_plus_explicit_overrides():
+    with pytest.raises(ValueError, match="not both"):
+        MachineSpec(uarch=ZEN2, uarch_overrides=(("btb_ways", 4),))

@@ -87,7 +87,8 @@ def test_absorb_merges_histograms_and_lifts_observability_lineage():
         "pmc": {"syscalls": 2},
         "totals": {"cycles": 10, "simulated_seconds": 0.5},
         "outcome": {"status": "success",
-                    "supervision": {"pool_respawns": 1},
+                    "resume": {"from": "journal.jsonl",
+                               "jobs_skipped": 4, "jobs_rerun": 2},
                     "spans": {"trace_id": "ab" * 16, "count": 42},
                     "progress": {"done": 6, "failed": 0}},
     }
@@ -97,7 +98,8 @@ def test_absorb_merges_histograms_and_lifts_observability_lineage():
     assert merged["min"] == 0.25 and merged["max"] == 3.0
     assert host.pmc["syscalls"] == 2
     # Recovery AND observability lineage lift into the host outcome.
-    assert host.outcome["supervision"] == {"pool_respawns": 1}
+    assert host.outcome["resume"] == {"from": "journal.jsonl",
+                                      "jobs_skipped": 4, "jobs_rerun": 2}
     assert host.outcome["spans"] == {"trace_id": "ab" * 16, "count": 42}
     assert host.outcome["progress"] == {"done": 6, "failed": 0}
     # But absorb never overwrites lineage the host already carries.

@@ -104,14 +104,14 @@ def test_finish_closes_dangling_spans_and_stamps_root_status(tmp_path):
 def test_events_are_zero_duration_spans(tmp_path):
     recorder = SpanRecorder()
     recorder.start(tmp_path, name="unit")
-    recorder.event("supervisor:watchdog_kill", status="error", grace_s=2.0)
+    recorder.event("checkpoint:write_error", status="error", job="j0")
     recorder.finish()
     by_name = {r["name"]: r for r in read_spans(tmp_path)}
-    kill = by_name["supervisor:watchdog_kill"]
-    validate_span(kill)
-    assert kill["duration_s"] == 0.0
-    assert kill["status"] == "error"
-    assert kill["attrs"] == {"grace_s": 2.0}
+    event = by_name["checkpoint:write_error"]
+    validate_span(event)
+    assert event["duration_s"] == 0.0
+    assert event["status"] == "error"
+    assert event["attrs"] == {"job": "j0"}
 
 
 def test_adopt_is_idempotent_per_process(tmp_path):

@@ -11,8 +11,7 @@ import pytest
 
 from repro.bench import (BENCH_SCHEMA, WORKLOADS, WorkloadResult, compare,
                          diff_bench, document, is_bench_document,
-                         summarize_bench, _run_idle_loop, _run_program,
-                         _straight_line)
+                         summarize_bench, _run_program, _straight_line)
 
 
 def make_result(name="branch_heavy", speedup=10.0, stats=None):
@@ -80,13 +79,6 @@ class TestDocument:
 
 
 class TestRunners:
-    def test_idle_loop_engines_agree_and_record_stats(self):
-        slow_instrs, _, slow_stats = _run_idle_loop(20, False)
-        fast_instrs, _, fast_stats = _run_idle_loop(20, True)
-        assert slow_instrs == fast_instrs > 0
-        assert slow_stats["cycles_skipped"] == 0
-        assert fast_stats["cycles_skipped"] == 20 * 2000
-
     def test_program_runner_returns_superblock_stats(self):
         instrs, wall, stats = _run_program(_straight_line, 50, True)
         assert instrs > 0 and wall > 0
@@ -97,4 +89,3 @@ class TestRunners:
     def test_workload_registry_matches_sizes(self):
         from repro.bench import _SIZES
         assert set(WORKLOADS) == set(_SIZES)
-        assert "idle_loop" in WORKLOADS

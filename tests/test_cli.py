@@ -347,14 +347,26 @@ def test_progress_flag_streams_events(capsys, tmp_path):
     assert done[-1]["done"] == 22
 
 
-def test_chaos_smoke_recovers_and_matches_clean(capsys, tmp_path):
-    code, out = run(capsys, "chaos", "--seed", "0", "--jobs", "2",
-                    "--cells", "4", "--watchdog", "1.0", "--hang", "10",
-                    "--state-dir", str(tmp_path / "state"))
-    assert code == 0
-    assert "chaos smoke: OK" in out
-    assert "faults fired: 4/4" in out
-    assert "fingerprint-equals" in out
+def test_interrupted_campaign_exit_codes(capsys, monkeypatch):
+    """Ctrl-C exits 130 and a broken worker pool exits 1; both print
+    the resume command for the flushed journal."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    from repro import cli
+    from repro.runner import CampaignInterrupted
+
+    def interrupted(broken):
+        def command(args):
+            raise CampaignInterrupted(
+                "campaign 'x' interrupted; resume from j.jsonl",
+                checkpoint="j.jsonl") from (
+                    BrokenProcessPool() if broken else None)
+        return command
+
+    for broken, want in ((False, 130), (True, 1)):
+        monkeypatch.setattr(cli, "cmd_uarches", interrupted(broken))
+        assert cli.main(["uarches"]) == want
+        assert "--resume j.jsonl" in capsys.readouterr().err
 
 
 def test_campaign_flags_share_one_record(capsys, tmp_path):

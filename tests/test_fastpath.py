@@ -8,8 +8,8 @@ from repro.fastpath import (ENV_VAR, FastpathConfig, fastpath_config,
 from repro.memory import MemorySystem
 from repro.pipeline import CPU, ZEN2
 
-FULL = FastpathConfig(enabled=True, superblocks=True, quiesce=True)
-NAIVE = FastpathConfig(enabled=False, superblocks=False, quiesce=False)
+FULL = FastpathConfig(enabled=True, superblocks=True)
+NAIVE = FastpathConfig(enabled=False, superblocks=False)
 
 
 @pytest.mark.parametrize("value", [None, "", "  ", "1", "true", "ON",
@@ -23,22 +23,20 @@ def test_disabling_values_select_the_naive_engine(value):
     assert parse_fastpath(value) == NAIVE
 
 
-@pytest.mark.parametrize("value, superblocks, quiesce", [
-    ("superblocks=0", False, True),
-    ("quiesce=0", True, False),
-    ("superblocks=0,quiesce=0", False, False),
-    (" superblocks = off , quiesce = no ", False, False),
-    ("superblocks=1", True, True),
-    ("quiesce=true,superblocks=0", False, True),
+@pytest.mark.parametrize("value, superblocks", [
+    ("superblocks=0", False),
+    (" superblocks = off ", False),
+    ("superblocks=1", True),
 ])
-def test_flag_lists_disable_single_layers(value, superblocks, quiesce):
+def test_flag_lists_disable_single_layers(value, superblocks):
     assert parse_fastpath(value) == FastpathConfig(
-        enabled=True, superblocks=superblocks, quiesce=quiesce)
+        enabled=True, superblocks=superblocks)
 
 
 @pytest.mark.parametrize("value", [
     "superblock=0",            # the typo that used to run everything
-    "quiesce=0,superblock=0",  # one bad flag among good ones
+    "quiesce=0",               # a retired flag
+    "quiesce=0,superblock=0",  # two bad flags
     "superblocks=maybe",       # bad flag value
     "superblocks=",            # missing flag value
     "superblocks",             # flag without a value
@@ -51,7 +49,7 @@ def test_anything_else_fails_loudly(value):
         parse_fastpath(value)
     message = str(info.value)
     assert ENV_VAR in message
-    for word in ("superblocks", "quiesce", "0", "1"):
+    for word in ("superblocks", "0", "1"):
         assert word in message
 
 
@@ -60,8 +58,8 @@ def test_environment_is_parsed_the_same_way(monkeypatch):
     assert fastpath_config() == FULL
     monkeypatch.setenv(ENV_VAR, "0")
     assert not fastpath_enabled()
-    monkeypatch.setenv(ENV_VAR, "quiesce=0")
-    assert fastpath_config() == FastpathConfig(quiesce=False)
+    monkeypatch.setenv(ENV_VAR, "superblocks=0")
+    assert fastpath_config() == FastpathConfig(superblocks=False)
 
 
 def test_typo_fails_at_cpu_construction(monkeypatch):
