@@ -5,8 +5,8 @@ from .decoder import decode
 from .encoder import NOPL_SEQUENCES, encode, encode_with_length
 from .instructions import BranchKind, Cond, Instruction, Mnemonic, Reg
 from .semantics import (SUPERBLOCK_FUSIBLE, ArchState, ExecResult, Flags,
-                        MemAccess, compile_executor, compile_superblock,
-                        condition_met, execute, superblock_fusible)
+                        MemAccess, compile_executor, condition_met, execute,
+                        superblock_fusible)
 from .uops import Uop, UopKind, crack, uop_count
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "Uop",
     "UopKind",
     "compile_executor",
-    "compile_superblock",
     "condition_met",
     "crack",
     "decode",

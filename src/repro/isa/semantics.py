@@ -1,14 +1,24 @@
 """Architectural execution semantics for the implemented x86-64 subset.
 
-The pipeline backend calls :func:`execute` for each instruction once its
-µops are scheduled; memory traffic is routed through caller-supplied
-load/store callables so the cache hierarchy observes every access.
+Each instruction's effect is written twice, on purpose:
+
+* :func:`execute` is the hand-written interpreter — the naive engine
+  and the oracle every fast layer is checked against;
+* :data:`SEMANTICS` is one table of per-mnemonic statement templates
+  from which both fast forms are generated: :func:`compile_executor`
+  (one closure per decoded instruction) and
+  :func:`superblock_arch_lines` (source lines a fused superblock
+  inlines).
+
+Memory traffic is routed through caller-supplied load/store callables
+so the cache hierarchy observes every access.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ..params import MASK64, canonical
 from .instructions import Cond, Instruction, Mnemonic, Reg
@@ -94,27 +104,50 @@ def _set_sub_flags(flags: Flags, a: int, b: int, result: int) -> None:
     flags.of = (_signed(a) - _signed(b)) != _signed(result & MASK64)
 
 
+#: The 16 condition codes as expressions over ``flags`` (P/NP: parity
+#: is not modelled).  :func:`condition_met`, the executor thunks and the
+#: superblock code all evaluate these strings.
+COND_EXPR: dict[Cond, str] = {
+    Cond.O: "flags.of",
+    Cond.NO: "not flags.of",
+    Cond.B: "flags.cf",
+    Cond.AE: "not flags.cf",
+    Cond.E: "flags.zf",
+    Cond.NE: "not flags.zf",
+    Cond.BE: "flags.cf or flags.zf",
+    Cond.A: "not flags.cf and not flags.zf",
+    Cond.S: "flags.sf",
+    Cond.NS: "not flags.sf",
+    Cond.P: "False",
+    Cond.NP: "True",
+    Cond.L: "flags.sf != flags.of",
+    Cond.GE: "flags.sf == flags.of",
+    Cond.LE: "flags.zf or (flags.sf != flags.of)",
+    Cond.G: "not flags.zf and (flags.sf == flags.of)",
+}
+
+
+def _generate(source: str, name: str, namespace: dict) -> dict:
+    """Run generated *source* in *namespace* and return the namespace.
+
+    The code is compiled under a file name inside this package, so
+    profilers that attribute frames by file charge it to ``isa``.
+    """
+    filename = os.path.join(os.path.dirname(__file__), f"<{name}>")
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
+
+
+_COND_FN: dict[Cond, Callable[[Flags], bool]] = {
+    cc: _generate(f"def cond(flags):\n    return {expr}",
+                  f"cond:{cc.name}", {})["cond"]
+    for cc, expr in COND_EXPR.items()
+}
+
+
 def condition_met(cc: Cond, flags: Flags) -> bool:
     """Evaluate condition code *cc* against *flags*."""
-    table = {
-        Cond.O: flags.of,
-        Cond.NO: not flags.of,
-        Cond.B: flags.cf,
-        Cond.AE: not flags.cf,
-        Cond.E: flags.zf,
-        Cond.NE: not flags.zf,
-        Cond.BE: flags.cf or flags.zf,
-        Cond.A: not flags.cf and not flags.zf,
-        Cond.S: flags.sf,
-        Cond.NS: not flags.sf,
-        Cond.P: False,   # parity not modelled
-        Cond.NP: True,
-        Cond.L: flags.sf != flags.of,
-        Cond.GE: flags.sf == flags.of,
-        Cond.LE: flags.zf or (flags.sf != flags.of),
-        Cond.G: not flags.zf and (flags.sf == flags.of),
-    }
-    return table[cc]
+    return _COND_FN[cc](flags)
 
 
 def execute(instr: Instruction, pc: int, state: ArchState,
@@ -329,385 +362,158 @@ def execute(instr: Instruction, pc: int, state: ArchState,
     raise AssertionError(f"unhandled mnemonic {m}")
 
 
-#: Per-condition flag evaluators for compiled executors.  Must stay in
-#: lock-step with :func:`condition_met` (P/NP: parity is not modelled).
-_COND_EVAL: dict[Cond, Callable[[Flags], bool]] = {
-    Cond.O: lambda f: f.of,
-    Cond.NO: lambda f: not f.of,
-    Cond.B: lambda f: f.cf,
-    Cond.AE: lambda f: not f.cf,
-    Cond.E: lambda f: f.zf,
-    Cond.NE: lambda f: not f.zf,
-    Cond.BE: lambda f: f.cf or f.zf,
-    Cond.A: lambda f: not f.cf and not f.zf,
-    Cond.S: lambda f: f.sf,
-    Cond.NS: lambda f: not f.sf,
-    Cond.P: lambda f: False,
-    Cond.NP: lambda f: True,
-    Cond.L: lambda f: f.sf != f.of,
-    Cond.GE: lambda f: f.sf == f.of,
-    Cond.LE: lambda f: f.zf or (f.sf != f.of),
-    Cond.G: lambda f: not f.zf and (f.sf == f.of),
-}
+# ---------------------------------------------------------------------------
+# the fast path: one semantics table, two code generators
+# ---------------------------------------------------------------------------
 
 #: ``thunk(state, load, store, rdtsc) -> ExecResult``
 ExecutorFn = Callable[
     [ArchState, LoadFn, StoreFn, "Callable[[], int] | None"], ExecResult]
 
-_RAX = int(Reg.RAX)
-_RDX = int(Reg.RDX)
-_RSP = int(Reg.RSP)
+#: Fixed registers the templates name (``{rax}``, ``{rdx}``, ``{rsp}``).
+_FIXED = {"rax": int(Reg.RAX), "rdx": int(Reg.RDX), "rsp": int(Reg.RSP)}
 
 
-def compile_executor(instr: Instruction, pc: int) -> ExecutorFn:
-    """Specialise :func:`execute` for one decoded instruction at *pc*.
+class Semantics(NamedTuple):
+    """One mnemonic's architectural effect as fast-path source templates.
 
-    Returns a thunk with the mnemonic dispatch, condition table, operand
-    indices and address arithmetic resolved once at compile time.  The
-    thunk mutates *state* and calls load/store exactly as ``execute``
-    would and returns an equal :class:`ExecResult` — every register,
-    flag, memory-access and trap effect is byte-identical, so the fast
-    path stays architecturally invisible (pinned by
-    ``tests/isa/test_compiled_semantics.py``).  A fresh ``ExecResult``
-    is allocated per call: results outlive the next execution of the
-    same pc (e.g. a backend-mispredict window re-running it
-    transiently), so thunks must never reuse one.
+    ``body`` holds statements over the locals ``regs``, ``flags``,
+    ``load``, ``store`` and ``rdtsc`` and the globals of
+    :data:`SUPERBLOCK_HELPERS`.  Fields ``{d} {s} {b} {disp} {imm}``
+    are the operands, ``{cond}`` is the :data:`COND_EXPR` of a
+    JCC/CMOV, and ``_``-prefixed names are per-instruction temporaries.
+    Register writes keep :func:`execute`'s order relative to loads and
+    stores, so a faulting access leaves the same state.
+
+    The other fields build the :class:`ExecResult`, for the mnemonics
+    that have them: ``exit`` gives its control-flow arguments (default
+    ``next_pc=fall``; ``fall`` and ``tgt`` are the fall-through and
+    direct-branch target), ``access`` the :class:`MemAccess` arguments
+    and ``trap`` the trap name.
     """
-    m = instr.mnemonic
-    fall = (pc + instr.length) & MASK64
 
-    if m in (Mnemonic.NOP, Mnemonic.NOPL, Mnemonic.LFENCE, Mnemonic.MFENCE):
-        def thunk(state, load, store, rdtsc):
-            return ExecResult(next_pc=fall)
-        return thunk
-    if m in (Mnemonic.JMP, Mnemonic.JMP_SHORT):
-        tgt = instr.target(pc)
-
-        def thunk(state, load, store, rdtsc):
-            return ExecResult(next_pc=tgt, taken=True, target=tgt)
-        return thunk
-    if m is Mnemonic.JMP_REG:
-        d = int(instr.dest)
-
-        def thunk(state, load, store, rdtsc):
-            tgt = canonical(state.regs[d])
-            return ExecResult(next_pc=tgt, taken=True, target=tgt)
-        return thunk
-    if m is Mnemonic.JCC:
-        tgt = instr.target(pc)
-        cond = _COND_EVAL[instr.cc]
-
-        def thunk(state, load, store, rdtsc):
-            taken = cond(state.flags)
-            return ExecResult(next_pc=tgt if taken else fall,
-                              taken=taken, target=tgt)
-        return thunk
-    if m in (Mnemonic.CALL, Mnemonic.CALL_REG):
-        tgt = instr.target(pc) if m is Mnemonic.CALL else None
-        d = None if instr.dest is None else int(instr.dest)
-
-        def thunk(state, load, store, rdtsc):
-            regs = state.regs
-            rsp = (regs[_RSP] - 8) & MASK64
-            regs[_RSP] = rsp
-            store(rsp, 8, fall)
-            target = tgt if tgt is not None else canonical(regs[d])
-            return ExecResult(next_pc=target, taken=True, target=target,
-                              accesses=[MemAccess(rsp, 8, True)])
-        return thunk
-    if m is Mnemonic.RET:
-        def thunk(state, load, store, rdtsc):
-            regs = state.regs
-            rsp = regs[_RSP]
-            ret_addr = canonical(load(rsp, 8))
-            regs[_RSP] = (rsp + 8) & MASK64
-            return ExecResult(next_pc=ret_addr, taken=True, target=ret_addr,
-                              accesses=[MemAccess(rsp, 8, False)])
-        return thunk
-    if m is Mnemonic.MOV_RI:
-        d = int(instr.dest)
-        value = instr.imm & MASK64
-
-        def thunk(state, load, store, rdtsc):
-            state.regs[d] = value
-            return ExecResult(next_pc=fall)
-        return thunk
-    if m is Mnemonic.MOV_RR:
-        d = int(instr.dest)
-        s = int(instr.src)
-
-        def thunk(state, load, store, rdtsc):
-            regs = state.regs
-            regs[d] = regs[s]
-            return ExecResult(next_pc=fall)
-        return thunk
-    if m is Mnemonic.MOV_RM:
-        d = int(instr.dest)
-        b = int(instr.base)
-        disp = instr.disp
-
-        def thunk(state, load, store, rdtsc):
-            regs = state.regs
-            addr = canonical(regs[b] + disp)
-            regs[d] = load(addr, 8) & MASK64
-            return ExecResult(next_pc=fall,
-                              accesses=[MemAccess(addr, 8, False)])
-        return thunk
-    if m is Mnemonic.MOVB_RM:
-        d = int(instr.dest)
-        b = int(instr.base)
-        disp = instr.disp
-
-        def thunk(state, load, store, rdtsc):
-            regs = state.regs
-            addr = canonical(regs[b] + disp)
-            regs[d] = load(addr, 1) & 0xFF
-            return ExecResult(next_pc=fall,
-                              accesses=[MemAccess(addr, 1, False)])
-        return thunk
-    if m is Mnemonic.MOV_MR:
-        s = int(instr.src)
-        b = int(instr.base)
-        disp = instr.disp
-
-        def thunk(state, load, store, rdtsc):
-            regs = state.regs
-            addr = canonical(regs[b] + disp)
-            store(addr, 8, regs[s])
-            return ExecResult(next_pc=fall,
-                              accesses=[MemAccess(addr, 8, True)])
-        return thunk
-    if m is Mnemonic.LEA:
-        d = int(instr.dest)
-        b = int(instr.base)
-        disp = instr.disp
-
-        def thunk(state, load, store, rdtsc):
-            regs = state.regs
-            regs[d] = canonical(regs[b] + disp)
-            return ExecResult(next_pc=fall)
-        return thunk
-    if m in (Mnemonic.ADD_RI, Mnemonic.ADD_RR):
-        d = int(instr.dest)
-        imm = None if m is Mnemonic.ADD_RR else instr.imm & MASK64
-        s = None if instr.src is None else int(instr.src)
-
-        def thunk(state, load, store, rdtsc):
-            regs = state.regs
-            a = regs[d]
-            b = imm if imm is not None else regs[s]
-            result = a + b
-            _set_add_flags(state.flags, a, b, result)
-            regs[d] = result & MASK64
-            return ExecResult(next_pc=fall)
-        return thunk
-    if m in (Mnemonic.SUB_RI, Mnemonic.SUB_RR, Mnemonic.CMP_RI,
-             Mnemonic.CMP_RR):
-        d = int(instr.dest)
-        imm = (None if m in (Mnemonic.SUB_RR, Mnemonic.CMP_RR)
-               else instr.imm & MASK64)
-        s = None if instr.src is None else int(instr.src)
-        writes = m in (Mnemonic.SUB_RI, Mnemonic.SUB_RR)
-
-        def thunk(state, load, store, rdtsc):
-            regs = state.regs
-            a = regs[d]
-            b = imm if imm is not None else regs[s]
-            result = (a - b) & MASK64
-            _set_sub_flags(state.flags, a, b, result)
-            if writes:
-                regs[d] = result
-            return ExecResult(next_pc=fall)
-        return thunk
-    if m is Mnemonic.TEST_RR:
-        d = int(instr.dest)
-        s = int(instr.src)
-
-        def thunk(state, load, store, rdtsc):
-            regs = state.regs
-            _set_logic_flags(state.flags, regs[d] & regs[s])
-            return ExecResult(next_pc=fall)
-        return thunk
-    if m is Mnemonic.INC:
-        d = int(instr.dest)
-
-        def thunk(state, load, store, rdtsc):
-            regs = state.regs
-            flags = state.flags
-            a = regs[d]
-            carry = flags.cf
-            _set_add_flags(flags, a, 1, a + 1)
-            flags.cf = carry
-            regs[d] = (a + 1) & MASK64
-            return ExecResult(next_pc=fall)
-        return thunk
-    if m is Mnemonic.DEC:
-        d = int(instr.dest)
-
-        def thunk(state, load, store, rdtsc):
-            regs = state.regs
-            flags = state.flags
-            a = regs[d]
-            result = (a - 1) & MASK64
-            carry = flags.cf
-            _set_sub_flags(flags, a, 1, result)
-            flags.cf = carry
-            regs[d] = result
-            return ExecResult(next_pc=fall)
-        return thunk
-    if m is Mnemonic.NEG:
-        d = int(instr.dest)
-
-        def thunk(state, load, store, rdtsc):
-            regs = state.regs
-            flags = state.flags
-            a = regs[d]
-            result = (-a) & MASK64
-            _set_sub_flags(flags, 0, a, result)
-            flags.cf = a != 0
-            regs[d] = result
-            return ExecResult(next_pc=fall)
-        return thunk
-    if m is Mnemonic.NOT:
-        d = int(instr.dest)
-
-        def thunk(state, load, store, rdtsc):
-            regs = state.regs
-            regs[d] = ~regs[d] & MASK64
-            return ExecResult(next_pc=fall)
-        return thunk
-    if m is Mnemonic.IMUL_RR:
-        d = int(instr.dest)
-        s = int(instr.src)
-
-        def thunk(state, load, store, rdtsc):
-            regs = state.regs
-            flags = state.flags
-            product = _signed(regs[d]) * _signed(regs[s])
-            result = product & MASK64
-            flags.cf = flags.of = product != _signed(result)
-            flags.zf = result == 0
-            flags.sf = bool(result >> 63)
-            regs[d] = result
-            return ExecResult(next_pc=fall)
-        return thunk
-    if m is Mnemonic.XCHG_RR:
-        d = int(instr.dest)
-        s = int(instr.src)
-
-        def thunk(state, load, store, rdtsc):
-            regs = state.regs
-            a = regs[d]
-            regs[d] = regs[s]
-            regs[s] = a
-            return ExecResult(next_pc=fall)
-        return thunk
-    if m is Mnemonic.CMOV:
-        d = int(instr.dest)
-        s = int(instr.src)
-        cond = _COND_EVAL[instr.cc]
-
-        def thunk(state, load, store, rdtsc):
-            if cond(state.flags):
-                regs = state.regs
-                regs[d] = regs[s]
-            return ExecResult(next_pc=fall)
-        return thunk
-    if m is Mnemonic.AND_RI:
-        d = int(instr.dest)
-        imm = instr.imm & MASK64
-
-        def thunk(state, load, store, rdtsc):
-            regs = state.regs
-            result = regs[d] & imm
-            _set_logic_flags(state.flags, result)
-            regs[d] = result
-            return ExecResult(next_pc=fall)
-        return thunk
-    if m in (Mnemonic.XOR_RR, Mnemonic.OR_RR):
-        d = int(instr.dest)
-        s = int(instr.src)
-        is_xor = m is Mnemonic.XOR_RR
-
-        def thunk(state, load, store, rdtsc):
-            regs = state.regs
-            result = regs[d] ^ regs[s] if is_xor else regs[d] | regs[s]
-            _set_logic_flags(state.flags, result)
-            regs[d] = result
-            return ExecResult(next_pc=fall)
-        return thunk
-    if m in (Mnemonic.SHL_RI, Mnemonic.SHR_RI):
-        d = int(instr.dest)
-        shift = instr.imm
-        left = m is Mnemonic.SHL_RI
-
-        def thunk(state, load, store, rdtsc):
-            regs = state.regs
-            result = ((regs[d] << shift) & MASK64 if left
-                      else regs[d] >> shift)
-            _set_logic_flags(state.flags, result)
-            regs[d] = result
-            return ExecResult(next_pc=fall)
-        return thunk
-    if m is Mnemonic.PUSH:
-        d = int(instr.dest)
-
-        def thunk(state, load, store, rdtsc):
-            regs = state.regs
-            rsp = (regs[_RSP] - 8) & MASK64
-            regs[_RSP] = rsp
-            store(rsp, 8, regs[d])
-            return ExecResult(next_pc=fall,
-                              accesses=[MemAccess(rsp, 8, True)])
-        return thunk
-    if m is Mnemonic.POP:
-        d = int(instr.dest)
-
-        def thunk(state, load, store, rdtsc):
-            regs = state.regs
-            rsp = regs[_RSP]
-            regs[d] = load(rsp, 8) & MASK64
-            regs[_RSP] = (rsp + 8) & MASK64
-            return ExecResult(next_pc=fall,
-                              accesses=[MemAccess(rsp, 8, False)])
-        return thunk
-    if m is Mnemonic.RDTSC:
-        def thunk(state, load, store, rdtsc):
-            cycles = rdtsc() if rdtsc is not None else 0
-            regs = state.regs
-            regs[_RAX] = cycles & 0xFFFFFFFF
-            regs[_RDX] = (cycles >> 32) & 0xFFFFFFFF
-            return ExecResult(next_pc=fall)
-        return thunk
-    if m in (Mnemonic.SYSCALL, Mnemonic.SYSRET, Mnemonic.HLT, Mnemonic.UD2):
-        trap = {Mnemonic.SYSCALL: "syscall", Mnemonic.SYSRET: "sysret",
-                Mnemonic.HLT: "hlt", Mnemonic.UD2: "ud2"}[m]
-
-        def thunk(state, load, store, rdtsc):
-            return ExecResult(next_pc=fall, trap=trap)
-        return thunk
-    raise AssertionError(f"unhandled mnemonic {m}")
+    body: tuple[str, ...] = ()
+    exit: str | None = None
+    access: str | None = None
+    trap: str | None = None
 
 
-# ---------------------------------------------------------------------------
-# superblock compilation
-# ---------------------------------------------------------------------------
+#: Inline sign-flag test (``value >= 2**63`` is bit 63 of a masked value).
+_B63 = "0x8000000000000000"
+_LOGIC_FLAGS = ("flags.zf = _r == 0", "flags.sf = _r >= " + _B63,
+                "flags.cf = False", "flags.of = False")
+_TAKEN = "next_pc={0}, taken=True, target={0}"
+_EFFECTIVE = "_a = canonical(regs[{b}] + {disp})"
+_RSP_DOWN = ("_a = (regs[{rsp}] - 8) & MASK64", "regs[{rsp}] = _a")
+_RSP_UP = "regs[{rsp}] = (_a + 8) & MASK64"
+
+
+def _logic(result: str, write: bool = True) -> tuple[str, ...]:
+    body = ("_r = " + result,) + _LOGIC_FLAGS
+    return body + ("regs[{d}] = _r",) if write else body
+
+
+def _add(src: str) -> tuple[str, ...]:
+    return ("_x = regs[{d}]", "_r = _x + " + src,
+            "_af(flags, _x, " + src + ", _r)", "regs[{d}] = _r & MASK64")
+
+
+def _sub(src: str, write: bool = True) -> tuple[str, ...]:
+    body = ("_x = regs[{d}]", "_r = (_x - " + src + ") & MASK64",
+            "_sf(flags, _x, " + src + ", _r)")
+    return body + ("regs[{d}] = _r",) if write else body
+
+
+_S = Semantics
+
+#: The fast path's instruction semantics, one entry per mnemonic.
+#: :func:`compile_executor` and :func:`superblock_arch_lines` are both
+#: generated from it; :func:`execute` is written independently.
+SEMANTICS: dict[Mnemonic, Semantics] = {
+    Mnemonic.NOP: _S(),
+    Mnemonic.NOPL: _S(),
+    Mnemonic.LFENCE: _S(),
+    Mnemonic.MFENCE: _S(),
+    Mnemonic.JMP: _S(exit=_TAKEN.format("tgt")),
+    Mnemonic.JMP_SHORT: _S(exit=_TAKEN.format("tgt")),
+    Mnemonic.JMP_REG: _S(("_t = canonical(regs[{d}])",),
+                         exit=_TAKEN.format("_t")),
+    Mnemonic.JCC: _S(("_k = {cond}",),
+                     exit="next_pc=tgt if _k else fall, taken=_k, target=tgt"),
+    Mnemonic.CALL: _S(_RSP_DOWN + ("store(_a, 8, fall)",),
+                      exit=_TAKEN.format("tgt"), access="_a, 8, True"),
+    Mnemonic.CALL_REG: _S(_RSP_DOWN + ("store(_a, 8, fall)",
+                                       "_t = canonical(regs[{d}])"),
+                          exit=_TAKEN.format("_t"), access="_a, 8, True"),
+    Mnemonic.RET: _S(("_a = regs[{rsp}]", "_t = canonical(load(_a, 8))",
+                      _RSP_UP),
+                     exit=_TAKEN.format("_t"), access="_a, 8, False"),
+    Mnemonic.MOV_RI: _S(("regs[{d}] = {imm}",)),
+    Mnemonic.MOV_RR: _S(("regs[{d}] = regs[{s}]",)),
+    Mnemonic.MOV_RM: _S((_EFFECTIVE, "regs[{d}] = load(_a, 8) & MASK64"),
+                        access="_a, 8, False"),
+    Mnemonic.MOVB_RM: _S((_EFFECTIVE, "regs[{d}] = load(_a, 1) & 0xFF"),
+                         access="_a, 1, False"),
+    Mnemonic.MOV_MR: _S((_EFFECTIVE, "store(_a, 8, regs[{s}])"),
+                        access="_a, 8, True"),
+    Mnemonic.LEA: _S(("regs[{d}] = canonical(regs[{b}] + {disp})",)),
+    Mnemonic.ADD_RI: _S(_add("{imm}")),
+    Mnemonic.ADD_RR: _S(_add("regs[{s}]")),
+    Mnemonic.SUB_RI: _S(_sub("{imm}")),
+    Mnemonic.SUB_RR: _S(_sub("regs[{s}]")),
+    Mnemonic.CMP_RI: _S(_sub("{imm}", write=False)),
+    Mnemonic.CMP_RR: _S(_sub("regs[{s}]", write=False)),
+    Mnemonic.TEST_RR: _S(_logic("regs[{d}] & regs[{s}]", write=False)),
+    Mnemonic.AND_RI: _S(_logic("regs[{d}] & {imm}")),
+    Mnemonic.XOR_RR: _S(_logic("regs[{d}] ^ regs[{s}]")),
+    Mnemonic.OR_RR: _S(_logic("regs[{d}] | regs[{s}]")),
+    Mnemonic.SHL_RI: _S(_logic("(regs[{d}] << {imm}) & MASK64")),
+    Mnemonic.SHR_RI: _S(_logic("regs[{d}] >> {imm}")),
+    Mnemonic.INC: _S(("_x = regs[{d}]", "_c = flags.cf",
+                      "_af(flags, _x, 1, _x + 1)", "flags.cf = _c",
+                      "regs[{d}] = (_x + 1) & MASK64")),
+    Mnemonic.DEC: _S(("_x = regs[{d}]", "_r = (_x - 1) & MASK64",
+                      "_c = flags.cf", "_sf(flags, _x, 1, _r)",
+                      "flags.cf = _c", "regs[{d}] = _r")),
+    Mnemonic.NEG: _S(("_x = regs[{d}]", "_r = (-_x) & MASK64",
+                      "_sf(flags, 0, _x, _r)", "flags.cf = _x != 0",
+                      "regs[{d}] = _r")),
+    Mnemonic.NOT: _S(("regs[{d}] = ~regs[{d}] & MASK64",)),
+    Mnemonic.IMUL_RR: _S(("_p = _sg(regs[{d}]) * _sg(regs[{s}])",
+                          "_r = _p & MASK64",
+                          "flags.cf = flags.of = _p != _sg(_r)",
+                          "flags.zf = _r == 0", "flags.sf = _r >= " + _B63,
+                          "regs[{d}] = _r")),
+    Mnemonic.XCHG_RR: _S(("_x = regs[{d}]", "regs[{d}] = regs[{s}]",
+                          "regs[{s}] = _x")),
+    Mnemonic.CMOV: _S(("if {cond}:", "    regs[{d}] = regs[{s}]")),
+    Mnemonic.PUSH: _S(_RSP_DOWN + ("store(_a, 8, regs[{d}])",),
+                      access="_a, 8, True"),
+    Mnemonic.POP: _S(("_a = regs[{rsp}]", "regs[{d}] = load(_a, 8) & MASK64",
+                      _RSP_UP),
+                     access="_a, 8, False"),
+    Mnemonic.RDTSC: _S(("_c = rdtsc() if rdtsc is not None else 0",
+                        "regs[{rax}] = _c & 0xFFFFFFFF",
+                        "regs[{rdx}] = (_c >> 32) & 0xFFFFFFFF")),
+    Mnemonic.SYSCALL: _S(trap="syscall"),
+    Mnemonic.SYSRET: _S(trap="sysret"),
+    Mnemonic.HLT: _S(trap="hlt"),
+    Mnemonic.UD2: _S(trap="ud2"),
+}
+
+#: Mnemonics whose execution raises a trap.
+TRAP_MNEMONICS = frozenset(m for m, sem in SEMANTICS.items() if sem.trap)
 
 #: Mnemonics a superblock may fuse: straight-line architectural effects
 #: only.  Branches terminate blocks (they resolve/train the BPU), traps
 #: and serializing fences end them (they leave the straight-line world),
 #: and RDTSC is excluded because it observes ``cycles`` mid-block while
 #: the block batches its cycle accounting.
-SUPERBLOCK_FUSIBLE = frozenset((
-    Mnemonic.NOP, Mnemonic.NOPL, Mnemonic.MOV_RI, Mnemonic.MOV_RR,
-    Mnemonic.MOV_RM, Mnemonic.MOVB_RM, Mnemonic.MOV_MR, Mnemonic.LEA,
-    Mnemonic.ADD_RI, Mnemonic.ADD_RR, Mnemonic.SUB_RI, Mnemonic.SUB_RR,
-    Mnemonic.CMP_RI, Mnemonic.CMP_RR, Mnemonic.TEST_RR, Mnemonic.INC,
-    Mnemonic.DEC, Mnemonic.NEG, Mnemonic.NOT, Mnemonic.IMUL_RR,
-    Mnemonic.XCHG_RR, Mnemonic.CMOV, Mnemonic.AND_RI, Mnemonic.XOR_RR,
-    Mnemonic.OR_RR, Mnemonic.SHL_RI, Mnemonic.SHR_RI, Mnemonic.PUSH,
-    Mnemonic.POP,
-))
+SUPERBLOCK_FUSIBLE = frozenset(
+    m for m, sem in SEMANTICS.items()
+    if sem.exit is None and sem.trap is None
+    and not any("rdtsc" in line for line in sem.body)
+    and m not in (Mnemonic.LFENCE, Mnemonic.MFENCE))
 
 
 def superblock_fusible(instr: Instruction) -> bool:
@@ -715,11 +521,10 @@ def superblock_fusible(instr: Instruction) -> bool:
     return instr.mnemonic in SUPERBLOCK_FUSIBLE
 
 
-#: Names the generated superblock source expects in its globals —
-#: callers weaving :func:`superblock_arch_lines` into their own
-#: generated functions (the CPU's superblock engine) must merge these
-#: into the exec namespace.  Shared read-only by every generated
-#: function.
+#: Names the generated fast-path code expects in its globals — callers
+#: weaving :func:`superblock_arch_lines` into their own generated
+#: functions (the CPU's superblock engine) must merge these into the
+#: exec namespace.  Shared read-only by every generated function.
 SUPERBLOCK_HELPERS = {
     "MASK64": MASK64,
     "canonical": canonical,
@@ -728,194 +533,91 @@ SUPERBLOCK_HELPERS = {
     "_sg": _signed,
 }
 
-#: Python literal of 2**63, used for the inline sign-flag test
-#: (``value >= _B63`` is bit 63 for already-masked values).
-_B63 = "0x8000000000000000"
+_OPERAND_NAMES = {name: name for name in ("d", "s", "b", "disp", "imm")}
+
+#: ``(mnemonic value, cc) -> factory``; filled on first use.  Keyed by
+#: the member's value because hashing an ``Enum`` member runs Python.
+_FACTORIES: dict = {}
 
 
-def _logic_flag_lines(result: str) -> list[str]:
-    """Inline equivalent of :func:`_set_logic_flags` for a masked value."""
-    return [
-        f"flags.zf = {result} == 0",
-        f"flags.sf = {result} >= {_B63}",
-        "flags.cf = False",
-        "flags.of = False",
-    ]
+def _executor_factory(m: Mnemonic, cc: Cond | None) -> Callable:
+    """Generate ``factory(d, s, b, disp, imm, fall, tgt) -> thunk`` for
+    *m* (and *cc*, for JCC/CMOV) from its :data:`SEMANTICS` entry."""
+    sem = SEMANTICS[m]
+    fields = dict(_FIXED, cond=COND_EXPR.get(cc, ""), **_OPERAND_NAMES)
+    body = [line.format_map(fields) for line in sem.body]
+    args = [sem.exit or "next_pc=fall"]
+    if sem.access:
+        args.append(f"accesses=[MemAccess({sem.access})]")
+    if sem.trap:
+        args.append(f"trap={sem.trap!r}")
+    text = "\n".join(body)
+    src = ["def factory(d, s, b, disp, imm, fall, tgt):",
+           "    def thunk(state, load, store, rdtsc):"]
+    if "regs" in text:
+        src.append("        regs = state.regs")
+    if "flags" in text:
+        src.append("        flags = state.flags")
+    src += ["        " + line for line in body]
+    src += [f"        return ExecResult({', '.join(args)})",
+            "    return thunk"]
+    name = m.name if cc is None else f"{m.name}.{cc.name}"
+    namespace = dict(SUPERBLOCK_HELPERS, ExecResult=ExecResult,
+                     MemAccess=MemAccess)
+    return _generate("\n".join(src), f"executor:{name}", namespace)["factory"]
+
+
+def compile_executor(instr: Instruction, pc: int) -> ExecutorFn:
+    """Specialise the fast-path semantics for one decoded instruction.
+
+    Returns a thunk with the mnemonic dispatch, condition, operand
+    indices and address arithmetic resolved once.  The thunk mutates
+    *state* and calls load/store exactly as :func:`execute` would and
+    returns an equal :class:`ExecResult` — every register, flag,
+    memory-access and trap effect is byte-identical, so the fast path
+    stays architecturally invisible (pinned by
+    ``tests/isa/test_compiled_semantics.py``).  Thunk code is generated
+    from :data:`SEMANTICS` once per mnemonic (and condition) per
+    process; each call only binds the operands.  A fresh ``ExecResult``
+    is allocated per call: results outlive the next execution of the
+    same pc (e.g. a backend-mispredict window re-running it
+    transiently), so thunks must never reuse one.
+    """
+    key = (instr.mnemonic._value_, instr.cc)
+    factory = _FACTORIES.get(key)
+    if factory is None:
+        factory = _FACTORIES[key] = _executor_factory(instr.mnemonic,
+                                                      instr.cc)
+    dest, src, base, imm = instr.dest, instr.src, instr.base, instr.imm
+    fall = (pc + instr.length) & MASK64
+    return factory(None if dest is None else int(dest),
+                   None if src is None else int(src),
+                   None if base is None else int(base),
+                   instr.disp, None if imm is None else imm & MASK64,
+                   fall, (fall + instr.disp) & MASK64)
 
 
 def superblock_arch_lines(instr: Instruction, pc: int, index: int,
                           consts: dict) -> list[str]:
     """Source lines for the architectural effect of one fused instruction.
 
-    The emitted statements are the body :func:`compile_executor` would
-    run for *instr*, with operand indices and immediates baked in as
-    literals.  They assume local names ``regs``, ``flags``, ``load``,
-    ``store`` and the helper globals of ``_SB_GLOBALS``; per-instruction
-    constants that cannot be literals (condition evaluators) are added
-    to *consts* under an index-suffixed name.  Ordering of register
-    writes relative to loads/stores matches the executor thunks exactly,
-    so a fault mid-instruction leaves identical architectural state.
+    The :data:`SEMANTICS` body of *instr* with operands and condition
+    filled in as literals.  The lines assume local names ``regs``,
+    ``flags``, ``load`` and ``store`` and the globals of
+    :data:`SUPERBLOCK_HELPERS`.  *index* and *consts* let a caller give
+    per-instruction constants index-suffixed names in its namespace;
+    the table needs none, so both are unused.  Register writes keep
+    :func:`execute`'s order relative to loads and stores, so a fault
+    mid-instruction leaves identical architectural state.
     """
     m = instr.mnemonic
-    d = None if instr.dest is None else int(instr.dest)
-    s = None if instr.src is None else int(instr.src)
-    b = None if instr.base is None else int(instr.base)
-    disp = instr.disp
-
-    if m in (Mnemonic.NOP, Mnemonic.NOPL):
-        return []
-    if m is Mnemonic.MOV_RI:
-        return [f"regs[{d}] = {instr.imm & MASK64:#x}"]
-    if m is Mnemonic.MOV_RR:
-        return [f"regs[{d}] = regs[{s}]"]
-    if m is Mnemonic.MOV_RM:
-        return [f"regs[{d}] = load(canonical(regs[{b}] + {disp}), 8) "
-                f"& MASK64"]
-    if m is Mnemonic.MOVB_RM:
-        return [f"regs[{d}] = load(canonical(regs[{b}] + {disp}), 1) "
-                f"& 0xFF"]
-    if m is Mnemonic.MOV_MR:
-        return [f"store(canonical(regs[{b}] + {disp}), 8, regs[{s}])"]
-    if m is Mnemonic.LEA:
-        return [f"regs[{d}] = canonical(regs[{b}] + {disp})"]
-    if m in (Mnemonic.ADD_RI, Mnemonic.ADD_RR):
-        src = f"{instr.imm & MASK64:#x}" if m is Mnemonic.ADD_RI \
-            else f"regs[{s}]"
-        return [
-            f"_x = regs[{d}]",
-            f"_r = _x + {src}",
-            f"_af(flags, _x, {src}, _r)",
-            f"regs[{d}] = _r & MASK64",
-        ]
-    if m in (Mnemonic.SUB_RI, Mnemonic.SUB_RR, Mnemonic.CMP_RI,
-             Mnemonic.CMP_RR):
-        src = f"{instr.imm & MASK64:#x}" \
-            if m in (Mnemonic.SUB_RI, Mnemonic.CMP_RI) else f"regs[{s}]"
-        lines = [
-            f"_x = regs[{d}]",
-            f"_r = (_x - {src}) & MASK64",
-            f"_sf(flags, _x, {src}, _r)",
-        ]
-        if m in (Mnemonic.SUB_RI, Mnemonic.SUB_RR):
-            lines.append(f"regs[{d}] = _r")
-        return lines
-    if m is Mnemonic.TEST_RR:
-        return [f"_r = regs[{d}] & regs[{s}]"] + _logic_flag_lines("_r")
-    if m is Mnemonic.INC:
-        return [
-            f"_x = regs[{d}]",
-            "_c = flags.cf",
-            "_af(flags, _x, 1, _x + 1)",
-            "flags.cf = _c",
-            f"regs[{d}] = (_x + 1) & MASK64",
-        ]
-    if m is Mnemonic.DEC:
-        return [
-            f"_x = regs[{d}]",
-            "_r = (_x - 1) & MASK64",
-            "_c = flags.cf",
-            "_sf(flags, _x, 1, _r)",
-            "flags.cf = _c",
-            f"regs[{d}] = _r",
-        ]
-    if m is Mnemonic.NEG:
-        return [
-            f"_x = regs[{d}]",
-            "_r = (-_x) & MASK64",
-            "_sf(flags, 0, _x, _r)",
-            "flags.cf = _x != 0",
-            f"regs[{d}] = _r",
-        ]
-    if m is Mnemonic.NOT:
-        return [f"regs[{d}] = ~regs[{d}] & MASK64"]
-    if m is Mnemonic.IMUL_RR:
-        return [
-            f"_p = _sg(regs[{d}]) * _sg(regs[{s}])",
-            "_r = _p & MASK64",
-            "flags.cf = flags.of = _p != _sg(_r)",
-            "flags.zf = _r == 0",
-            f"flags.sf = _r >= {_B63}",
-            f"regs[{d}] = _r",
-        ]
-    if m is Mnemonic.XCHG_RR:
-        return [
-            f"_x = regs[{d}]",
-            f"regs[{d}] = regs[{s}]",
-            f"regs[{s}] = _x",
-        ]
-    if m is Mnemonic.CMOV:
-        cond_name = f"_cc{index}"
-        consts[cond_name] = _COND_EVAL[instr.cc]
-        return [f"if {cond_name}(flags):",
-                f"    regs[{d}] = regs[{s}]"]
-    if m is Mnemonic.AND_RI:
-        return [f"_r = regs[{d}] & {instr.imm & MASK64:#x}"] \
-            + _logic_flag_lines("_r") + [f"regs[{d}] = _r"]
-    if m in (Mnemonic.XOR_RR, Mnemonic.OR_RR):
-        op = "^" if m is Mnemonic.XOR_RR else "|"
-        return [f"_r = regs[{d}] {op} regs[{s}]"] \
-            + _logic_flag_lines("_r") + [f"regs[{d}] = _r"]
-    if m is Mnemonic.SHL_RI:
-        return [f"_r = (regs[{d}] << {instr.imm}) & MASK64"] \
-            + _logic_flag_lines("_r") + [f"regs[{d}] = _r"]
-    if m is Mnemonic.SHR_RI:
-        return [f"_r = regs[{d}] >> {instr.imm}"] \
-            + _logic_flag_lines("_r") + [f"regs[{d}] = _r"]
-    if m is Mnemonic.PUSH:
-        return [
-            f"_a = (regs[{_RSP}] - 8) & MASK64",
-            f"regs[{_RSP}] = _a",
-            f"store(_a, 8, regs[{d}])",
-        ]
-    if m is Mnemonic.POP:
-        return [
-            f"_a = regs[{_RSP}]",
-            f"regs[{d}] = load(_a, 8) & MASK64",
-            f"regs[{_RSP}] = (_a + 8) & MASK64",
-        ]
-    raise AssertionError(f"mnemonic {m} is not superblock-fusible")
-
-
-#: ``fn(state, load, store) -> next_pc``
-SuperblockFn = Callable[[ArchState, LoadFn, StoreFn], int]
-
-
-def compile_superblock(instrs: list[tuple[int, Instruction]]) -> SuperblockFn:
-    """Fuse a straight-line run of decoded instructions into one closure.
-
-    *instrs* is a list of ``(pc, instruction)`` pairs forming a
-    contiguous fall-through run; every instruction must satisfy
-    :func:`superblock_fusible`.  The returned function applies all
-    architectural effects in order — register writes, flag updates and
-    load/store traffic byte-identical to executing the thunks of
-    :func:`compile_executor` one by one (pinned by
-    ``tests/isa/test_superblock_semantics.py``) — and returns the
-    canonical fall-through pc of the final instruction.  Branch
-    direction, trap and ``accesses`` bookkeeping are not produced:
-    fusible instructions have none.
-
-    The pipeline's superblock engine (``pipeline/cpu.py``) uses
-    :func:`superblock_arch_lines` directly to weave these effects with
-    the frontend accounting; this entry point is the pure-architecture
-    fusion, used by its unit tests and by callers that only need
-    register semantics.
-    """
-    if not instrs:
-        raise ValueError("cannot fuse an empty superblock")
-    consts: dict = dict(SUPERBLOCK_HELPERS)
-    lines = [
-        "def _superblock(state, load, store):",
-        "    regs = state.regs",
-        "    flags = state.flags",
-    ]
-    for index, (pc, instr) in enumerate(instrs):
-        if not superblock_fusible(instr):
-            raise ValueError(f"{instr.mnemonic} at {pc:#x} is not fusible")
-        for line in superblock_arch_lines(instr, pc, index, consts):
-            lines.append("    " + line)
-    last_pc, last = instrs[-1]
-    end_pc = canonical((last_pc + last.length) & MASK64)
-    lines.append(f"    return {end_pc:#x}")
-    namespace: dict = consts
-    exec(compile("\n".join(lines), "<superblock>", "exec"), namespace)
-    return namespace["_superblock"]
+    if m not in SUPERBLOCK_FUSIBLE:
+        raise AssertionError(f"mnemonic {m} is not superblock-fusible")
+    dest, src, base, imm = instr.dest, instr.src, instr.base, instr.imm
+    fields = dict(
+        _FIXED, disp=instr.disp, cond=COND_EXPR.get(instr.cc, ""),
+        d=None if dest is None else int(dest),
+        s=None if src is None else int(src),
+        b=None if base is None else int(base),
+        imm=None if imm is None else f"{imm & MASK64:#x}")
+    return [line.format_map(fields) for line in SEMANTICS[m].body]

@@ -41,10 +41,13 @@ results (cycles, PMCs, episodes — pinned by the differential tests):
   privilege)`` pair, the whole step into one fused closure holding the
   decoded instruction, a specialised executor thunk
   (:func:`~repro.isa.semantics.compile_executor`) and pre-resolved PMC
-  counter slots.  Stateful shared models (µop cache, BPU, cache
-  hierarchy) are still consulted per step — only Python-level dispatch,
-  allocation and attribute traffic is removed, which is what keeps the
-  fast path architecturally invisible.
+  counter slots.  Executor thunks and the superblock code below are
+  both generated from one per-mnemonic table
+  (:data:`~repro.isa.semantics.SEMANTICS`), while ``execute`` stays
+  hand-written as the oracle.  Stateful shared models (µop cache, BPU,
+  cache hierarchy) are still consulted per step — only Python-level
+  dispatch, allocation and attribute traffic is removed, which is what
+  keeps the fast path architecturally invisible.
 
 On top of the step thunks the fast path fuses **superblocks**:
 straight-line runs of fusible instructions (no branches, traps, fences
@@ -77,8 +80,9 @@ from ..errors import (DecodeError, HaltRequested, PageFault, ReproError,
 from ..fastpath import fastpath_config
 from ..frontend import BPU, Prediction, UopCache
 from ..isa import (SUPERBLOCK_FUSIBLE, ArchState, BranchKind, Instruction,
-                   Mnemonic, compile_executor, decode, execute, uop_count)
-from ..isa.semantics import SUPERBLOCK_HELPERS, superblock_arch_lines
+                   compile_executor, decode, execute, uop_count)
+from ..isa.semantics import (SUPERBLOCK_HELPERS, TRAP_MNEMONICS,
+                             superblock_arch_lines)
 from ..memory import MemorySystem
 from ..params import MASK64, PAGE_SHIFT, PAGE_SIZE, canonical
 from ..telemetry import metrics as _metrics
@@ -116,10 +120,6 @@ _IDX_TRANSIENT_LOAD = PMC.index("transient_load")
 _SLS_KINDS = frozenset((BranchKind.DIRECT, BranchKind.CALL_DIRECT,
                         BranchKind.INDIRECT, BranchKind.CALL_INDIRECT,
                         BranchKind.RETURN))
-
-#: Mnemonics whose execution raises a trap (ends transient windows too).
-_TRAP_MNEMONICS = frozenset((Mnemonic.SYSCALL, Mnemonic.SYSRET,
-                             Mnemonic.HLT, Mnemonic.UD2))
 
 #: Step/transient-cache miss sentinel (``None`` is a valid cached value
 #: in the transient cache: "bytes at this pc do not decode").
@@ -655,7 +655,7 @@ class CPU:
         kind = instr.branch_kind
         is_branch = kind is not BranchKind.NONE
         sls_candidate = kind in _SLS_KINDS
-        can_trap = instr.mnemonic in _TRAP_MNEMONICS
+        can_trap = instr.mnemonic in TRAP_MNEMONICS
         text = str(instr)
         # Pure pre-probe (same argument as _fuse_superblock): the
         # instruction's (set, tag) footprint is a static function of its
@@ -791,9 +791,9 @@ class CPU:
         Per instruction the generated code replays the steady-state
         step: µop-cache probe with hit/miss/decoder-µop accounting, the
         inlined architectural effect
-        (:func:`~repro.isa.semantics.superblock_arch_lines`, effect
-        order identical to the executor thunks), retire counting — all
-        accumulated in locals and flushed once per dispatch.  A fault
+        (:func:`~repro.isa.semantics.superblock_arch_lines`, generated
+        from the same table as the executor thunks), retire counting —
+        all accumulated in locals and flushed once per dispatch.  A fault
         mid-block flushes the partial accounting and rewinds ``pc`` to
         the faulting instruction, leaving state byte-identical to the
         per-step engines' (pinned by tests/pipeline/test_superblocks.py).
@@ -1246,7 +1246,7 @@ class CPU:
         except DecodeError:
             entry = None
         else:
-            ends_window = instr.is_fence or instr.mnemonic in _TRAP_MNEMONICS
+            ends_window = instr.is_fence or instr.mnemonic in TRAP_MNEMONICS
             kernel_mode = self.kernel_mode
             keys = self.bpu.btb.block_keys(pc, instr.length,
                                            kernel_mode=kernel_mode)
@@ -1375,7 +1375,7 @@ class CPU:
                     break
                 self.mem.hier.prefetch_instr(pa & ~63)
                 self.uopcache.fill(pc)
-                if instr.is_fence or instr.mnemonic in _TRAP_MNEMONICS:
+                if instr.is_fence or instr.mnemonic in TRAP_MNEMONICS:
                     break
                 n = uop_count(instr)
                 if n > uop_budget:

@@ -4,11 +4,13 @@ The fast path replaces the interpretive ``execute`` dispatch with one
 closure per decoded instruction.  For every implemented mnemonic the
 two must agree on: the returned ``ExecResult`` (next pc, trap, memory
 access), every register, every flag, and the exact sequence of
-load/store callbacks — over randomized input states.
+load/store callbacks — over randomized input states, and after a
+memory callback faults mid-instruction.
 """
 
 import random
 
+from repro.errors import PageFault
 from repro.isa import (ArchState, Assembler, Cond, Reg, compile_executor,
                        decode, execute)
 
@@ -84,16 +86,32 @@ def random_state(rng: random.Random) -> ArchState:
     return state
 
 
-def recording_memory(log: list):
+def recording_memory(log: list, fault_at: int | None = None):
+    """Load/store callbacks that log every access; the *fault_at*-th
+    access (1-based) is logged and then raises ``PageFault``."""
+    def access(entry: tuple) -> None:
+        log.append(entry)
+        if len(log) == fault_at:
+            raise PageFault(entry[1], present=False,
+                            write=entry[0] == "store")
+
     def load(addr: int, size: int) -> int:
-        log.append(("load", addr, size))
+        access(("load", addr, size))
         # Deterministic value derived from the request, same both runs.
         return (addr * 0x9E3779B1 + size) & ((1 << (size * 8)) - 1)
 
     def store(addr: int, size: int, value: int) -> None:
-        log.append(("store", addr, size, value))
+        access(("store", addr, size, value))
 
     return load, store
+
+
+def run_to_fault(fn):
+    """``fn()``'s result, or the fault it raised."""
+    try:
+        return fn()
+    except PageFault as fault:
+        return ("fault", fault.va, fault.write)
 
 
 def dump(state: ArchState) -> tuple:
@@ -105,20 +123,30 @@ def test_every_mnemonic_matches_interpreter():
     rng = random.Random(1234)
     instrs = corpus()
     assert len(instrs) > 60
+    faulted = set()
     for pc, instr in instrs:
         thunk = compile_executor(instr, pc)
         for _ in range(8):
             seed_state = random_state(rng)
-            ref_state, fast_state = seed_state.copy(), seed_state.copy()
-            ref_log, fast_log = [], []
-            ref_load, ref_store = recording_memory(ref_log)
-            fast_load, fast_store = recording_memory(fast_log)
-            ref = execute(instr, pc, ref_state, ref_load, ref_store,
-                          rdtsc=lambda: 777)
-            fast = thunk(fast_state, fast_load, fast_store, lambda: 777)
-            assert fast == ref, instr
-            assert fast_log == ref_log, instr
-            assert dump(fast_state) == dump(ref_state), instr
+            # fault_at=1 faults the first (for every mnemonic here, the
+            # only) load or store: PUSH/CALL have already moved RSP.
+            for fault_at in (None, 1):
+                ref_state, fast_state = seed_state.copy(), seed_state.copy()
+                ref_log, fast_log = [], []
+                ref_load, ref_store = recording_memory(ref_log, fault_at)
+                fast_load, fast_store = recording_memory(fast_log, fault_at)
+                ref = run_to_fault(lambda: execute(
+                    instr, pc, ref_state, ref_load, ref_store,
+                    rdtsc=lambda: 777))
+                fast = run_to_fault(lambda: thunk(
+                    fast_state, fast_load, fast_store, lambda: 777))
+                assert fast == ref, instr
+                assert fast_log == ref_log, instr
+                assert dump(fast_state) == dump(ref_state), instr
+                if isinstance(ref, tuple):
+                    faulted.add(instr.mnemonic)
+    assert faulted == {instr.mnemonic for _, instr in instrs
+                       if instr.is_load or instr.is_store}
 
 
 def test_thunk_returns_fresh_results():

@@ -4,13 +4,15 @@ The superblock engine concatenates per-instruction source lines into
 one fused closure.  For every fusible mnemonic the emitted lines must
 produce exactly the architectural effect of the interpretive
 ``execute`` dispatch — every register, every flag, and the identical
-load/store callback sequence — over randomized input states.  The
+load/store callback sequence — over randomized input states, and up
+to the point where a memory callback faults mid-block.  The
 classification itself is pinned too: anything that branches, traps,
 serializes or reads the clock must be refused.
 """
 
 import random
 
+from repro.errors import PageFault
 from repro.isa import (ArchState, Assembler, Cond, Reg, decode, execute)
 from repro.isa.instructions import Mnemonic
 from repro.isa.semantics import (SUPERBLOCK_FUSIBLE, SUPERBLOCK_HELPERS,
@@ -114,15 +116,44 @@ def random_state(rng: random.Random) -> ArchState:
     return state
 
 
-def recording_memory(log: list):
+def recording_memory(log: list, fault_at: int | None = None):
+    """Load/store callbacks that log every access; the *fault_at*-th
+    access (1-based) is logged and then raises ``PageFault``."""
+    def access(entry: tuple) -> None:
+        log.append(entry)
+        if len(log) == fault_at:
+            raise PageFault(entry[1], present=False,
+                            write=entry[0] == "store")
+
     def load(addr: int, size: int) -> int:
-        log.append(("load", addr, size))
+        access(("load", addr, size))
         return (addr * 0x9E3779B1 + size) & ((1 << (size * 8)) - 1)
 
     def store(addr: int, size: int, value: int) -> None:
-        log.append(("store", addr, size, value))
+        access(("store", addr, size, value))
 
     return load, store
+
+
+def fault_points(block) -> tuple:
+    """No fault, then a fault at each of *block*'s memory accesses
+    (every fusible memory mnemonic makes exactly one)."""
+    accesses = sum(instr.is_load or instr.is_store for _, instr in block)
+    return (None, *range(1, accesses + 1))
+
+
+def run_to_fault(fn) -> bool:
+    """Run ``fn()``; True when it raised ``PageFault``."""
+    try:
+        fn()
+    except PageFault:
+        return True
+    return False
+
+
+def execute_block(block, state, load, store) -> None:
+    for pc, instr in block:
+        execute(instr, pc, state, load, store)
 
 
 def dump(state: ArchState) -> tuple:
@@ -155,20 +186,24 @@ class TestFusedEquivalence:
             fn = fuse([(pc, instr)])
             for _ in range(20):
                 seed_state = random_state(rng)
-                ref = ArchState()
-                fut = ArchState()
-                ref.regs[:] = seed_state.regs
-                fut.regs[:] = seed_state.regs
-                for name in ("zf", "sf", "cf", "of"):
-                    setattr(ref.flags, name,
-                            getattr(seed_state.flags, name))
-                    setattr(fut.flags, name,
-                            getattr(seed_state.flags, name))
-                ref_log, fut_log = [], []
-                execute(instr, pc, ref, *recording_memory(ref_log))
-                fn(fut, *recording_memory(fut_log))
-                assert dump(fut) == dump(ref), instr
-                assert fut_log == ref_log, instr
+                for fault_at in fault_points([(pc, instr)]):
+                    ref = ArchState()
+                    fut = ArchState()
+                    ref.regs[:] = seed_state.regs
+                    fut.regs[:] = seed_state.regs
+                    for name in ("zf", "sf", "cf", "of"):
+                        setattr(ref.flags, name,
+                                getattr(seed_state.flags, name))
+                        setattr(fut.flags, name,
+                                getattr(seed_state.flags, name))
+                    ref_log, fut_log = [], []
+                    ref_fault = run_to_fault(lambda: execute(
+                        instr, pc, ref, *recording_memory(ref_log, fault_at)))
+                    fut_fault = run_to_fault(lambda: fn(
+                        fut, *recording_memory(fut_log, fault_at)))
+                    assert ref_fault == fut_fault == (fault_at is not None)
+                    assert dump(fut) == dump(ref), instr
+                    assert fut_log == ref_log, instr
 
     def test_whole_corpus_fused_as_one_block(self):
         rng = random.Random(0xB5)
@@ -176,20 +211,22 @@ class TestFusedEquivalence:
         fn = fuse(corpus)
         for _ in range(50):
             seed_state = random_state(rng)
-            ref = ArchState()
-            fut = ArchState()
-            ref.regs[:] = seed_state.regs
-            fut.regs[:] = seed_state.regs
-            for name in ("zf", "sf", "cf", "of"):
-                setattr(ref.flags, name, getattr(seed_state.flags, name))
-                setattr(fut.flags, name, getattr(seed_state.flags, name))
-            ref_log, fut_log = [], []
-            load, store = recording_memory(ref_log)
-            for pc, instr in corpus:
-                execute(instr, pc, ref, load, store)
-            fn(fut, *recording_memory(fut_log))
-            assert dump(fut) == dump(ref)
-            assert fut_log == ref_log
+            for fault_at in fault_points(corpus):
+                ref = ArchState()
+                fut = ArchState()
+                ref.regs[:] = seed_state.regs
+                fut.regs[:] = seed_state.regs
+                for name in ("zf", "sf", "cf", "of"):
+                    setattr(ref.flags, name, getattr(seed_state.flags, name))
+                    setattr(fut.flags, name, getattr(seed_state.flags, name))
+                ref_log, fut_log = [], []
+                ref_fault = run_to_fault(lambda: execute_block(
+                    corpus, ref, *recording_memory(ref_log, fault_at)))
+                fut_fault = run_to_fault(lambda: fn(
+                    fut, *recording_memory(fut_log, fault_at)))
+                assert ref_fault == fut_fault == (fault_at is not None)
+                assert dump(fut) == dump(ref)
+                assert fut_log == ref_log
 
     def test_random_blocks_match_sequential_execution(self):
         rng = random.Random(0xC4FE)
@@ -199,17 +236,19 @@ class TestFusedEquivalence:
                      for _ in range(rng.randrange(2, 24))]
             fn = fuse(block)
             seed_state = random_state(rng)
-            ref = ArchState()
-            fut = ArchState()
-            ref.regs[:] = seed_state.regs
-            fut.regs[:] = seed_state.regs
-            for name in ("zf", "sf", "cf", "of"):
-                setattr(ref.flags, name, getattr(seed_state.flags, name))
-                setattr(fut.flags, name, getattr(seed_state.flags, name))
-            ref_log, fut_log = [], []
-            load, store = recording_memory(ref_log)
-            for pc, instr in block:
-                execute(instr, pc, ref, load, store)
-            fn(fut, *recording_memory(fut_log))
-            assert dump(fut) == dump(ref)
-            assert fut_log == ref_log
+            for fault_at in fault_points(block):
+                ref = ArchState()
+                fut = ArchState()
+                ref.regs[:] = seed_state.regs
+                fut.regs[:] = seed_state.regs
+                for name in ("zf", "sf", "cf", "of"):
+                    setattr(ref.flags, name, getattr(seed_state.flags, name))
+                    setattr(fut.flags, name, getattr(seed_state.flags, name))
+                ref_log, fut_log = [], []
+                ref_fault = run_to_fault(lambda: execute_block(
+                    block, ref, *recording_memory(ref_log, fault_at)))
+                fut_fault = run_to_fault(lambda: fn(
+                    fut, *recording_memory(fut_log, fault_at)))
+                assert ref_fault == fut_fault == (fault_at is not None)
+                assert dump(fut) == dump(ref)
+                assert fut_log == ref_log
