@@ -16,8 +16,9 @@ engine-differential diffs.  The four families from the issue:
    run, every surviving cache entry (software-TLB PTE, decoded
    instruction, transient decode tuple) is re-derived from the current
    page tables and memory image and must match; and every cached pc
-   must be indexed in ``CPU._code_pages``, otherwise
-   ``invalidate_code`` could miss it on the next self-modifying write.
+   must be indexed in ``CPU._code_pages`` and every compiled entry in
+   its block index, otherwise ``invalidate_code`` could miss it on the
+   next self-modifying write.
 4. **Resteer episodes are well-formed** — cycles monotone, canonical
    addresses, reach consistent with the episode flavour and the
    µarch's decoder-race outcome, and the episode list consistent with
@@ -189,11 +190,9 @@ def check_cache_coherence(world: World) -> list[Violation]:
     # bytes after the next self-modifying write.
     indexed = {pc for pcs in cpu._code_pages.values() for pc in pcs}
     for label, cache in (("decode", cpu._decode_cache),
-                         ("step-user", cpu._step_cache_user),
-                         ("step-kernel", cpu._step_cache_kernel),
                          ("transient", cpu._transient_cache),
-                         ("superblock-user", cpu._sb_user),
-                         ("superblock-kernel", cpu._sb_kernel),
+                         ("compiled-user", cpu._code_user),
+                         ("compiled-kernel", cpu._code_kernel),
                          ("transient-block-user", cpu._tb_user),
                          ("transient-block-kernel", cpu._tb_kernel)):
         missing = set(cache) - indexed
@@ -203,26 +202,25 @@ def check_cache_coherence(world: World) -> list[Violation]:
                 f"{label} cache holds pc {pc:#x} not indexed for "
                 f"invalidation"))
 
-    # Block-index coverage: every interior pc of a live (super|transient)
-    # block must map back to its head through the block index, or a
-    # mid-block write would retire the head entry but leave the block
-    # serving fused stale bytes.
+    # Block-index coverage: every live compiled entry (step closures
+    # and superblocks alike) and transient block must map back from its
+    # head through the block index, which ``invalidate_code`` walks to
+    # retire it — a missing key would leave it serving stale bytes.
     for label, caches, index in (
-            ("superblock",
-             ((False, cpu._sb_user), (True, cpu._sb_kernel)),
-             cpu._sb_index),
-            ("transient-block",
+            ("compiled entry",
+             ((False, cpu._code_user), (True, cpu._code_kernel)),
+             cpu._block_index),
+            ("transient block",
              ((False, cpu._tb_user), (True, cpu._tb_kernel)),
              cpu._tb_index)):
-        owned = {(kernel, head)
-                 for owners in index.values() for kernel, head in owners}
         for kernel, cache in caches:
             for head, entry in cache.items():
-                if entry is not None and (kernel, head) not in owned:
+                if entry is not None and \
+                        (kernel, head) not in index.get(head, ()):
                     violations.append(Violation(
                         "stale-cache",
                         f"{label} at {head:#x} (kernel={kernel}) has no "
-                        f"interior-pc index entries"))
+                        f"block-index entry"))
     return violations
 
 

@@ -597,16 +597,13 @@ def compile_executor(instr: Instruction, pc: int) -> ExecutorFn:
                    fall, (fall + instr.disp) & MASK64)
 
 
-def superblock_arch_lines(instr: Instruction, pc: int, index: int,
-                          consts: dict) -> list[str]:
+def superblock_arch_lines(instr: Instruction) -> list[str]:
     """Source lines for the architectural effect of one fused instruction.
 
     The :data:`SEMANTICS` body of *instr* with operands and condition
     filled in as literals.  The lines assume local names ``regs``,
     ``flags``, ``load`` and ``store`` and the globals of
-    :data:`SUPERBLOCK_HELPERS`.  *index* and *consts* let a caller give
-    per-instruction constants index-suffixed names in its namespace;
-    the table needs none, so both are unused.  Register writes keep
+    :data:`SUPERBLOCK_HELPERS`.  Register writes keep
     :func:`execute`'s order relative to loads and stores, so a fault
     mid-instruction leaves identical architectural state.
     """

@@ -36,35 +36,37 @@ results (cycles, PMCs, episodes — pinned by the differential tests):
 
 * the **naive path** (``_step_slow``) interprets every step from
   scratch: µop-cache probe, decode-cache lookup, ``execute()``'s
-  mnemonic dispatch;
-* the **fast path** compiles, on the second visit to a ``(pc,
-  privilege)`` pair, the whole step into one fused closure holding the
-  decoded instruction, a specialised executor thunk
+  mnemonic dispatch.  It is the oracle every fast layer is checked
+  against;
+* the **fast path** keeps one compiled-code cache per privilege level.
+  A pc's first visit runs ``_step_slow``, which decodes it; the
+  dispatch that finds the pc already decoded (its second visit)
+  compiles it into an entry ``(n, fn)``.  A straight-line run of at
+  least ``_SB_MIN_INSTRS`` fusible instructions (no branches, traps,
+  fences or rdtsc) becomes a **superblock**: one generated function
+  whose single entry guard is a pure BTB probe of the block's (set,
+  tag) footprint against the live predictor keys.  Anything else
+  becomes a **step closure** holding the decoded instruction, a
+  specialised executor thunk
   (:func:`~repro.isa.semantics.compile_executor`) and pre-resolved PMC
-  counter slots.  Executor thunks and the superblock code below are
-  both generated from one per-mnemonic table
-  (:data:`~repro.isa.semantics.SEMANTICS`), while ``execute`` stays
-  hand-written as the oracle.  Stateful shared models (µop cache, BPU,
-  cache hierarchy) are still consulted per step — only Python-level
-  dispatch, allocation and attribute traffic is removed, which is what
-  keeps the fast path architecturally invisible.
+  counter slots.  ``fn()`` returns the instructions it retired, or 0
+  when a superblock's probe hits; then, and whenever there is no entry,
+  ``n`` exceeds the budget or a per-instruction observer is active,
+  dispatch runs one ``_step_slow`` — so phantom episodes replay
+  exactly.  Executor thunks and superblock code are both generated from
+  one per-mnemonic table (:data:`~repro.isa.semantics.SEMANTICS`),
+  while ``execute`` stays hand-written.  Stateful shared models (µop
+  cache, BPU, cache hierarchy) are still consulted per step — only
+  Python-level dispatch, allocation and attribute traffic is removed,
+  which is what keeps the fast path architecturally invisible.
 
-On top of the step thunks the fast path fuses **superblocks**:
-straight-line runs of fusible instructions (no branches, traps, fences
-or rdtsc) compiled into one generated function with a single entry
-guard — a pure BTB probe of the block's (set, tag) footprint against
-the live predictor keys.  A probe hit bails to the per-step path so
-phantom episodes replay exactly; a miss proves the whole run is
-prediction-free and executes it with batched counter accounting.
-Blocks are retired whole by :meth:`CPU.invalidate_code` (writes landing
-anywhere inside the block, via the interior-pc index) and wholesale
-when the page-table generation moves.
-
-``PHANTOM_REPRO_FASTPATH=0`` selects the naive path; ``superblocks=0``
-disables superblock fusion alone (see ``docs/performance.md``).  Step
-thunks are dropped by :meth:`CPU.invalidate_code`; privilege is part of
-the cache key, so kernel and user executions of the same bytes never
-share a thunk.
+Entries hold only decode-cache instructions, address-pure BTB keys and
+live callbacks, so they stay valid exactly as long as the decode cache
+both engines step from: :meth:`CPU.invalidate_code` drops them (whole
+blocks, via the interior-pc index) and nothing else does.  Privilege is
+part of the cache key, so kernel and user executions of the same bytes
+never share an entry.  ``PHANTOM_REPRO_FASTPATH=0`` selects the naive
+path (see ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ from typing import Callable
 
 from ..errors import (DecodeError, HaltRequested, PageFault, ReproError,
                       SimulationLimit, TruncatedError)
-from ..fastpath import fastpath_config
+from ..fastpath import fastpath_enabled
 from ..frontend import BPU, Prediction, UopCache
 from ..isa import (SUPERBLOCK_FUSIBLE, ArchState, BranchKind, Instruction,
                    compile_executor, decode, execute, uop_count)
@@ -116,13 +118,13 @@ _IDX_TRANSIENT_LOAD = PMC.index("transient_load")
 
 #: Branch kinds for which a missing prediction means straight-line
 #: speculation (the only kinds :meth:`CPU._sequential_speculation` acts
-#: on) — lets compiled step thunks skip the call entirely otherwise.
+#: on) — lets step closures skip the call entirely otherwise.
 _SLS_KINDS = frozenset((BranchKind.DIRECT, BranchKind.CALL_DIRECT,
                         BranchKind.INDIRECT, BranchKind.CALL_INDIRECT,
                         BranchKind.RETURN))
 
-#: Step/transient-cache miss sentinel (``None`` is a valid cached value
-#: in the transient cache: "bytes at this pc do not decode").
+#: Transient-cache miss sentinel (``None`` is a valid cached value
+#: there: "bytes at this pc do not decode").
 _UNCOMPILED = object()
 
 #: Superblock sizing: fusion needs enough instructions to amortize the
@@ -227,8 +229,7 @@ class CPU:
 
     def __init__(self, uarch: Microarch, mem: MemorySystem,
                  rng: random.Random | None = None,
-                 fastpath: bool | None = None, *,
-                 superblocks: bool | None = None) -> None:
+                 fastpath: bool | None = None) -> None:
         self.uarch = uarch
         self.mem = mem
         self.rng = rng or random.Random(0)
@@ -248,27 +249,30 @@ class CPU:
         self.instr_hook = None
         self._decode_cache: dict[int, Instruction] = {}
         #: Engine selection; defaults to the memory system's, so one
-        #: PHANTOM_REPRO_FASTPATH read governs the whole machine.
-        #: Superblock fusion defaults to the environment's selective
-        #: syntax and only applies when the fast path itself is on.
+        #: PHANTOM_REPRO_FASTPATH read governs the whole machine.  The
+        #: variable is parsed even when overridden, so a bad setting
+        #: fails loudly at the first CPU build.
+        fastpath_enabled()
         self._fastpath = mem.fastpath if fastpath is None else bool(fastpath)
         #: Only the fast path shares the process-wide BTB hash memo.
         self.bpu = BPU(uarch.btb, btb_ways=uarch.btb_ways,
                        shared_hashes=self._fastpath)
-        _config = fastpath_config()
-        self._superblocks = self._fastpath and (
-            _config.superblocks if superblocks is None
-            else bool(superblocks))
         #: Memoized (or naive — same results) translation entry point.
         self._translate = mem.translate
         #: L1-miss heuristic threshold, read once: an access is a miss
         #: when its service latency reached L2.
         self._l1_miss_threshold = mem.hier.params.l2_latency
         self._counts = self.pmc.counts
-        #: Fused step thunks, keyed by pc, split per privilege level
-        #: (the (pc, kernel_mode) step-cache key).
-        self._step_cache_user: dict[int, Callable[[], None]] = {}
-        self._step_cache_kernel: dict[int, Callable[[], None]] = {}
+        #: Compiled code: head pc -> (instructions, fn), split per
+        #: privilege level.  A step closure has n = 1, a superblock
+        #: n >= _SB_MIN_INSTRS; ``fn()`` returns the instructions it
+        #: retired, or 0 on a probe bail.
+        self._code_user: dict[int, tuple[int, Callable[[], int]]] = {}
+        self._code_kernel: dict[int, tuple[int, Callable[[], int]]] = {}
+        #: pc -> {(kernel_mode, head_pc)} of every entry covering that
+        #: pc, so invalidate_code retires whole blocks from writes that
+        #: land mid-block (the split/retire contract).
+        self._block_index: dict[int, set[tuple[bool, int]]] = {}
         #: Transient-path decode cache: pc -> (instr, thunk, µops,
         #: ends_window) or None for undecodable bytes.  Valid only for
         #: the page-table generation it was filled under.
@@ -277,29 +281,19 @@ class CPU:
         #: Page -> pcs with any cached artifact on that page, so
         #: invalidate_code touches only the affected pages.
         self._code_pages: dict[int, set[int]] = {}
-        #: Superblock caches: head pc -> (instruction count, dispatch
-        #: fn), or None for heads pinned unfusible/too short; split per
-        #: privilege like the step caches.  Valid only for the
-        #: page-table generation they were compiled under.
-        self._sb_user: dict[int, tuple[int, Callable[[], int]] | None] = {}
-        self._sb_kernel: dict[int, tuple[int, Callable[[], int]] | None] = {}
-        #: pc -> {(kernel_mode, head_pc)} of every block containing that
-        #: pc, so invalidate_code retires whole blocks from writes that
-        #: land mid-block (the split/retire contract).
-        self._sb_index: dict[int, set[tuple[bool, int]]] = {}
-        self._sb_gen = mem.aspace.generation
         #: Transient superblocks: the same fusion, compiled against the
         #: *transient* load/store callbacks and guarded by one whole-run
         #: BTB probe (sound because branches only train at retirement,
         #: so the BTB is static for an entire speculative window).  Head
         #: pc -> (µop count, fall-through pc, fn) or None, split per
-        #: privilege; indexed for invalidation like ``_sb_index``.
+        #: privilege; indexed for invalidation like ``_block_index``.
         self._tb_user: dict[int, tuple[int, int, Callable] | None] = {}
         self._tb_kernel: dict[int, tuple[int, int, Callable] | None] = {}
         self._tb_index: dict[int, set[tuple[bool, int]]] = {}
-        #: Superblock statistics.  Plain attributes, *not*
-        #: metrics counters: only the fast engine compiles blocks, and
-        #: engine manifests must stay fingerprint-identical.
+        #: Superblock statistics (fused blocks only, not step
+        #: closures).  Plain attributes, *not* metrics counters: only
+        #: the fast engine compiles, and engine manifests must stay
+        #: fingerprint-identical.
         self.sb_compiled = 0
         self.sb_fused_instructions = 0
         self.sb_invalidated = 0
@@ -319,26 +313,24 @@ class CPU:
     def invalidate_code(self, lo: int, hi: int) -> None:
         """Drop cached artifacts overlapping [lo, hi) (self-modifying code).
 
-        Removes decoded instructions, compiled step thunks, superblocks
-        and transient decode entries whose bytes may intersect the
+        Removes decoded instructions, compiled entries and transient
+        decode entries whose bytes may intersect the
         written range, and invalidates the µop-cache windows covering it
         — µops cracked from the old bytes must not serve hits after a
         code rewrite.  Cached pcs are indexed by page, so the walk
         touches only the pages the write spans instead of scanning every
         cached decode.  A write landing mid-superblock retires the whole
-        owning block (looked up through ``_sb_index``); the next
+        owning block (looked up through ``_block_index``); the next
         dispatch at its head recompiles over whatever decodes survive,
         which is how blocks split around rewritten bytes.
         """
         if hi <= lo:
             return
         decode_cache = self._decode_cache
-        step_user = self._step_cache_user
-        step_kernel = self._step_cache_kernel
         transient = self._transient_cache
-        sb_user = self._sb_user
-        sb_kernel = self._sb_kernel
-        sb_index = self._sb_index
+        code_user = self._code_user
+        code_kernel = self._code_kernel
+        block_index = self._block_index
         tb_user = self._tb_user
         tb_kernel = self._tb_kernel
         tb_index = self._tb_index
@@ -353,17 +345,12 @@ class CPU:
             for pc in stale:
                 pcs.discard(pc)
                 decode_cache.pop(pc, None)
-                step_user.pop(pc, None)
-                step_kernel.pop(pc, None)
                 transient.pop(pc, None)
-                owners = sb_index.pop(pc, None)
-                if owners:
-                    for kernel, head in owners:
-                        target = sb_kernel if kernel else sb_user
-                        if target.pop(head, None) is not None:
-                            self.sb_invalidated += 1
-                sb_user.pop(pc, None)
-                sb_kernel.pop(pc, None)
+                for kernel, head in block_index.pop(pc, ()):
+                    target = code_kernel if kernel else code_user
+                    entry = target.pop(head, None)
+                    if entry is not None and entry[0] > 1:
+                        self.sb_invalidated += 1
                 owners = tb_index.pop(pc, None)
                 if owners:
                     for kernel, head in owners:
@@ -462,59 +449,41 @@ class CPU:
         """Run until ``hlt`` (raises HaltRequested) or the budget expires."""
         if pc is not None:
             self.pc = canonical(pc)
-        if self._fastpath and self._superblocks:
-            self._run_superblocks(max_instructions)
-        elif self._fastpath:
-            user_cache = self._step_cache_user
-            kernel_cache = self._step_cache_kernel
-            for _ in range(max_instructions):
-                cache = kernel_cache if self.kernel_mode else user_cache
-                thunk = cache.get(self.pc)
-                if thunk is not None:
-                    thunk()
-                else:
-                    self._step_and_compile(cache)
+        if self._fastpath:
+            self._run_compiled(max_instructions)
         else:
             for _ in range(max_instructions):
                 self._step_slow()
         raise SimulationLimit(
             f"exceeded {max_instructions} instructions at pc={self.pc:#x}")
 
-    def _run_superblocks(self, max_instructions: int) -> None:
-        """The fused-dispatch run loop of the superblock engine.
+    def _run_compiled(self, max_instructions: int) -> None:
+        """The fast engine's run loop.
 
-        Per iteration: try the superblock cache for the current pc and,
-        when a block is installed, its probe passes and its instruction
-        count fits the remaining budget, consume the whole block in one
-        call; otherwise fall back to exactly one per-step thunk.  The
+        Per iteration: look up the compiled entry for the current
+        ``(pc, privilege)``, compiling one when the pc is already
+        decoded (its second visit), and call it when its instruction
+        count fits the remaining budget.  Otherwise, or when a
+        superblock's probe bails, run exactly one ``_step_slow``.  The
         budget is decremented by real instructions retired, so the
-        "limit" outcome fires after precisely *max_instructions* steps —
-        identical to the per-step loops.  Superblock dispatch is skipped
-        while a per-instruction hook or retire tracing is active (both
-        observe individual steps) and whenever the page-table generation
-        moved (remaps change which bytes live at a pc; the caches are
-        cleared wholesale, mirroring the transient cache).
+        "limit" outcome fires after precisely *max_instructions* steps,
+        as on the naive engine.  Compiled code is skipped while a
+        per-instruction hook or retire tracing is active: both observe
+        individual steps, which only ``_step_slow`` reports.
         """
-        user_cache = self._step_cache_user
-        kernel_cache = self._step_cache_kernel
-        sb_user = self._sb_user
-        sb_kernel = self._sb_kernel
-        aspace = self.mem.aspace
+        user_cache = self._code_user
+        kernel_cache = self._code_kernel
+        decoded = self._decode_cache
+        step_slow = self._step_slow
         remaining = max_instructions
         while remaining > 0:
             if self.instr_hook is None and not _TRACE.enabled:
-                if self._sb_gen != aspace.generation:
-                    sb_user.clear()
-                    sb_kernel.clear()
-                    self._sb_index.clear()
-                    self._sb_gen = aspace.generation
                 kernel_mode = self.kernel_mode
-                sbc = sb_kernel if kernel_mode else sb_user
-                pc_now = self.pc
-                entry = sbc.get(pc_now, _UNCOMPILED)
-                if entry is _UNCOMPILED:
-                    entry = self._compile_superblock_at(pc_now, sbc,
-                                                        kernel_mode)
+                cache = kernel_cache if kernel_mode else user_cache
+                pc = self.pc
+                entry = cache.get(pc)
+                if entry is None and pc in decoded:
+                    entry = self._compile_at(pc, cache, kernel_mode)
                 if entry is not None:
                     n, fn = entry
                     if n <= remaining:
@@ -522,26 +491,8 @@ class CPU:
                         if done:
                             remaining -= done
                             continue
-            cache = kernel_cache if self.kernel_mode else user_cache
-            thunk = cache.get(self.pc)
-            if thunk is not None:
-                thunk()
-            else:
-                self._step_and_compile(cache)
+            step_slow()
             remaining -= 1
-
-    def step(self) -> None:
-        """Execute one architectural instruction (plus its episodes)."""
-        if self._fastpath:
-            cache = self._step_cache_kernel if self.kernel_mode \
-                else self._step_cache_user
-            thunk = cache.get(self.pc)
-            if thunk is not None:
-                thunk()
-            else:
-                self._step_and_compile(cache)
-        else:
-            self._step_slow()
 
     def _step_slow(self) -> None:
         """The naive engine: interpret one step from scratch."""
@@ -587,55 +538,71 @@ class CPU:
             return
         self.pc = canonical(result.next_pc)
 
-    def _step_and_compile(self, cache: dict[int, Callable[[], None]]) -> None:
-        """Cold visit: run the naive engine once, then install the fused
-        step thunk for subsequent visits.
+    # ------------------------------------------------------------------
+    # compilation
+    # ------------------------------------------------------------------
 
-        The naive step performs the first-visit work (fetch/decode cycle
-        charging, fault propagation with the exact naive ordering), so
-        compilation itself is architecturally free; the thunk compiled
-        afterwards replays the steady-state step, whose decode-cache hit
-        can no longer fetch or fault.
+    def _compile_at(self, head: int, cache: dict,
+                    kernel_mode: bool) -> tuple[int, Callable[[], int]]:
+        """Compile the decoded pc *head* into its cache entry.
 
-        With span tracing active each cold visit is bracketed by a
-        ``fastpath:compile`` span (warm visits run bare thunks — the
-        compile/execute split a trace shows is exactly the dual-engine
-        split).  Compilation is deliberately *not* a metrics counter:
-        only the fast engine compiles, and engine manifests must stay
-        fingerprint-identical.
+        The run extends while instructions are decoded, fusible and
+        *start* on the head's page (the final instruction's bytes may
+        straddle into the next page — ``invalidate_code``'s reach-back
+        covers that overhang), up to ``_SB_MAX_INSTRS``.  A run of at
+        least ``_SB_MIN_INSTRS`` becomes a superblock; anything shorter
+        a step closure for *head* alone.  Every covered pc is indexed
+        in ``_block_index``.
+
+        Compilation is bracketed by a ``fastpath:compile`` span but is
+        deliberately *not* a metrics counter: only the fast engine
+        compiles, and engine manifests must stay fingerprint-identical.
         """
-        if _SPANS.enabled:
-            with _SPANS.span("fastpath:compile", pc=hex(self.pc)):
-                self._cold_step(cache)
-        else:
-            self._cold_step(cache)
-
-    def _cold_step(self, cache: dict[int, Callable[[], None]]) -> None:
-        pc = self.pc
-        kernel_mode = self.kernel_mode
-        try:
-            self._step_slow()
-        finally:
-            # Compile even when the step raised (HLT's HaltRequested, a
-            # faulting load): the thunk reproduces the raise exactly, and
-            # skipping the cache here made every trap-terminated loop —
-            # e.g. a syscall round trip ending in hlt — pay a full slow
-            # step per visit forever.  A pc whose decode was invalidated
-            # during its own step (self-modifying write) stays cold.
-            instr = self._decode_cache.get(pc)
-            if instr is not None:
-                cache[pc] = self._compile_step(pc, instr, kernel_mode)
-                self._register_code_pc(pc)
+        decode_cache = self._decode_cache
+        instr = decode_cache[head]
+        run: list[tuple[int, Instruction]] = [(head, instr)]
+        if instr.mnemonic in SUPERBLOCK_FUSIBLE:
+            page = head >> PAGE_SHIFT
+            pc = head
+            while len(run) < _SB_MAX_INSTRS:
+                pc = canonical((pc + instr.length) & MASK64)
+                instr = decode_cache.get(pc)
+                if (pc >> PAGE_SHIFT != page or instr is None
+                        or instr.mnemonic not in SUPERBLOCK_FUSIBLE):
+                    break
+                run.append((pc, instr))
+        if len(run) < _SB_MIN_INSTRS:
+            del run[1:]
+        with _SPANS.span("fastpath:compile", pc=hex(head),
+                         instructions=len(run)):
+            if len(run) == 1:
+                entry = (1, self._compile_step(head, run[0][1],
+                                               kernel_mode))
+            else:
+                entry = self._fuse_superblock(head, run, kernel_mode)
+                self.sb_compiled += 1
+                self.sb_fused_instructions += len(run)
+        cache[head] = entry
+        block_index = self._block_index
+        key = (kernel_mode, head)
+        for pc, _ in run:
+            owners = block_index.get(pc)
+            if owners is None:
+                owners = block_index[pc] = set()
+            owners.add(key)
+        return entry
 
     def _compile_step(self, pc: int, instr: Instruction,
-                      kernel_mode: bool) -> Callable[[], None]:
+                      kernel_mode: bool) -> Callable[[], int]:
         """Fuse one steady-state step of *instr* at *pc* into a closure.
 
         Everything derivable from the decoded instruction is resolved
         here: the executor thunk, µop count, branch kind, trap
-        potential, trace text.  The closure still consults every
-        stateful shared model (µop cache, BPU, PMC, cache hierarchy) —
-        its results must be byte-identical to ``_step_slow``.
+        potential.  The closure still consults every stateful shared
+        model (µop cache, BPU, PMC, cache hierarchy) — its results must
+        be byte-identical to ``_step_slow`` on a decode-cache hit.  It
+        never runs under an ``instr_hook`` or retire tracing (the
+        dispatch loop steps those slowly), so it reports to neither.
         """
         cpu = self
         counts = self._counts
@@ -656,7 +623,6 @@ class CPU:
         is_branch = kind is not BranchKind.NONE
         sls_candidate = kind in _SLS_KINDS
         can_trap = instr.mnemonic in TRAP_MNEMONICS
-        text = str(instr)
         # Pure pre-probe (same argument as _fuse_superblock): the
         # instruction's (set, tag) footprint is a static function of its
         # address range, and predict_in_block on a full miss returns
@@ -667,7 +633,7 @@ class CPU:
         keys = self.bpu.btb.block_keys(pc, length, kernel_mode=kernel_mode)
         live = self.bpu.btb.live_keys
 
-        def step_thunk() -> None:
+        def step() -> int:
             if uop_access(pc):
                 counts[_IDX_OP_HIT] += 1
                 cpu.cycles += 1
@@ -676,12 +642,6 @@ class CPU:
                 if msr.suppress_bp_on_non_br and suppress_supported:
                     cpu.cycles += 2
                 counts[_IDX_DE_DIS] += n_uops
-            hook = cpu.instr_hook
-            if hook is not None:
-                hook(pc, instr)
-            if _TRACE.enabled:
-                _TRACE.emit("retire", cpu.cycles, pc=pc, text=text,
-                            kernel_mode=kernel_mode)
             if keys.isdisjoint(live):
                 prediction = None
                 if sls_candidate:
@@ -699,76 +659,11 @@ class CPU:
                 resolve(pc, instr, result, prediction)
             if can_trap and result.trap is not None:
                 cpu._handle_trap(result.trap, instr, result)
-                return
+                return 1
             cpu.pc = canonical(result.next_pc)
+            return 1
 
-        return step_thunk
-
-    # ------------------------------------------------------------------
-    # superblock compilation
-    # ------------------------------------------------------------------
-
-    def _compile_superblock_at(self, head: int, sbc: dict,
-                               kernel_mode: bool):
-        """Try to fuse a superblock headed at *head*; returns the cache
-        entry ``(instruction count, dispatch fn)`` or None.
-
-        Compilation is lazy and decode-cache driven: a head that has not
-        been decoded yet returns None *without* caching a verdict (the
-        step path warms the decode cache on the first pass; once-through
-        code never pays for fusion), while a head whose straight-line
-        run is pinned too short by decoded bytes is marked None so the
-        dispatch loop never re-walks it.  The run extends while
-        instructions are decoded, fusible and *start* on the head's page
-        (the final instruction's bytes may straddle into the next page —
-        ``invalidate_code``'s reach-back covers that overhang), up to
-        ``_SB_MAX_INSTRS``.
-        """
-        decode_cache = self._decode_cache
-        instr = decode_cache.get(head)
-        if instr is None:
-            return None
-        if instr.mnemonic not in SUPERBLOCK_FUSIBLE:
-            sbc[head] = None
-            return None
-        page = head >> PAGE_SHIFT
-        run: list[tuple[int, Instruction]] = []
-        pc = head
-        stopped_undecoded = False
-        while True:
-            run.append((pc, instr))
-            if len(run) == _SB_MAX_INSTRS:
-                break
-            pc = canonical((pc + instr.length) & MASK64)
-            if pc >> PAGE_SHIFT != page:
-                break
-            instr = decode_cache.get(pc)
-            if instr is None:
-                stopped_undecoded = True
-                break
-            if instr.mnemonic not in SUPERBLOCK_FUSIBLE:
-                break
-        if len(run) < _SB_MIN_INSTRS:
-            if not stopped_undecoded:
-                sbc[head] = None
-            return None
-        if _SPANS.enabled:
-            with _SPANS.span("fastpath:superblock", pc=hex(head),
-                             instructions=len(run)):
-                entry = self._fuse_superblock(head, run, kernel_mode)
-        else:
-            entry = self._fuse_superblock(head, run, kernel_mode)
-        sbc[head] = entry
-        sb_index = self._sb_index
-        key = (kernel_mode, head)
-        for pc, _ in run:
-            owners = sb_index.get(pc)
-            if owners is None:
-                owners = sb_index[pc] = set()
-            owners.add(key)
-        self.sb_compiled += 1
-        self.sb_fused_instructions += len(run)
-        return entry
+        return step
 
     def _fuse_superblock(self, head: int, run: list,
                          kernel_mode: bool) -> tuple:
@@ -780,8 +675,8 @@ class CPU:
         Any intersection means ``predict_in_block`` *could* return a
         prediction somewhere inside the block (aliasing included: the
         probe is in key space, not stored-pc space, so a trainer at an
-        unrelated address still hits), and the block bails to the
-        per-step path, which reproduces phantom episodes exactly.  A
+        unrelated address still hits), and the block bails to one
+        ``_step_slow``, which reproduces phantom episodes exactly.  A
         disjoint footprint proves every fused instruction's prediction
         query would return None with zero side effects, and non-branch
         instructions do nothing in ``_sequential_speculation``, so
@@ -796,7 +691,7 @@ class CPU:
         all accumulated in locals and flushed once per dispatch.  A fault
         mid-block flushes the partial accounting and rewinds ``pc`` to
         the faulting instruction, leaving state byte-identical to the
-        per-step engines' (pinned by tests/pipeline/test_superblocks.py).
+        naive engine's (pinned by tests/pipeline/test_superblocks.py).
         """
         btb = self.bpu.btb
         last_pc, last = run[-1]
@@ -826,7 +721,7 @@ class CPU:
             "    h = m = dd = r = cyc = 0",
             "    try:",
         ]
-        for index, (pc, instr) in enumerate(run):
+        for pc, instr in run:
             src.append(f"        if _ua({pc:#x}):")
             src.append("            h += 1; cyc += 1")
             src.append("        else:")
@@ -834,7 +729,7 @@ class CPU:
             if suppress:
                 src.append("            if _msr.suppress_bp_on_non_br:")
                 src.append("                cyc += 2")
-            for line in superblock_arch_lines(instr, pc, index, consts):
+            for line in superblock_arch_lines(instr):
                 src.append("        " + line)
             src.append("        r += 1; cyc += 1")
         src += [
@@ -857,10 +752,10 @@ class CPU:
                                  kernel_mode: bool):
         """Fuse a straight-line run of *transient* decode entries.
 
-        The speculative-window analogue of ``_compile_superblock_at``:
-        the same fusible instruction set, the same lazy policy (only
-        fuse across entries the per-µop path already warmed; pin None
-        only when decoded bytes prove the run too short), but compiled
+        The speculative-window analogue of ``_compile_at``'s
+        superblocks: the same fusible instruction set, fused only across
+        entries the per-µop path already warmed (pinned None only when
+        decoded bytes prove the run too short), but compiled
         against the window's private load/store callbacks, with no PMC
         or cycle effects — transient execution has none.  One entry
         probe of the whole run's BTB key footprint replaces the per-µop
@@ -932,7 +827,7 @@ class CPU:
         total = 0
         prev_line = None
         prev_window = None
-        for index, (pc, entry) in enumerate(run):
+        for pc, entry in run:
             line = entry[8] & ~63
             window = pc >> 6
             if line != prev_line:
@@ -946,8 +841,7 @@ class CPU:
             if window != prev_window:
                 src.append(f"        _fill({pc:#x})")
                 prev_window = window
-            for arch_line in superblock_arch_lines(entry[0], pc, index,
-                                                   consts):
+            for arch_line in superblock_arch_lines(entry[0]):
                 src.append("        " + arch_line)
             total += entry[2]
             src.append(f"        done = {total}")
@@ -956,12 +850,8 @@ class CPU:
             "        return done",
             f"    return {total}",
         ]
-        if _SPANS.enabled:
-            with _SPANS.span("fastpath:superblock", pc=hex(head),
-                             instructions=len(run), transient=True):
-                exec(_block_code("\n".join(src),
-                                 f"<transientblock@{head:#x}>"), consts)
-        else:
+        with _SPANS.span("fastpath:compile", pc=hex(head),
+                         instructions=len(run), transient=True):
             exec(_block_code("\n".join(src), f"<transientblock@{head:#x}>"),
                  consts)
         block = (total, end, consts["_tb"])
@@ -1305,17 +1195,13 @@ class CPU:
                 self._transient_gen = generation
             cache = self._transient_cache
             tbc = self._tb_kernel if kernel_mode else self._tb_user
-        fuse = fast and self._superblocks
         while uop_budget > 0:
             if fast:
-                if fuse:
-                    block = tbc.get(pc, _UNCOMPILED)
-                    if block is _UNCOMPILED:
-                        block = self._compile_transient_block(
-                            pc, tbc, kernel_mode)
-                else:
-                    block = None
-                if block is not None and block is not _UNCOMPILED:
+                block = tbc.get(pc, _UNCOMPILED)
+                if block is _UNCOMPILED:
+                    block = self._compile_transient_block(pc, tbc,
+                                                          kernel_mode)
+                if block is not None:
                     total, end_pc, block_fn = block
                     if total <= uop_budget:
                         done = block_fn(arch, t_load, t_store)

@@ -80,6 +80,23 @@ def test_unindexed_cache_entry_is_detected():
     assert any("not indexed" in v.detail for v in violations)
 
 
+def test_unindexed_compiled_entry_is_detected():
+    world = run_fast_world(0)
+    cpu = world.cpu
+    # Step closures are indexed like superblocks: drop one's key.
+    head = next(pc for pc, (n, _) in cpu._code_user.items() if n == 1)
+    cpu._block_index[head].discard((False, head))
+    violations = check_cache_coherence(world)
+    assert any(f"compiled entry at {head:#x}" in v.detail
+               and "block-index" in v.detail for v in violations)
+    # An entry whose pc left the page index is caught as well.
+    cpu._decode_cache.pop(head)
+    cpu._code_pages[head >> PAGE_SHIFT].discard(head)
+    violations = check_cache_coherence(world)
+    assert any(f"compiled-user cache holds pc {head:#x}" in v.detail
+               for v in violations)
+
+
 def test_pmc_monotone_hook_catches_a_decrease():
     world = build_world(generate(0), by_name("zen2"), fastpath=True)
     hook = PMCMonotoneHook(world.cpu)

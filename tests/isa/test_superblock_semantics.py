@@ -92,15 +92,14 @@ def nonfusible_corpus():
 def fuse(instrs_with_pcs) -> "callable":
     """A fused closure over *instrs_with_pcs*, the way the CPU builds
     superblock bodies (same helper globals, same local names)."""
-    consts = dict(SUPERBLOCK_HELPERS)
     lines = ["def _blk(state, load, store):",
              "    regs = state.regs",
              "    flags = state.flags"]
-    for index, (pc, instr) in enumerate(instrs_with_pcs):
-        for line in superblock_arch_lines(instr, pc, index, consts):
+    for _, instr in instrs_with_pcs:
+        for line in superblock_arch_lines(instr):
             lines.append("    " + line)
     lines.append("    return None")
-    namespace = dict(consts)
+    namespace = dict(SUPERBLOCK_HELPERS)
     exec(compile("\n".join(lines), "<test-superblock>", "exec"), namespace)
     return namespace["_blk"]
 

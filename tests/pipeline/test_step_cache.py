@@ -1,10 +1,11 @@
 """The fast-path execution engine: equivalence, caching, invalidation.
 
-The step cache (compiled ``(pc, privilege)`` thunks) and the naive
-interpreter must be indistinguishable to everything architectural and
-everything the paper measures: cycles, PMCs, speculation episodes.
-These tests pin that equivalence at CPU level and the cache-coherence
-rules (``invalidate_code`` must drop step/decode/transient entries and
+The compiled-code cache (``(pc, privilege)`` entries, compiled on a
+pc's second visit) and the naive interpreter must be indistinguishable
+to everything architectural and everything the paper measures: cycles,
+PMCs, speculation episodes.  These tests pin that equivalence at CPU
+level, the second-visit compile rule, and the cache-coherence rules
+(``invalidate_code`` must drop compiled/decode/transient entries and
 the µop-cache windows they fed).
 """
 
@@ -12,6 +13,7 @@ import pytest
 
 from repro.errors import HaltRequested
 from repro.isa import Assembler, Cond, Reg
+from repro.params import canonical
 from repro.memory import MemorySystem
 from repro.params import PAGE_SIZE
 from repro.pipeline import CPU, ZEN2
@@ -99,13 +101,28 @@ class TestStepCache:
         asm = Assembler(CODE)
         asm.mov_ri(Reg.RCX, 3)
         asm.label("loop")
+        sub = asm.pc
         asm.sub_ri(Reg.RCX, 1)
+        jcc = asm.pc
         asm.jcc(Cond.NE, "loop")
         asm.hlt()
         fast.load_and_run(asm)
-        # Every revisited pc got a compiled thunk (HLT traps out before
-        # its thunk would run a second time, but it compiles too).
-        assert len(fast.cpu._step_cache_user) >= 3
+        # Only the loop body ran twice; the prologue mov and the hlt
+        # ran once each and stay uncompiled.
+        assert set(fast.cpu._code_user) == {sub, jcc}
+        assert all(n == 1 for n, _ in fast.cpu._code_user.values())
+
+    def test_pc_compiles_on_its_second_visit(self):
+        fast = Twin(fastpath=True)
+        asm = Assembler(CODE)
+        asm.mov_ri(Reg.RAX, 1)
+        asm.mov_ri(Reg.RDX, 2)
+        asm.hlt()
+        fast.load_and_run(asm)
+        assert fast.cpu._decode_cache
+        assert not fast.cpu._code_user      # every pc retired once
+        fast.run()
+        assert set(fast.cpu._code_user) == set(fast.cpu._decode_cache)
 
     def test_disabled_engine_compiles_nothing(self):
         slow = Twin(fastpath=False)
@@ -113,7 +130,9 @@ class TestStepCache:
         asm.mov_ri(Reg.RAX, 5)
         asm.hlt()
         slow.load_and_run(asm)
-        assert not slow.cpu._step_cache_user
+        slow.run()
+        assert not slow.cpu._code_user
+        assert slow.cpu.sb_compiled == slow.cpu.tb_compiled == 0
         assert slow.cpu.state.read(Reg.RAX) == 5
 
     def test_invalidate_drops_compiled_thunks(self):
@@ -122,9 +141,10 @@ class TestStepCache:
         asm.mov_ri(Reg.RAX, 1)
         asm.hlt()
         fast.load_and_run(asm)
-        assert CODE in fast.cpu._step_cache_user
+        fast.run()
+        assert CODE in fast.cpu._code_user
         fast.cpu.invalidate_code(CODE, CODE + 16)
-        assert CODE not in fast.cpu._step_cache_user
+        assert CODE not in fast.cpu._code_user
         assert CODE not in fast.cpu._decode_cache
 
     def test_self_modifying_code_reexecutes(self):
@@ -164,9 +184,77 @@ class TestStepCache:
         asm.hlt()
         fast.mem.load_image(asm.image(), user=True)
         fast.run(straddle)
-        assert straddle in fast.cpu._step_cache_user
+        fast.run(straddle)
+        assert straddle in fast.cpu._code_user
         fast.cpu.invalidate_code(CODE + PAGE_SIZE, CODE + PAGE_SIZE + 8)
-        assert straddle not in fast.cpu._step_cache_user
+        assert straddle not in fast.cpu._code_user
+
+
+class TestTrapPcs:
+    """Trap-raising pcs compile on their second visit like any other
+    pc, so a loop ending in ``hlt`` or ``syscall`` stops paying a slow
+    step per visit (the regression an old compile-after-raise rule
+    guarded against)."""
+
+    @staticmethod
+    def spy_slow_steps(twin: Twin) -> list[int]:
+        """Record the pc of every step the fast engine runs slowly."""
+        slow_pcs = []
+        step_slow = twin.cpu._step_slow
+
+        def spy():
+            slow_pcs.append(twin.cpu.pc)
+            step_slow()
+
+        twin.cpu._step_slow = spy
+        return slow_pcs
+
+    def test_hlt_compiles_on_second_visit(self):
+        fast, slow = Twin(fastpath=True), Twin(fastpath=False)
+        asm = Assembler(CODE)
+        asm.mov_ri(Reg.RAX, 1)
+        asm.mov_ri(Reg.RDX, 2)
+        hlt = asm.pc
+        asm.hlt()
+        slow_pcs = self.spy_slow_steps(fast)
+        for twin in (fast, slow):
+            twin.load_and_run(asm)
+        assert hlt in slow_pcs and hlt not in fast.cpu._code_user
+        for _ in range(2):
+            del slow_pcs[:]
+            for twin in (fast, slow):
+                twin.run()
+            assert slow_pcs == []       # hlt included: all compiled
+            assert hlt in fast.cpu._code_user
+        assert fast.cpu.cycles == slow.cpu.cycles
+        assert fast.cpu.pmc.snapshot() == slow.cpu.pmc.snapshot()
+
+    def test_syscall_loop_dispatches_compiled(self):
+        fast, slow = Twin(fastpath=True), Twin(fastpath=False)
+        asm = Assembler(CODE)
+        asm.mov_ri(Reg.RCX, 5)
+        asm.label("loop")
+        syscall = asm.pc
+        asm.syscall()
+        asm.sub_ri(Reg.RCX, 1)
+        asm.jcc(Cond.NE, "loop")
+        asm.hlt()
+        traps = []
+
+        def handler(cpu, trap, instr, result):
+            traps.append(trap)
+            cpu.pc = canonical(result.next_pc)
+
+        for twin in (fast, slow):
+            twin.cpu.trap_handler = handler
+        slow_pcs = self.spy_slow_steps(fast)
+        for twin in (fast, slow):
+            twin.load_and_run(asm)
+        assert traps == ["syscall"] * 10
+        assert slow_pcs.count(syscall) == 1
+        assert syscall in fast.cpu._code_user
+        assert fast.cpu.cycles == slow.cpu.cycles
+        assert fast.cpu.pmc.snapshot() == slow.cpu.pmc.snapshot()
 
 
 class TestL1MissCounting:

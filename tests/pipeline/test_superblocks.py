@@ -1,17 +1,16 @@
-"""Superblock fusion: equivalence, lifecycle, and the escape hatch.
+"""Superblock fusion: equivalence and lifecycle.
 
-The superblock engine consumes straight-line runs in one fused call
-behind a BTB entry guard.  It must be observably identical to the
-per-step engines (architecture, cycles, PMCs, episodes), split/retire
-around self-modifying writes, fall back when the instruction budget
-cannot fit a whole block, and bail to the per-step path the moment a
+The fast engine consumes straight-line runs in one fused call behind a
+BTB entry guard.  It must be observably identical to the naive engine
+(architecture, cycles, PMCs, episodes), split/retire around
+self-modifying writes, survive remaps, fall back when the instruction
+budget cannot fit a whole block, and bail to the slow step the moment a
 BTB entry lands inside a fused range — phantom episodes included.
 """
 
 import pytest
 
 from repro.errors import HaltRequested, SimulationLimit
-from repro.fastpath import ENV_VAR
 from repro.isa import Assembler, BranchKind, Cond, Reg
 from repro.memory import MemorySystem
 from repro.params import PAGE_SIZE
@@ -22,12 +21,11 @@ STACK = 0x0000_7FF0_0000
 
 
 class Twin:
-    """One CPU per engine configuration, same program, same inputs."""
+    """One CPU per engine, same program, same inputs."""
 
-    def __init__(self, *, fastpath: bool = True, superblocks: bool = True):
+    def __init__(self, *, fastpath: bool = True):
         self.mem = MemorySystem(128 << 20, fastpath=fastpath)
-        self.cpu = CPU(ZEN2, self.mem, fastpath=fastpath,
-                       superblocks=superblocks)
+        self.cpu = CPU(ZEN2, self.mem, fastpath=fastpath)
         self.cpu.record_episodes = True
         self.mem.map_anonymous(STACK - 16 * PAGE_SIZE, 16 * PAGE_SIZE,
                                user=True, nx=True)
@@ -47,6 +45,17 @@ class Twin:
         return (self.cpu.cycles, self.cpu.pmc.snapshot(),
                 self.cpu.episodes,
                 tuple(self.cpu.state.read(r) for r in Reg))
+
+    def superblock_heads(self) -> list[int]:
+        return [head for head, (n, _) in self.cpu._code_user.items()
+                if n > 1]
+
+    def interior_pc(self) -> int:
+        """A pc inside a live user superblock that is not its head."""
+        heads = self.superblock_heads()
+        return next(pc for pc, owners in self.cpu._block_index.items()
+                    if any(not kernel and head != pc and head in heads
+                           for kernel, head in owners))
 
 
 def fused_loop(iters: int = 100, body: int = 8) -> Assembler:
@@ -92,38 +101,17 @@ def branchy(iters: int = 200) -> Assembler:
 
 class TestEquivalence:
     @pytest.mark.parametrize("program", [fused_loop, branchy])
-    def test_superblocks_match_both_other_engines(self, program):
+    def test_superblocks_match_naive_engine(self, program):
         slow = Twin(fastpath=False)
-        stepped = Twin(superblocks=False)
-        fused = Twin(superblocks=True)
-        for twin in (slow, stepped, fused):
+        fused = Twin()
+        for twin in (slow, fused):
             twin.load(program())
             twin.run()
-        assert fused.observables() == stepped.observables()
         assert fused.observables() == slow.observables()
         assert fused.cpu.sb_compiled > 0
         assert fused.cpu.sb_fused_instructions >= \
             3 * fused.cpu.sb_compiled
-        assert stepped.cpu.sb_compiled == 0
         assert slow.cpu.sb_compiled == 0
-
-    def test_env_escape_hatch_disables_fusion(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "superblocks=0")
-        # No explicit superblocks= argument: the flag must come from
-        # the environment's selective syntax.
-        mem = MemorySystem(128 << 20, fastpath=True)
-        cpu = CPU(ZEN2, mem, fastpath=True)
-        assert cpu._fastpath
-        assert not cpu._superblocks
-        mem.map_anonymous(STACK - 16 * PAGE_SIZE, 16 * PAGE_SIZE,
-                          user=True, nx=True)
-        cpu.state.write(Reg.RSP, STACK)
-        mem.load_image(fused_loop(20).image(), user=True)
-        with pytest.raises(HaltRequested):
-            cpu.run(CODE, max_instructions=10_000)
-        assert cpu.sb_compiled == 0
-        assert cpu.tb_compiled == 0
-        assert len(cpu._step_cache_user) > 0
 
 
 class TestLifecycle:
@@ -132,85 +120,79 @@ class TestLifecycle:
         fused.load(fused_loop())
         fused.run()
         compiled = fused.cpu.sb_compiled
-        heads = [head for head, entry in fused.cpu._sb_user.items()
-                 if entry is not None]
+        heads = fused.superblock_heads()
         assert heads
-        # Find an interior pc of a live block (indexed, not the head).
-        interior = next(pc for pc, owners in fused.cpu._sb_index.items()
-                        if any(not kernel and head != pc and head in heads
-                               for kernel, head in owners))
+        interior = fused.interior_pc()
         owner = next(head for kernel, head
-                     in fused.cpu._sb_index[interior]
+                     in fused.cpu._block_index[interior]
                      if not kernel and head in heads)
         fused.cpu.invalidate_code(interior, interior + 1)
-        assert owner not in fused.cpu._sb_user
+        assert owner not in fused.cpu._code_user
         assert fused.cpu.sb_invalidated > 0
         # Re-dispatch recompiles over whatever decodes survive, and the
-        # rerun still matches the per-step engine exactly.  The stepped
-        # twin gets the identical invalidation: dropping µop-cache
-        # windows is cycle-visible, and both engines must pay it.
-        stepped = Twin(superblocks=False)
-        stepped.load(fused_loop())
-        stepped.run()
-        stepped.cpu.invalidate_code(interior, interior + 1)
+        # rerun still matches the naive engine exactly.  The naive twin
+        # gets the identical invalidation: dropping µop-cache windows
+        # is cycle-visible, and both engines must pay it.
+        slow = Twin(fastpath=False)
+        slow.load(fused_loop())
+        slow.run()
+        slow.cpu.invalidate_code(interior, interior + 1)
         fused.run()
-        stepped.run()
-        assert fused.observables() == stepped.observables()
+        slow.run()
+        assert fused.observables() == slow.observables()
         assert fused.cpu.sb_compiled > compiled
 
-    def test_remap_flushes_block_caches(self):
-        fused = Twin()
-        fused.load(fused_loop(50))
-        fused.run()
-        assert any(entry is not None
-                   for entry in fused.cpu._sb_user.values())
-        generation = fused.mem.aspace.generation
-        fused.mem.map_anonymous(0x0000_0300_0000, PAGE_SIZE, user=True)
-        assert fused.mem.aspace.generation != generation
-        fused.run()            # first dispatch notices and clears
-        assert fused.cpu._sb_gen == fused.mem.aspace.generation
-        # Blocks recompiled under the new generation still agree.
-        stepped = Twin(superblocks=False)
-        stepped.load(fused_loop(50))
-        stepped.run()
-        stepped.run()
-        assert fused.cpu.cycles == stepped.cpu.cycles
-        assert fused.cpu.pmc.snapshot() == stepped.cpu.pmc.snapshot()
+    def test_remap_keeps_compiled_entries(self):
+        """A page-table change flushes nothing compiled: entries hold
+        only decoded instructions, address-pure BTB keys and live
+        callbacks, exactly like the decode cache both engines share."""
+        twins = fused, slow = Twin(), Twin(fastpath=False)
+        for twin in twins:
+            twin.load(fused_loop(50))
+            twin.run()
+            twin.run()         # the second pass compiles the prologue
+        entries = dict(fused.cpu._code_user)
+        assert fused.superblock_heads()
+        compiled = fused.cpu.sb_compiled
+        for twin in twins:
+            generation = twin.mem.aspace.generation
+            twin.mem.map_anonymous(0x0000_0300_0000, PAGE_SIZE, user=True)
+            assert twin.mem.aspace.generation != generation
+            twin.run()
+        assert all(fused.cpu._code_user[head] is entry
+                   for head, entry in entries.items())
+        assert fused.cpu.sb_compiled == compiled
+        assert fused.observables() == slow.observables()
 
     def test_budget_smaller_than_block_still_exact(self):
         for budget in (1, 2, 7):
             fused = Twin()
             fused.load(fused_loop())
             fused.run()        # warm + compile
-            stepped = Twin(superblocks=False)
-            stepped.load(fused_loop())
-            stepped.run()
-            for twin in (fused, stepped):
+            slow = Twin(fastpath=False)
+            slow.load(fused_loop())
+            slow.run()
+            for twin in (fused, slow):
                 with pytest.raises(SimulationLimit):
                     twin.cpu.run(CODE, max_instructions=budget)
             assert fused.cpu.pmc.read("instructions") == \
-                stepped.cpu.pmc.read("instructions")
-            assert fused.cpu.pc == stepped.cpu.pc
-            assert fused.cpu.cycles == stepped.cpu.cycles
+                slow.cpu.pmc.read("instructions")
+            assert fused.cpu.pc == slow.cpu.pc
+            assert fused.cpu.cycles == slow.cpu.cycles
 
 
 class TestProbeGuard:
     def test_btb_entry_inside_block_bails_to_step_path(self):
         """An aliasing BTB entry landing mid-block must force the
-        per-step path, which performs the phantom episode — fused and
-        stepped engines stay identical through it."""
+        slow step, which performs the phantom episode — the fast and
+        naive engines stay identical through it."""
         fused = Twin()
-        stepped = Twin(superblocks=False)
         slow = Twin(fastpath=False)
-        twins = (fused, stepped, slow)
+        twins = (fused, slow)
         for twin in twins:
             twin.load(fused_loop())
             twin.run()
-        heads = [head for head, entry in fused.cpu._sb_user.items()
-                 if entry is not None]
-        interior = next(pc for pc, owners in fused.cpu._sb_index.items()
-                        if any(not kernel and head != pc and head in heads
-                               for kernel, head in owners))
+        interior = fused.interior_pc()
         bails = fused.cpu.sb_probe_bails
         for twin in twins:
             # Train a jump "at" a straight-line pc: the decoder will
@@ -219,7 +201,6 @@ class TestProbeGuard:
                                    CODE, kernel_mode=False)
             twin.run()
         assert fused.cpu.sb_probe_bails > bails
-        assert fused.observables() == stepped.observables()
         assert fused.observables() == slow.observables()
         # The rerun actually tripped phantom machinery somewhere.
         assert any(e.frontend_resteer for e in fused.cpu.episodes)
@@ -237,9 +218,3 @@ class TestTransientBlocks:
         fused.cpu.invalidate_code(CODE, CODE + PAGE_SIZE)
         assert not fused.cpu._tb_user
         assert fused.cpu.sb_invalidated > invalidated
-
-    def test_disabled_superblocks_compile_no_transient_blocks(self):
-        stepped = Twin(superblocks=False)
-        stepped.load(branchy(400))
-        stepped.run()
-        assert stepped.cpu.tb_compiled == 0
