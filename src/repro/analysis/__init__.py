@@ -1,13 +1,13 @@
 """Analysis toolkit: disassembly, CFGs, gadget scanning, tracing,
 software-mitigation codegen."""
 
+from ..isa.hardening import (emit_lfence_guard, emit_retpoline,
+                             emit_retpoline_call)
 from .cfg import build_cfg, conditional_blocks, paths_after
 from .corpus import (Corpus, CorpusFunction, DEFAULT_MIX, generate_corpus)
 from .disasm import BasicBlock, DecodedInstr, Disassembler
 from .gadgets import (ATTACKER_REGS, GadgetKind, GadgetReport, ScanSummary,
                       scan_corpus, scan_function, scan_path)
-from .hardening import (emit_lfence_guard, emit_retpoline,
-                        emit_retpoline_call)
 from .rewrite import (FunctionCode, RewriteItem, emit_function,
                       harden_function, insert_lfence_after_conditionals,
                       lift_function, retpoline_indirect_branches)

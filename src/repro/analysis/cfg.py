@@ -1,64 +1,74 @@
-"""Control-flow graphs over disassembled basic blocks (networkx)."""
+"""Control-flow graphs over disassembled basic blocks."""
 
 from __future__ import annotations
 
-import networkx as nx
+from dataclasses import dataclass
 
 from ..isa import Image
 from .disasm import BasicBlock, Disassembler
 
 
-def build_cfg(image: Image, entry: int, *,
-              max_blocks: int = 512) -> nx.DiGraph:
-    """CFG reachable from *entry*: nodes are block start addresses with
-    a ``block`` attribute; edges carry a ``label`` attribute
-    (fallthrough / taken / jump / call)."""
+@dataclass
+class CFG:
+    """Blocks keyed by start address, in discovery order.
+
+    ``edges[start]`` maps each successor's start address to its edge
+    label (fallthrough / taken / jump / call), in
+    :meth:`BasicBlock.successors` order.  A target reached twice (a
+    ``jcc`` to its own fallthrough) is one edge carrying the last label.
+    """
+
+    blocks: dict[int, BasicBlock]
+    edges: dict[int, dict[int, str]]
+
+
+def build_cfg(image: Image, entry: int, *, max_blocks: int = 512) -> CFG:
+    """CFG reachable from *entry*; edges leaving the discovered blocks
+    (calls out of the image, targets past *max_blocks*) are dropped."""
     disasm = Disassembler(image)
     blocks = disasm.discover_blocks(entry, max_blocks=max_blocks)
-    graph = nx.DiGraph()
+    edges: dict[int, dict[int, str]] = {}
     for start, block in blocks.items():
-        graph.add_node(start, block=block)
-    for start, block in blocks.items():
+        out = edges[start] = {}
         for target, label in block.successors():
             if target in blocks:
-                graph.add_edge(start, target, label=label)
-    return graph
+                out[target] = label
+    return CFG(blocks=blocks, edges=edges)
 
 
-def conditional_blocks(graph: nx.DiGraph) -> list[BasicBlock]:
+def conditional_blocks(graph: CFG) -> list[BasicBlock]:
     """Blocks ending in a conditional branch (potential v1 sources)."""
     out = []
-    for _, data in graph.nodes(data=True):
-        block: BasicBlock = data["block"]
+    for block in graph.blocks.values():
         term = block.terminator
         if term is not None and term.kind.value == "jcc":
             out.append(block)
     return out
 
 
-def paths_after(graph: nx.DiGraph, block: BasicBlock, *,
+def paths_after(graph: CFG, block: BasicBlock, *,
                 max_instructions: int = 24) -> list[list]:
     """Instruction sequences along each CFG path leaving *block*,
     bounded by *max_instructions* (the speculation window depth)."""
     paths = []
-    term = block.terminator
+    blocks = graph.blocks
+    edges = graph.edges
 
     def walk(node: int, acc: list, budget: int) -> None:
-        data = graph.nodes.get(node)
-        if data is None or budget <= 0:
+        blk = blocks.get(node)
+        if blk is None or budget <= 0:
             paths.append(acc)
             return
-        blk: BasicBlock = data["block"]
         instrs = blk.instructions[:budget]
         acc = acc + instrs
         budget -= len(instrs)
-        succs = list(graph.successors(node))
+        succs = edges[node]
         if not succs or budget <= 0:
             paths.append(acc)
             return
         for succ in succs:
             walk(succ, acc, budget)
 
-    for succ in graph.successors(block.start):
+    for succ in edges.get(block.start, ()):
         walk(succ, [], max_instructions)
     return paths

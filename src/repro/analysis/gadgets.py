@@ -24,8 +24,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-import networkx as nx
-
 from ..isa import Image, Mnemonic, Reg
 from .cfg import build_cfg, conditional_blocks, paths_after
 from .disasm import DecodedInstr

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..isa import Assembler, BranchKind, Image, Instruction, Mnemonic
+from ..isa.hardening import emit_retpoline, emit_retpoline_call
 from .disasm import DecodedInstr, Disassembler
-from .hardening import emit_retpoline, emit_retpoline_call
 
 _PCREL = frozenset({Mnemonic.JMP, Mnemonic.JMP_SHORT, Mnemonic.JCC,
                     Mnemonic.CALL})

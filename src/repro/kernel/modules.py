@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..isa import Assembler, Cond, Image, Reg
+from ..isa.hardening import emit_retpoline
 
 MODULE_SIZE = 2 * 1024 * 1024
 
@@ -144,8 +145,6 @@ def build_modules(module_base: int, data_base: int) -> KernelModules:
     segment, btc_symbols = asm.finish()
     image.add(segment, btc_symbols)
     symbols.update(btc_symbols)
-
-    from ..analysis.hardening import emit_retpoline
 
     asm = Assembler(module_base + BTC_SAFE_FN_OFFSET)
     asm.label("btc_safe_fn")

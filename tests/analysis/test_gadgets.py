@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.analysis import (GadgetKind, generate_corpus, scan_corpus,
-                            scan_function)
+from repro.analysis import (GadgetKind, build_cfg, generate_corpus,
+                            paths_after, scan_corpus, scan_function)
 from repro.isa import Assembler, Cond, Reg
 
 BASE = 0xFFFF_FFFF_D000_0000
@@ -157,6 +157,22 @@ class TestClassification:
         assert scan(builder, window=64) != []
 
 
+class TestCFG:
+    def test_duplicate_target_is_one_edge(self):
+        """A jcc to its own fallthrough has one successor edge, so the
+        block's speculative paths are not counted twice."""
+        asm = Assembler(BASE)
+        asm.cmp_ri(Reg.RDI, 64)
+        asm.jcc(Cond.AE, "next")
+        asm.label("next")
+        asm.ret()
+        graph = build_cfg(asm.image(), BASE)
+        next_pc = asm.image().symbols["next"]
+        assert list(graph.blocks) == [BASE, next_pc]
+        assert graph.edges == {BASE: {next_pc: "fallthrough"}, next_pc: {}}
+        assert len(paths_after(graph, graph.blocks[BASE])) == 1
+
+
 class TestCorpusCensus:
     @pytest.fixture(scope="class")
     def corpus(self):
@@ -177,3 +193,11 @@ class TestCorpusCensus:
         summary = scan_corpus(corpus.image, corpus.entries)
         assert summary.spectre_v1 == 0
         assert summary.mds_single_load == 0
+
+    def test_census_pinned(self):
+        """The exact census at 2,000 functions: a change to the CFG or
+        the taint walk that loses or double-counts a path shows here."""
+        corpus = generate_corpus(total=2000, seed=7)
+        summary = scan_corpus(corpus.image, corpus.entries)
+        assert (summary.spectre_v1, summary.mds_single_load,
+                summary.phantom_exploitable) == (164, 425, 589)

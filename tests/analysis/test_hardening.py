@@ -1,6 +1,7 @@
 """Retpoline and lfence codegen: architectural and speculative behaviour."""
 
-from repro.analysis import emit_retpoline, emit_retpoline_call
+from repro.analysis import (emit_lfence_guard, emit_retpoline,
+                            emit_retpoline_call)
 from repro.isa import Assembler, BranchKind, Reg
 from repro.kernel import Machine
 from repro.pipeline import ZEN2
@@ -72,3 +73,21 @@ class TestRetpolineCall:
         machine.run_user(CODE)
         assert machine.cpu.state.read(Reg.RBX) == 0x5AFE
         assert machine.cpu.state.read(Reg.RCX) == 0xC0DE
+
+
+def test_emitted_bytes_pinned():
+    """The kernel's retpolined module code is built with these emitters;
+    its bytes feed every boot's image, so they must not drift."""
+    asm = Assembler(CODE)
+    asm.mov_ri(Reg.RAX, DEST)
+    emit_retpoline(asm, Reg.RAX)
+    emit_retpoline_call(asm, Reg.R11)
+    emit_lfence_guard(asm)
+    (segment,) = asm.image().segments
+    assert segment.data.hex() == (
+        "48b80000100a00000000"
+        "e8080000000faee8e9f8ffffff4889842400000000c3"
+        "e805000000e916000000"
+        "e8080000000faee8e9f8ffffff4c899c2400000000c3"
+        "0faee8")
+
