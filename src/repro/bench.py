@@ -101,8 +101,7 @@ class WorkloadResult:
 
 
 def superblock_stats(cpu: CPU) -> dict:
-    """Snapshot the fast engine's fusion counters (``cycles_skipped``
-    is always 0; older documents carry non-zero values)."""
+    """Snapshot the fast engine's fusion counters."""
     compiled = cpu.sb_compiled
     return {
         "compiled": compiled,
@@ -111,8 +110,6 @@ def superblock_stats(cpu: CPU) -> dict:
         if compiled else 0.0,
         "invalidated": cpu.sb_invalidated,
         "probe_bails": cpu.sb_probe_bails,
-        "transient_compiled": cpu.tb_compiled,
-        "cycles_skipped": cpu.cycles_skipped,
     }
 
 
@@ -327,6 +324,8 @@ def is_bench_document(doc: dict) -> bool:
 
 
 #: Superblock stat keys in report order (subset shown by summaries).
+#: ``transient_compiled`` and ``cycles_skipped`` are no longer written;
+#: they stay so older documents still summarise and diff.
 _SB_KEYS = ("compiled", "fused_instructions", "mean_length",
             "invalidated", "probe_bails", "transient_compiled",
             "cycles_skipped")

@@ -192,9 +192,7 @@ def check_cache_coherence(world: World) -> list[Violation]:
     for label, cache in (("decode", cpu._decode_cache),
                          ("transient", cpu._transient_cache),
                          ("compiled-user", cpu._code_user),
-                         ("compiled-kernel", cpu._code_kernel),
-                         ("transient-block-user", cpu._tb_user),
-                         ("transient-block-kernel", cpu._tb_kernel)):
+                         ("compiled-kernel", cpu._code_kernel)):
         missing = set(cache) - indexed
         for pc in sorted(missing):
             violations.append(Violation(
@@ -203,24 +201,16 @@ def check_cache_coherence(world: World) -> list[Violation]:
                 f"invalidation"))
 
     # Block-index coverage: every live compiled entry (step closures
-    # and superblocks alike) and transient block must map back from its
-    # head through the block index, which ``invalidate_code`` walks to
-    # retire it — a missing key would leave it serving stale bytes.
-    for label, caches, index in (
-            ("compiled entry",
-             ((False, cpu._code_user), (True, cpu._code_kernel)),
-             cpu._block_index),
-            ("transient block",
-             ((False, cpu._tb_user), (True, cpu._tb_kernel)),
-             cpu._tb_index)):
-        for kernel, cache in caches:
-            for head, entry in cache.items():
-                if entry is not None and \
-                        (kernel, head) not in index.get(head, ()):
-                    violations.append(Violation(
-                        "stale-cache",
-                        f"{label} at {head:#x} (kernel={kernel}) has no "
-                        f"block-index entry"))
+    # and superblocks alike) must map back from its head through the
+    # block index, which ``invalidate_code`` walks to retire it — a
+    # missing key would leave it serving stale bytes.
+    for kernel, cache in ((False, cpu._code_user), (True, cpu._code_kernel)):
+        for head in cache:
+            if (kernel, head) not in cpu._block_index.get(head, ()):
+                violations.append(Violation(
+                    "stale-cache",
+                    f"compiled entry at {head:#x} (kernel={kernel}) has no "
+                    f"block-index entry"))
     return violations
 
 

@@ -65,8 +65,15 @@ live callbacks, so they stay valid exactly as long as the decode cache
 both engines step from: :meth:`CPU.invalidate_code` drops them (whole
 blocks, via the interior-pc index) and nothing else does.  Privilege is
 part of the cache key, so kernel and user executions of the same bytes
-never share an entry.  ``PHANTOM_REPRO_FASTPATH=0`` selects the naive
-path (see ``docs/performance.md``).
+never share an entry.
+
+Speculative windows (``_transient_run``) have one fast layer of their
+own: a per-µop transient decode cache of executor thunks, BTB key
+footprints and translations, cleared wholesale when the page tables
+change and per pc by :meth:`CPU.invalidate_code`.  Nothing is fused
+inside a window, so nested phantom episodes replay µop by µop on both
+engines.  ``PHANTOM_REPRO_FASTPATH=0`` selects the naive path (see
+``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -196,9 +203,8 @@ class MSRState:
 class _TransientState:
     """Register/store state of an in-flight transient path.
 
-    The load/store callbacks the executor needs are pre-bound here once
-    per window — they used to be re-allocated as lambdas on every µop
-    iteration of ``_transient_run``.  ``stores`` keeps *program order*:
+    The load/store callbacks the executor needs are bound here once per
+    window.  ``stores`` keeps *program order*:
     a store to an address that already has a buffered entry re-inserts
     it, so youngest-first scans (store-to-load forwarding) see the
     latest write last-inserted.
@@ -273,23 +279,14 @@ class CPU:
         #: pc, so invalidate_code retires whole blocks from writes that
         #: land mid-block (the split/retire contract).
         self._block_index: dict[int, set[tuple[bool, int]]] = {}
-        #: Transient-path decode cache: pc -> (instr, thunk, µops,
-        #: ends_window) or None for undecodable bytes.  Valid only for
-        #: the page-table generation it was filled under.
+        #: Transient-path decode cache: pc -> the tuple described in
+        #: ``_transient_entry``, or None for undecodable bytes.  Valid
+        #: only for the page-table generation it was filled under.
         self._transient_cache: dict[int, tuple | None] = {}
         self._transient_gen = mem.aspace.generation
         #: Page -> pcs with any cached artifact on that page, so
         #: invalidate_code touches only the affected pages.
         self._code_pages: dict[int, set[int]] = {}
-        #: Transient superblocks: the same fusion, compiled against the
-        #: *transient* load/store callbacks and guarded by one whole-run
-        #: BTB probe (sound because branches only train at retirement,
-        #: so the BTB is static for an entire speculative window).  Head
-        #: pc -> (µop count, fall-through pc, fn) or None, split per
-        #: privilege; indexed for invalidation like ``_block_index``.
-        self._tb_user: dict[int, tuple[int, int, Callable] | None] = {}
-        self._tb_kernel: dict[int, tuple[int, int, Callable] | None] = {}
-        self._tb_index: dict[int, set[tuple[bool, int]]] = {}
         #: Superblock statistics (fused blocks only, not step
         #: closures).  Plain attributes, *not* metrics counters: only
         #: the fast engine compiles, and engine manifests must stay
@@ -298,8 +295,8 @@ class CPU:
         self.sb_fused_instructions = 0
         self.sb_invalidated = 0
         self.sb_probe_bails = 0
+        #: Always 0; profilers sum them across CPUs.
         self.tb_compiled = 0
-        #: Always 0; profilers sum it across CPUs.
         self.cycles_skipped = 0
         self._m_phantom = _metrics.counter("speculation_episodes",
                                            flavour="phantom")
@@ -331,9 +328,6 @@ class CPU:
         code_user = self._code_user
         code_kernel = self._code_kernel
         block_index = self._block_index
-        tb_user = self._tb_user
-        tb_kernel = self._tb_kernel
-        tb_index = self._tb_index
         code_pages = self._code_pages
         lo_reach = lo - _MAX_INSTR_BYTES
         for page in range((lo_reach + 1) >> PAGE_SHIFT,
@@ -351,14 +345,6 @@ class CPU:
                     entry = target.pop(head, None)
                     if entry is not None and entry[0] > 1:
                         self.sb_invalidated += 1
-                owners = tb_index.pop(pc, None)
-                if owners:
-                    for kernel, head in owners:
-                        target = tb_kernel if kernel else tb_user
-                        if target.pop(head, None) is not None:
-                            self.sb_invalidated += 1
-                tb_user.pop(pc, None)
-                tb_kernel.pop(pc, None)
             if not pcs:
                 del code_pages[page]
         self.uopcache.invalidate_range(lo_reach + 1, hi)
@@ -748,124 +734,6 @@ class CPU:
         exec(_block_code("\n".join(src), f"<superblock@{head:#x}>"), consts)
         return (n, consts["_sb"])
 
-    def _compile_transient_block(self, head: int, tbc: dict,
-                                 kernel_mode: bool):
-        """Fuse a straight-line run of *transient* decode entries.
-
-        The speculative-window analogue of ``_compile_at``'s
-        superblocks: the same fusible instruction set, fused only across
-        entries the per-µop path already warmed (pinned None only when
-        decoded bytes prove the run too short), but compiled
-        against the window's private load/store callbacks, with no PMC
-        or cycle effects — transient execution has none.  One entry
-        probe of the whole run's BTB key footprint replaces the per-µop
-        nested-prediction query: the BTB is static for an entire window
-        (branches only train at retirement), so a disjoint footprint
-        proves every fused µop's query would return None with zero side
-        effects; any intersection bails (return -1) to the per-µop
-        path, which replays nested phantom episodes exactly.
-
-        Per instruction the generated code replays the window walk's
-        I-side effects — line prefetch memoized on the L2 tick
-        (back-invalidation detector), µop-window fill at window
-        boundaries — and tracks µops completed, so a faulting load or
-        store mid-block reports exactly the µops the per-µop loop would
-        have counted before breaking.
-        """
-        cache = self._transient_cache
-        entry = cache.get(head, _UNCOMPILED)
-        if entry is _UNCOMPILED:
-            return None
-        run: list[tuple[int, tuple]] = []
-        pc = head
-        page = head >> PAGE_SHIFT
-        stopped_cold = False
-        while True:
-            if entry is None or entry[0].mnemonic not in SUPERBLOCK_FUSIBLE:
-                break
-            if entry[7] != kernel_mode:
-                # Entry warmed under the other privilege: its cached
-                # translation is unusable here.  Don't pin a verdict.
-                stopped_cold = True
-                break
-            run.append((pc, entry))
-            if len(run) == _SB_MAX_INSTRS:
-                break
-            pc = canonical((pc + entry[4]) & MASK64)
-            if pc >> PAGE_SHIFT != page:
-                break
-            entry = cache.get(pc, _UNCOMPILED)
-            if entry is _UNCOMPILED:
-                stopped_cold = True
-                break
-        if len(run) < _SB_MIN_INSTRS:
-            if not stopped_cold:
-                tbc[head] = None
-            return None
-        btb = self.bpu.btb
-        last_pc, last = run[-1]
-        end = canonical((last_pc + last[4]) & MASK64)
-        span = last_pc + last[4] - head
-        consts: dict = dict(SUPERBLOCK_HELPERS)
-        consts.update(
-            _cpu=self,
-            _keys=btb.block_keys(head, span, kernel_mode=kernel_mode),
-            _live=btb.live_keys, _l2=self.mem.hier.l2,
-            _prefetch=self.mem.hier.prefetch_instr,
-            _fill=self.uopcache.fill, _PF=PageFault,
-        )
-        src = [
-            "def _tb(arch, load, store):",
-            "    if not _keys.isdisjoint(_live):",
-            "        _cpu.sb_probe_bails += 1",
-            "        return -1",
-            "    regs = arch.regs",
-            "    flags = arch.flags",
-            "    done = 0",
-            "    try:",
-        ]
-        total = 0
-        prev_line = None
-        prev_window = None
-        for pc, entry in run:
-            line = entry[8] & ~63
-            window = pc >> 6
-            if line != prev_line:
-                src.append(f"        _prefetch({line:#x})")
-                src.append("        _lt = _l2._tick")
-                prev_line = line
-            else:
-                src.append("        if _l2._tick != _lt:")
-                src.append(f"            _prefetch({line:#x})")
-                src.append("            _lt = _l2._tick")
-            if window != prev_window:
-                src.append(f"        _fill({pc:#x})")
-                prev_window = window
-            for arch_line in superblock_arch_lines(entry[0]):
-                src.append("        " + arch_line)
-            total += entry[2]
-            src.append(f"        done = {total}")
-        src += [
-            "    except _PF:",
-            "        return done",
-            f"    return {total}",
-        ]
-        with _SPANS.span("fastpath:compile", pc=hex(head),
-                         instructions=len(run), transient=True):
-            exec(_block_code("\n".join(src), f"<transientblock@{head:#x}>"),
-                 consts)
-        block = (total, end, consts["_tb"])
-        tbc[head] = block
-        tb_index = self._tb_index
-        key = (kernel_mode, head)
-        for pc, _ in run:
-            owners = tb_index.get(pc)
-            if owners is None:
-                owners = tb_index[pc] = set()
-            owners.add(key)
-        self.tb_compiled += 1
-        return block
-
     # ------------------------------------------------------------------
     # frontend (pre-decode) prediction handling
     # ------------------------------------------------------------------
@@ -1189,33 +1057,10 @@ class CPU:
             generation = self.mem.aspace.generation
             if self._transient_gen != generation:
                 self._transient_cache.clear()
-                self._tb_user.clear()
-                self._tb_kernel.clear()
-                self._tb_index.clear()
                 self._transient_gen = generation
             cache = self._transient_cache
-            tbc = self._tb_kernel if kernel_mode else self._tb_user
         while uop_budget > 0:
             if fast:
-                block = tbc.get(pc, _UNCOMPILED)
-                if block is _UNCOMPILED:
-                    block = self._compile_transient_block(pc, tbc,
-                                                          kernel_mode)
-                if block is not None:
-                    total, end_pc, block_fn = block
-                    if total <= uop_budget:
-                        done = block_fn(arch, t_load, t_store)
-                        if done >= 0:
-                            executed += done
-                            uop_budget -= done
-                            if done != total:
-                                break      # faulted mid-block
-                            pc = end_pc
-                            # The block prefetched/filled on its own
-                            # memo state; resync ours conservatively.
-                            last_line = -1
-                            last_window = -1
-                            continue
                 entry = cache.get(pc, _UNCOMPILED)
                 if entry is _UNCOMPILED:
                     try:

@@ -25,8 +25,8 @@ Event kinds and their extra fields:
 * ``resteer``       — source ("frontend"|"backend"), pc
 * ``syscall``       — nr
 * ``probe_round``   — channel, set, misses
-* ``span_begin`` / ``span_end`` — name (cycle-bounded phases)
-* ``trace_truncated`` — dropped (instructions beyond a tracer's limit)
+* ``trace_truncated`` — limit (the tracer's instruction limit; emitted
+                      once, by the first instruction beyond it)
 * ``orphan_episodes`` — count (episodes with no traced instruction)
 
 Checkpoint lifecycle event (cycle 0 — it happens in real time, not
@@ -132,19 +132,6 @@ class TraceCollector:
         event = TraceEvent(kind=kind, cycle=cycle, fields=fields)
         for sink in self._sinks:
             sink.emit(event)
-
-    @contextmanager
-    def span(self, name: str, cycle_fn):
-        """Bracket a phase with span_begin/span_end events.
-
-        *cycle_fn* supplies the current cycle count (e.g.
-        ``lambda: machine.cycles``).
-        """
-        self.emit("span_begin", cycle_fn(), name=name)
-        try:
-            yield
-        finally:
-            self.emit("span_end", cycle_fn(), name=name)
 
 
 #: The process-wide collector the simulator emits into.

@@ -6,12 +6,14 @@ BTB entry guard.  It must be observably identical to the naive engine
 self-modifying writes, survive remaps, fall back when the instruction
 budget cannot fit a whole block, and bail to the slow step the moment a
 BTB entry lands inside a fused range — phantom episodes included.
+Speculative windows fuse nothing; their per-µop transient decode cache
+must drop rewritten bytes just as the decode cache does.
 """
 
 import pytest
 
 from repro.errors import HaltRequested, SimulationLimit
-from repro.isa import Assembler, BranchKind, Cond, Reg
+from repro.isa import Assembler, BranchKind, Cond, Mnemonic, Reg
 from repro.memory import MemorySystem
 from repro.params import PAGE_SIZE
 from repro.pipeline import CPU, ZEN2
@@ -75,11 +77,19 @@ def fused_loop(iters: int = 100, body: int = 8) -> Assembler:
     return asm
 
 
-def branchy(iters: int = 200) -> Assembler:
-    """Data-dependent branches: mispredicts open transient windows."""
+DATA = 0x0000_0040_0000
+
+
+def branchy(iters: int = 200, disp: int | None = None) -> Assembler:
+    """Data-dependent branches: mispredicts open transient windows.
+
+    With *disp*, the skippable instruction is a load from
+    ``DATA + disp``, so mispredicted windows touch a D-cache line."""
     asm = Assembler(CODE)
     asm.mov_ri(Reg.RAX, 0x9E3779B97F4A7C15)
     asm.mov_ri(Reg.RCX, iters)
+    if disp is not None:
+        asm.mov_ri(Reg.RSI, DATA)
     asm.label("loop")
     asm.mov_rr(Reg.RDX, Reg.RAX)
     asm.shl_ri(Reg.RDX, 13)
@@ -91,7 +101,10 @@ def branchy(iters: int = 200) -> Assembler:
     asm.and_ri(Reg.RDX, 1)
     asm.cmp_ri(Reg.RDX, 0)
     asm.jcc(Cond.E, "skip")
-    asm.add_ri(Reg.RBX, 1)
+    if disp is None:
+        asm.add_ri(Reg.RBX, 1)
+    else:
+        asm.load(Reg.RBX, Reg.RSI, disp)
     asm.label("skip")
     asm.sub_ri(Reg.RCX, 1)
     asm.jcc(Cond.NE, "loop")
@@ -206,15 +219,53 @@ class TestProbeGuard:
         assert any(e.frontend_resteer for e in fused.cpu.episodes)
 
 
-class TestTransientBlocks:
-    def test_compile_and_invalidate(self):
-        fused = Twin()
-        fused.load(branchy(400))
-        fused.run()
-        assert fused.cpu.tb_compiled > 0
-        assert any(entry is not None
-                   for entry in fused.cpu._tb_user.values())
-        invalidated = fused.cpu.sb_invalidated
-        fused.cpu.invalidate_code(CODE, CODE + PAGE_SIZE)
-        assert not fused.cpu._tb_user
-        assert fused.cpu.sb_invalidated > invalidated
+OLD_DISP, NEW_DISP = 0x1000, 0x2000
+
+
+class TestTransientDecodeCache:
+    def test_rewrite_on_mispredicted_path(self):
+        """Rewriting bytes a speculative window decodes, then
+        invalidating them, evicts those pcs from the transient decode
+        cache; the rerun's windows decode the new bytes, exactly as the
+        naive engine's do."""
+        old = branchy(disp=OLD_DISP).image().segments[0].data
+        new = branchy(disp=NEW_DISP).image().segments[0].data
+        assert len(old) == len(new)
+        changed = [i for i, (a, b) in enumerate(zip(old, new)) if a != b]
+        lo, hi = CODE + changed[0], CODE + changed[-1] + 1
+
+        fused, slow = twins = Twin(), Twin(fastpath=False)
+        for twin in twins:
+            twin.mem.map_anonymous(DATA, 4 * PAGE_SIZE, user=True, nx=True)
+            twin.load(branchy(disp=OLD_DISP))
+            twin.run()
+        load_pc, load = next((pc, instr) for pc, instr
+                             in slow.cpu._decode_cache.items()
+                             if instr.mnemonic is Mnemonic.MOV_RM)
+        assert load_pc < lo < hi <= load_pc + load.length
+        assert load_pc in fused.cpu._transient_cache
+        assert fused.cpu.pmc.read("transient_load") > 0
+
+        for twin in twins:
+            twin.mem.write_data(lo, hi - lo,
+                                int.from_bytes(new[lo - CODE:hi - CODE],
+                                               "little"),
+                                user_mode=True)
+            twin.cpu.invalidate_code(lo, hi)
+            for disp in (OLD_DISP, NEW_DISP):
+                twin.mem.clflush(DATA + disp)
+        rewritten = set(range(load_pc, hi))
+        assert not rewritten & set(fused.cpu._transient_cache)
+        assert not rewritten & set(fused.cpu._decode_cache)
+
+        loads = fused.cpu.pmc.read("transient_load")
+        for twin in twins:
+            twin.run()
+        assert fused.cpu.pmc.read("transient_load") > loads
+        assert fused.cpu._transient_cache[load_pc][0].disp == NEW_DISP
+        assert fused.observables() == slow.observables()
+        assert fused.mem.hier.l1d.occupied_sets() == \
+            slow.mem.hier.l1d.occupied_sets()
+        translate = fused.mem.aspace.translate_noperm
+        assert fused.mem.hier.data_cached(translate(DATA + NEW_DISP))
+        assert not fused.mem.hier.data_cached(translate(DATA + OLD_DISP))

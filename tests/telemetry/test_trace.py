@@ -1,4 +1,4 @@
-"""Trace collector: sinks, schema, spans, JSON-lines round-trips."""
+"""Trace collector: sinks, schema, JSON-lines round-trips."""
 
 from repro.telemetry import TRACE, TRACE_SCHEMA, read_jsonl
 from repro.telemetry.trace import (JsonLinesSink, MemorySink,
@@ -55,19 +55,6 @@ def test_jsonl_sink_round_trip(tmp_path):
     events = read_jsonl(path)
     assert [e["kind"] for e in events] == ["retire", "syscall"]
     assert all(e["schema"] == TRACE_SCHEMA for e in events)
-
-
-def test_span_brackets_with_begin_end():
-    collector = TraceCollector()
-    sink = MemorySink()
-    collector.add_sink(sink)
-    cycles = iter((10, 20))
-    with collector.span("attack", lambda: next(cycles)):
-        collector.emit("retire", 15, pc=0)
-    kinds = [e.kind for e in sink.events]
-    assert kinds == ["span_begin", "retire", "span_end"]
-    assert sink.events[0].cycle == 10
-    assert sink.events[-1].cycle == 20
 
 
 def test_sink_contextmanager_detaches_on_error():

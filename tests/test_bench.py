@@ -7,11 +7,17 @@ regression comparison logic, and the summarize/diff text paths the
 ``repro stats`` command uses for ``phantom.bench/1`` documents.
 """
 
+import copy
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.bench import (BENCH_SCHEMA, WORKLOADS, WorkloadResult, compare,
                          diff_bench, document, is_bench_document,
-                         summarize_bench, _run_program, _straight_line)
+                         load_document, summarize_bench, _run_program,
+                         _straight_line)
+from repro.cli import main
 
 
 def make_result(name="branch_heavy", speedup=10.0, stats=None):
@@ -86,6 +92,41 @@ class TestRunners:
         assert stats["fused_instructions"] >= 3 * stats["compiled"]
         assert stats["mean_length"] > 0
 
+    def test_fresh_stats_omit_retired_keys(self):
+        _, _, stats = _run_program(_straight_line, 20, True)
+        doc = document([make_result(stats=stats)])
+        written = doc["workloads"][0]["superblocks"]
+        assert "transient_compiled" not in written
+        assert "cycles_skipped" not in written
+
     def test_workload_registry_matches_sizes(self):
         from repro.bench import _SIZES
         assert set(WORKLOADS) == set(_SIZES)
+
+
+class TestCommittedBaseline:
+    """The committed baseline predates the retired stat keys; it must
+    still summarise and diff through ``repro stats``."""
+
+    BASELINE = (Path(__file__).resolve().parent.parent / "benchmarks"
+                / "results" / "BENCH_simulator.json")
+
+    def test_summary_renders_retired_keys(self, capsys):
+        assert main(["stats", str(self.BASELINE)]) == 0
+        out = capsys.readouterr().out
+        assert "branch_heavy" in out
+        assert "transient_compiled=" in out
+        assert "cycles_skipped=0" in out
+
+    def test_diff_against_fresh_document(self, capsys, tmp_path):
+        baseline = load_document(str(self.BASELINE))
+        fresh = copy.deepcopy(baseline)
+        for entry in fresh["workloads"]:
+            stats = entry["superblocks"]
+            del stats["transient_compiled"], stats["cycles_skipped"]
+        path = tmp_path / "fresh.json"
+        path.write_text(json.dumps(fresh))
+        assert main(["stats", str(self.BASELINE), str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "branch_heavy" in out
+        assert "transient_compiled" not in out   # one-sided keys skip

@@ -186,8 +186,7 @@ def _write_bench_doc(path, speedup=10.0):
         slow_seconds=speedup, fast_seconds=1.0,
         superblocks={"compiled": 2, "fused_instructions": 10,
                      "mean_length": 5.0, "invalidated": 0,
-                     "probe_bails": 0, "transient_compiled": 1,
-                     "cycles_skipped": 0})
+                     "probe_bails": 0})
     path.write_text(json.dumps(document([result])))
     return path
 
