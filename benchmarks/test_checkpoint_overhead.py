@@ -1,12 +1,11 @@
 """Microbenchmark: what does journaling every job cost a campaign?
 
 The checkpoint journal (``repro.resilience.checkpoint``) appends one
-JSON line per finished job, flushed according to ``checkpoint_every``.
-Durability is only worth having if it is effectively free next to the
-simulated work, so this benchmark runs the same pure-compute campaign
-bare, journaled-per-job (``every=1``, the CLI default) and batch-
-flushed (``every=16``), and archives the per-job cost of each in a run
-manifest for ``repro stats`` to track across revisions.
+JSON line per finished job and flushes it at once.  Durability is only
+worth having if it is effectively free next to the simulated work, so
+this benchmark runs the same pure-compute campaign bare, journaled and
+resumed from that journal, and archives the per-job cost of each in a
+run manifest for ``repro stats`` to track across revisions.
 """
 
 from dataclasses import dataclass
@@ -58,34 +57,26 @@ def test_checkpoint_journal_overhead(benchmark, tmp_path):
         with telemetry_run("bench-checkpoint-overhead",
                            jobs=JOBS) as manifest:
             bare_s = _timed_campaign()
-            per_job_s = _timed_campaign(
-                checkpoint=tmp_path / "every1.jsonl", checkpoint_every=1)
-            batched_s = _timed_campaign(
-                checkpoint=tmp_path / "every16.jsonl", checkpoint_every=16)
-            resume_start_s = _timed_campaign(
-                resume=tmp_path / "every1.jsonl")
+            per_job_s = _timed_campaign(checkpoint=tmp_path / "ckpt.jsonl")
+            resume_start_s = _timed_campaign(resume=tmp_path / "ckpt.jsonl")
             manifest.finish(
                 "success",
                 bare_us_per_job=bare_s / JOBS * 1e6,
                 journaled_us_per_job=per_job_s / JOBS * 1e6,
-                batched_us_per_job=batched_s / JOBS * 1e6,
                 resume_us_per_job=resume_start_s / JOBS * 1e6)
-        return bare_s, per_job_s, batched_s, resume_start_s, manifest
+        return bare_s, per_job_s, resume_start_s, manifest
 
-    bare_s, per_job_s, batched_s, resume_s, manifest = \
-        run_once(benchmark, measure)
+    bare_s, per_job_s, resume_s, manifest = run_once(benchmark, measure)
 
     lines = [f"checkpoint journal overhead, {JOBS:,} jobs",
              f"{'variant':22s} {'us/job':>8s}",
              f"{'no journal':22s} {bare_s / JOBS * 1e6:8.1f}",
              f"{'journal every job':22s} {per_job_s / JOBS * 1e6:8.1f}",
-             f"{'journal every 16':22s} {batched_s / JOBS * 1e6:8.1f}",
              f"{'resume (all skipped)':22s} {resume_s / JOBS * 1e6:8.1f}"]
     emit("checkpoint_overhead", lines, manifest=manifest)
 
-    # Both journals captured every job.
-    assert len(load_checkpoint(tmp_path / "every1.jsonl")) == JOBS
-    assert len(load_checkpoint(tmp_path / "every16.jsonl")) == JOBS
+    # The journal captured every job.
+    assert len(load_checkpoint(tmp_path / "ckpt.jsonl")) == JOBS
     # Durability must stay cheap: generous CI-noise bound against the
     # bare campaign (journaling is file appends, not simulation).
     assert per_job_s < bare_s * 5 + 0.5

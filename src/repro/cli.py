@@ -28,11 +28,12 @@ FILE`` (stream a ``phantom.trace/1`` JSON-lines event trace), and
 also take ``--jobs N`` to shard their jobs across worker processes
 (0 = one per available CPU; results are identical at any worker
 count), and — with ``--results-dir`` — journal every finished job to
-``DIR/<command>-checkpoint.jsonl``; ``--resume CHECKPOINT`` skips the
-jobs already journaled there (see ``docs/resilience.md``).  Ctrl-C
-with a checkpoint active exits 130 after flushing the journal and
-printing the resume command; a worker process that dies does the same
-but exits 1.
+``DIR/<command>-checkpoint.jsonl`` (flushed as each job finishes);
+``--resume CHECKPOINT`` skips the jobs already journaled there (see
+``docs/resilience.md``).  Every ``fuzz`` run, serial or not, is one
+such campaign, so its manifest is the same at any ``--jobs``.  Ctrl-C
+with a checkpoint active exits 130 after printing the resume command; a
+worker process that dies does the same but exits 1.
 
 Observability (see ``docs/observability.md``): ``--spans DIR`` records
 ``phantom.span/1`` distributed-trace spans across every worker and
@@ -541,8 +542,8 @@ def cmd_trace_export(args) -> int:
 def cmd_fuzz(args) -> int:
     import time
 
-    from .fuzz import (DEFAULT_UARCHES, FuzzExperiment, check_program,
-                       generate, program_seed, save_counterexample, shrink)
+    from .fuzz import (DEFAULT_UARCHES, FuzzExperiment, generate, oracle,
+                       program_seed, save_counterexample, shrink)
     from .runner import run_campaign
 
     if args.contract:
@@ -557,43 +558,24 @@ def cmd_fuzz(args) -> int:
               uarches=list(uarches), shape=args.shape,
               invariants=invariants) as run:
         started = time.monotonic()
+        # Fixed chunks, so the manifest is the same at any --jobs; long
+        # sweeps checkpoint through --results-dir and pick up where
+        # they left off with --resume.
+        with run.phase("fuzz"):
+            campaign = run_campaign(
+                FuzzExperiment(seed=args.seed, count=args.iters,
+                               shape=args.shape, uarches=uarches,
+                               invariants=invariants),
+                jobs=args.jobs, **run.campaign_kwargs())
+        run.absorb(campaign)
+        outcome = campaign.raise_on_failure().value
+        checked = outcome["programs"]
         failures = []     # (index, program, verdict)
-        checked = 0
-        if args.jobs == 1 and not args.resume:
-            with run.phase("fuzz"):
-                for index in range(args.iters):
-                    if args.time_budget and \
-                            time.monotonic() - started >= args.time_budget:
-                        run.text(f"time budget hit after {checked} programs")
-                        break
-                    program = generate(program_seed(args.seed, index),
-                                       args.shape)
-                    verdict = check_program(program, uarches,
-                                            invariants=invariants)
-                    checked += 1
-                    if not verdict.ok:
-                        failures.append((index, program, verdict))
-        else:
-            # The campaign decomposition ignores the time budget: jobs
-            # are sharded up front so results match --jobs 1 exactly.
-            # Long campaigns checkpoint through --results-dir and pick
-            # up where they left off with --resume (which forces this
-            # path even at --jobs 1).
-            with run.phase("fuzz"):
-                campaign = run_campaign(
-                    FuzzExperiment(seed=args.seed, count=args.iters,
-                                   shape=args.shape, uarches=uarches,
-                                   invariants=invariants),
-                    jobs=args.jobs, **run.campaign_kwargs())
-            run.absorb(campaign)
-            outcome = campaign.raise_on_failure().value
-            checked = outcome["programs"]
-            for index in outcome["failed_indices"]:
-                program = generate(program_seed(args.seed, index),
-                                   args.shape)
-                failures.append((index, program,
-                                 check_program(program, uarches,
-                                               invariants=invariants)))
+        for index in outcome["failed_indices"]:
+            program = generate(program_seed(args.seed, index), args.shape)
+            failures.append((index, program,
+                             oracle.check_program(program, uarches,
+                                                  invariants=invariants)))
 
         artifacts = []
         for index, program, verdict in failures:
@@ -647,44 +629,24 @@ def _cmd_fuzz_contract(args) -> int:
               uarches=list(uarches), shape=args.shape,
               contract=contract.name, mitigation=effective.name) as run:
         started = time.monotonic()
+        # Sharded exactly like the engine-differential campaign: fixed
+        # chunks, --jobs-independent manifests.
+        with run.phase("contract-fuzz"):
+            campaign = run_campaign(
+                ContractExperiment(seed=args.seed, count=args.iters,
+                                   contract=contract.name,
+                                   shape=args.shape, uarches=uarches,
+                                   mitigation=args.mitigation),
+                jobs=args.jobs, **run.campaign_kwargs())
+        run.absorb(campaign)
+        outcome = campaign.raise_on_failure().value
+        checked = outcome["pairs"]
         violations = []   # (index, pair, verdict)
-        checked = 0
-        # Only a --time-budget needs the inline loop (the campaign
-        # runner cannot stop mid-chunk); otherwise even --jobs 1 goes
-        # through run_campaign so the manifest is byte-identical at
-        # any worker count.
-        if args.jobs == 1 and not args.resume and args.time_budget:
-            with run.phase("contract-fuzz"):
-                for index in range(args.iters):
-                    if time.monotonic() - started >= args.time_budget:
-                        run.text(f"time budget hit after {checked} pairs")
-                        break
-                    pair = generate_pair(pair_seed(args.seed, index),
-                                         args.shape)
-                    verdict = check_pair(pair, contract, uarches,
-                                         mitigation=override)
-                    checked += 1
-                    if not verdict.ok:
-                        violations.append((index, pair, verdict))
-        else:
-            # Sharded exactly like the engine-differential campaign:
-            # fixed chunks, --jobs-independent manifests.
-            with run.phase("contract-fuzz"):
-                campaign = run_campaign(
-                    ContractExperiment(seed=args.seed, count=args.iters,
-                                       contract=contract.name,
-                                       shape=args.shape, uarches=uarches,
-                                       mitigation=args.mitigation),
-                    jobs=args.jobs, **run.campaign_kwargs())
-            run.absorb(campaign)
-            outcome = campaign.raise_on_failure().value
-            checked = outcome["pairs"]
-            for index in outcome["violated_indices"]:
-                pair = generate_pair(pair_seed(args.seed, index),
-                                     args.shape)
-                violations.append((index, pair,
-                                   check_pair(pair, contract, uarches,
-                                              mitigation=override)))
+        for index in outcome["violated_indices"]:
+            pair = generate_pair(pair_seed(args.seed, index), args.shape)
+            violations.append((index, pair,
+                               check_pair(pair, contract, uarches,
+                                          mitigation=override)))
 
         artifacts = []
         for index, pair, verdict in violations:
@@ -922,9 +884,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "from this and i only)")
     p.add_argument("--iters", type=int, default=200,
                    help="number of generated programs (default 200)")
-    p.add_argument("--time-budget", type=float, default=0, metavar="SEC",
-                   help="stop starting new programs after SEC seconds "
-                        "(0 = no budget; ignored with --jobs > 1)")
     p.add_argument("--shape", default=None, choices=_fuzz_shapes(),
                    help="restrict the generator to one program shape")
     p.add_argument("--uarch", action="append", default=None,

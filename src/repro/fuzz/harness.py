@@ -8,7 +8,9 @@ kernel image costs ~170 ms; this harness is ~1 ms per program, which is
 what makes a 200-program oracle sweep fit a CI smoke budget.  The trap
 protocol (syscall/sysret save-restore, costs, PMC accounting) mirrors
 ``Machine._trap`` so syscall-crossing programs exercise the same
-privilege-switch paths the real experiments do.
+privilege-switch paths the real experiments do, and the mitigations
+run through the very :class:`MitigationConfig` methods a booted
+machine calls.
 
 Everything that can end a run is folded into a deterministic *outcome
 string* (``halt``, ``pagefault:u:r:0x15002000``, ``limit``, ...), so a
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 from ..errors import (DecodeError, GeneralProtectionFault, HaltRequested,
                       MemoryError_, PageFault, ReproError, SimulationLimit)
 from ..isa import Image, Reg, Segment
-from ..kernel.mitigations import MitigationConfig
+from ..kernel.mitigations import DEFAULT_MITIGATIONS, MitigationConfig
 from ..memory import MemorySystem
 from ..params import PAGE_SIZE
 from ..pipeline import CPU, Microarch
@@ -99,7 +101,7 @@ class World:
     saved_user_pc: int = 0
     saved_user_rsp: int = 0
     run_outcomes: list[str] = field(default_factory=list)
-    mitigations: MitigationConfig | None = None
+    mitigations: MitigationConfig = DEFAULT_MITIGATIONS
 
     @property
     def program(self) -> FuzzProgram:
@@ -108,22 +110,21 @@ class World:
 
 def build_world(program: FuzzProgram | BuiltProgram, uarch: Microarch, *,
                 fastpath: bool,
-                mitigations: MitigationConfig | None = None) -> World:
+                mitigations: MitigationConfig = DEFAULT_MITIGATIONS
+                ) -> World:
     """Map a program's images into a fresh MemorySystem + CPU.
 
-    *mitigations* arms the same switches a booted
-    :class:`~repro.kernel.Machine` would: the MSR bits are set before
-    the first instruction, and the kernel-entry actions (IBPB, RSB
-    stuffing) run in the trap handler exactly as ``Machine._trap``
-    performs them.
+    *mitigations* (default: the paper's baseline) arms the same
+    switches a booted :class:`~repro.kernel.Machine` would, through the
+    same :class:`~repro.kernel.mitigations.MitigationConfig` methods:
+    the MSR bits are set before the first instruction, and the
+    kernel-entry actions (IBPB, RSB stuffing) run in the trap handler.
     """
     built = program if isinstance(program, BuiltProgram) else program.build()
     mem = MemorySystem(PHYS_SIZE, hierarchy=uarch.hierarchy,
                        rng=random.Random(0), fastpath=fastpath)
     cpu = CPU(uarch, mem, rng=random.Random(0), fastpath=fastpath)
-    if mitigations is not None:
-        cpu.msr.suppress_bp_on_non_br = mitigations.suppress_bp_on_non_br
-        cpu.msr.auto_ibrs = mitigations.auto_ibrs
+    mitigations.arm(cpu)
 
     mem.load_image(built.user_image, user=True)
     data = built.program.data.ljust(USER_DATA_PAGES * PAGE_SIZE, b"\x00")
@@ -161,15 +162,7 @@ def _make_trap_handler(world: World):
                 raise ProgramExit("syscall-no-kernel")
             world.saved_user_pc = result.next_pc
             world.saved_user_rsp = cpu.state.read(Reg.RSP)
-            mitigations = world.mitigations
-            if mitigations is not None:
-                if mitigations.ibpb_on_kernel_entry:
-                    cpu.bpu.ibpb()
-                if mitigations.rsb_stuffing_on_entry:
-                    cpu.bpu.rsb.clear()
-                    for _ in range(cpu.bpu.rsb.depth):
-                        cpu.bpu.rsb.push(RSB_STUFF_PAD)
-                    cpu.cycles += 2 * cpu.bpu.rsb.depth
+            world.mitigations.enter_kernel(cpu, RSB_STUFF_PAD)
             cpu.kernel_mode = True
             cpu.state.write(Reg.RSP, KERNEL_STACK_TOP - 64)
             cpu.cycles += uarch.syscall_entry_cost
@@ -293,7 +286,7 @@ def run_world(world: World) -> Observables:
 def run_program(program: FuzzProgram | BuiltProgram, uarch: Microarch, *,
                 fastpath: bool, record_episodes: bool = True,
                 instr_hook=None,
-                mitigations: MitigationConfig | None = None
+                mitigations: MitigationConfig = DEFAULT_MITIGATIONS
                 ) -> tuple[Observables, World]:
     """Run every scheduled run of *program* on one engine.
 

@@ -271,9 +271,7 @@ class Machine:
 
         # Wire traps and mitigations.
         self.cpu.trap_handler = self._trap
-        self.cpu.msr.suppress_bp_on_non_br = \
-            self.mitigations.suppress_bp_on_non_br
-        self.cpu.msr.auto_ibrs = self.mitigations.auto_ibrs
+        self.mitigations.arm(self.cpu)
 
     # ------------------------------------------------------------------
     # traps
@@ -294,16 +292,8 @@ class Machine:
             if _TRACE.enabled:
                 _TRACE.emit("syscall", cpu.cycles,
                             nr=cpu.state.read(Reg.RAX))
-            if self.mitigations.ibpb_on_kernel_entry:
-                cpu.bpu.ibpb()
-            if self.mitigations.rsb_stuffing_on_entry:
-                # §2.4: overwrite user-poisoned return predictions with
-                # a fenced kernel pad.
-                cpu.bpu.rsb.clear()
-                pad = self.kernel.sym("rsb_stuff_pad")
-                for _ in range(cpu.bpu.rsb.depth):
-                    cpu.bpu.rsb.push(pad)
-                cpu.cycles += 2 * cpu.bpu.rsb.depth
+            self.mitigations.enter_kernel(cpu,
+                                          self.kernel.sym("rsb_stuff_pad"))
             self._inject_syscall_noise()
             cpu.pc = self.kernel.sym("syscall_entry")
             return

@@ -47,6 +47,25 @@ class MitigationConfig:
     def with_(self, **changes) -> "MitigationConfig":
         return replace(self, **changes)
 
+    def arm(self, cpu) -> None:
+        """Set the MSR bits on *cpu*, before its first instruction."""
+        cpu.msr.suppress_bp_on_non_br = self.suppress_bp_on_non_br
+        cpu.msr.auto_ibrs = self.auto_ibrs
+
+    def enter_kernel(self, cpu, rsb_pad: int) -> None:
+        """The kernel-entry actions, run on every syscall: IBPB
+        flushes all predictions; RSB stuffing overwrites user-poisoned
+        return predictions with *rsb_pad*, a fenced kernel address
+        (§2.4), at 2 cycles per stuffed slot."""
+        if self.ibpb_on_kernel_entry:
+            cpu.bpu.ibpb()
+        if self.rsb_stuffing_on_entry:
+            rsb = cpu.bpu.rsb
+            rsb.clear()
+            for _ in range(rsb.depth):
+                rsb.push(rsb_pad)
+            cpu.cycles += 2 * rsb.depth
+
     def toggled(self) -> tuple[str, ...]:
         """Names of the switches this config turns on relative to the
         paper's baseline (the descriptive flags are always-on in both

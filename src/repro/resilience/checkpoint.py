@@ -79,8 +79,6 @@ class CheckpointRecord:
     value_b64: str | None = None      # pickled+base64 JobResult.value
     error: str | None = None
     error_kind: str | None = None
-    attempts: int = 1
-    attempt_history: list = field(default_factory=list)
     wall_time_s: float = 0.0
     manifest: dict = field(default_factory=dict)
 
@@ -88,18 +86,18 @@ class CheckpointRecord:
         return {"schema": CHECKPOINT_SCHEMA, "fingerprint": self.fingerprint,
                 "label": self.label, "status": self.status,
                 "value_b64": self.value_b64, "error": self.error,
-                "error_kind": self.error_kind, "attempts": self.attempts,
-                "attempt_history": self.attempt_history,
+                "error_kind": self.error_kind,
                 "wall_time_s": self.wall_time_s, "manifest": self.manifest}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CheckpointRecord":
+        """Keys this record does not know are ignored, so older
+        journals (whose records also carried retry bookkeeping) still
+        resume."""
         return cls(fingerprint=doc["fingerprint"], label=doc.get("label", ""),
                    status=doc.get("status", "failure"),
                    value_b64=doc.get("value_b64"), error=doc.get("error"),
                    error_kind=doc.get("error_kind"),
-                   attempts=doc.get("attempts", 1),
-                   attempt_history=list(doc.get("attempt_history", ())),
                    wall_time_s=doc.get("wall_time_s", 0.0),
                    manifest=doc.get("manifest", {}))
 
@@ -113,8 +111,7 @@ class CheckpointRecord:
         return cls(fingerprint=spec_fingerprint(spec), label=spec.label,
                    status="success" if result.ok else "failure",
                    value_b64=value_b64, error=result.error,
-                   error_kind=result.error_kind, attempts=result.attempts,
-                   attempt_history=list(result.attempt_history),
+                   error_kind=result.error_kind,
                    wall_time_s=result.wall_time_s, manifest=result.manifest)
 
     def to_job_result(self, spec: JobSpec) -> JobResult:
@@ -123,8 +120,7 @@ class CheckpointRecord:
         if self.value_b64 is not None:
             value = pickle.loads(base64.b64decode(self.value_b64))
         return JobResult(spec=spec, value=value, error=self.error,
-                         error_kind=self.error_kind, attempts=self.attempts,
-                         attempt_history=list(self.attempt_history),
+                         error_kind=self.error_kind,
                          wall_time_s=self.wall_time_s,
                          manifest=dict(self.manifest))
 
@@ -132,17 +128,14 @@ class CheckpointRecord:
 class CheckpointWriter:
     """Appends one :class:`CheckpointRecord` line per finished job.
 
-    ``every=N`` flushes the writer's buffer to the OS after every N
-    appended records (1 — the default — hands each job to the OS as it
-    completes; larger values trade a little crash-window for fewer
-    flushes on huge campaigns).  A flushed record survives the process
-    being killed, not a power loss: the writer never calls ``fsync``.
-    ``fault_hook``, when set, runs before each append and may raise
-    ``OSError`` (a test seam for a full or failing disk); real and
-    injected write errors take the same degradation path.
+    Each record is flushed to the OS as it is appended, so it survives
+    the process being killed, though not a power loss: the writer never
+    calls ``fsync``.  ``fault_hook``, when set, runs before each append
+    and may raise ``OSError`` (a test seam for a full or failing disk);
+    real and injected write errors take the same degradation path.
     """
 
-    def __init__(self, path, *, every: int = 1, fault_hook=None) -> None:
+    def __init__(self, path, *, fault_hook=None) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self.path, "a", encoding="utf-8")
@@ -150,8 +143,6 @@ class CheckpointWriter:
             # A crash left a partial last line: terminate it, or the
             # next record would share (and be dropped with) that line.
             self._fh.write("\n")
-        self._every = max(1, int(every))
-        self._unflushed = 0
         self._fault_hook = fault_hook
         self._warned = False
         self.write_errors = 0
@@ -163,9 +154,8 @@ class CheckpointWriter:
             if self._fault_hook is not None:
                 self._fault_hook(record)
             self._fh.write(line + "\n")
-            self._unflushed += 1
-            if self._unflushed >= self._every:
-                self.flush()
+            self._fh.flush()
+            SPANS.event("checkpoint:flush", job=record.label)
         except OSError as exc:
             self.write_errors += 1
             _metrics.REGISTRY.counter(
@@ -181,19 +171,11 @@ class CheckpointWriter:
                     "campaign continues, un-journaled jobs re-run on "
                     "resume", RuntimeWarning, stacklevel=2)
 
-    def flush(self) -> None:
-        if self._unflushed:
-            SPANS.event("checkpoint:flush", records=self._unflushed)
+    def close(self) -> None:
         try:
-            self._fh.flush()
+            self._fh.close()
         except OSError:
             self.write_errors += 1
-        self._unflushed = 0
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self.flush()
-            self._fh.close()
 
     def __enter__(self) -> "CheckpointWriter":
         return self

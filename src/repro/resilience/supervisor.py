@@ -5,9 +5,11 @@
 records each result in completion order.  It does not try to survive a
 dead worker: a SIGKILLed or OOM-killed worker breaks the pool, the
 ``BrokenProcessPool`` propagates, and :func:`repro.runner.run_campaign`
-turns it into :class:`~repro.runner.CampaignInterrupted` with the
-checkpoint journal flushed — so ``--resume`` is the one recovery path.
-Per-job timeouts and retries stay inside :func:`execute_job`.
+turns it into :class:`~repro.runner.CampaignInterrupted`.  The
+checkpoint journal already holds every finished job (it is flushed per
+job), so ``--resume`` is the one recovery path.
+Per-job timeouts stay inside :func:`execute_job`; a job that fails is
+recorded as failed, never re-run.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ def _kill_workers(pool: ProcessPoolExecutor) -> None:
             pass
 
 
-def run_pool(experiment, specs, todo, record, *, n_workers, timeout_s,
-             retries) -> None:
+def run_pool(experiment, specs, todo, record, *, n_workers,
+             timeout_s) -> None:
     """Run *todo* (indices into *specs*) on a pool of *n_workers*.
 
     Calls ``record(index, JobResult)`` once per job, in completion
@@ -41,7 +43,7 @@ def run_pool(experiment, specs, todo, record, *, n_workers, timeout_s,
     pool = ProcessPoolExecutor(max_workers=min(n_workers, len(todo)))
     try:
         futures = {pool.submit(execute_job, experiment, specs[i],
-                               timeout_s=timeout_s, retries=retries): i
+                               timeout_s=timeout_s): i
                    for i in todo}
         for future in as_completed(futures):
             record(futures[future], future.result())

@@ -13,13 +13,14 @@ wrappers that predate the runner (``run_matrix`` …) call
 :meth:`CampaignResult.raise_on_failure` to restore raise-on-error
 behaviour.
 
-Infrastructure failures are not retried (see :mod:`repro.resilience`):
-``checkpoint=`` journals each finished job to an append-only JSONL
-file, and ``resume=`` skips jobs already journaled there — producing a
-campaign manifest fingerprint-identical to an uninterrupted run.  A
+A job runs exactly once; nothing is retried.  Instead (see
+:mod:`repro.resilience`), ``checkpoint=`` journals each finished job to
+an append-only JSONL file, and ``resume=`` skips jobs already journaled
+there — producing a campaign manifest fingerprint-identical to an
+uninterrupted run.  A
 ``KeyboardInterrupt``, or a pool broken by a dead worker, while a
-checkpoint is active flushes the journal and surfaces as
-:class:`CampaignInterrupted` with a resume hint.
+checkpoint is active surfaces as :class:`CampaignInterrupted` with a
+resume hint (the journal is flushed after every job).
 
 Every job runs in its own metrics scope (the worker's registry is
 reset around it) and returns a small ``phantom.run-manifest/1``
@@ -52,8 +53,8 @@ class CampaignInterrupted(ReproError):
     """A campaign was interrupted with its checkpoint journal intact.
 
     Raised in place of ``KeyboardInterrupt`` or ``BrokenProcessPool``
-    (chained as ``__cause__``) when ``checkpoint=`` is active: the
-    journal has been flushed, so re-running with
+    (chained as ``__cause__``) when ``checkpoint=`` is active: every
+    finished job is already flushed to the journal, so re-running with
     ``resume=checkpoint`` picks up where the interrupt landed.
     """
 
@@ -137,12 +138,6 @@ class JobResult:
     value: Any = None
     error: str | None = None
     error_kind: str | None = None   # "exception" | "timeout"
-    attempts: int = 1
-    #: Failed attempts that preceded the final outcome, oldest first:
-    #: ``{"attempt": n, "error_kind": ..., "error": ...}`` — so a
-    #: retried success no longer erases its earlier failures from the
-    #: campaign record.
-    attempt_history: list = field(default_factory=list)
     wall_time_s: float = 0.0
     manifest: dict = field(default_factory=dict)
 
@@ -242,62 +237,40 @@ class _JobAlarm:
         return False
 
 
-def _attempt_history(errors: list[tuple[str, str]]) -> list[dict]:
-    """Error tuples → manifest-ready per-attempt records."""
-    return [{"attempt": number, "error_kind": kind, "error": message}
-            for number, (kind, message) in enumerate(errors, start=1)]
-
-
-def execute_job(experiment, spec: JobSpec, *, timeout_s: float | None = None,
-                retries: int = 0) -> JobResult:
-    """Run one job to a :class:`JobResult` — never raises.
+def execute_job(experiment, spec: JobSpec, *,
+                timeout_s: float | None = None) -> JobResult:
+    """Run one job once to a :class:`JobResult` — never raises.
 
     Must stay a module-level function: it is the callable the process
     pool pickles.
     """
     registry = _metrics.REGISTRY
     wall_start = time.perf_counter()
-    errors: list[tuple[str, str]] = []
     ctx = JobContext()
     trace_ctx = spec.trace
     if trace_ctx is not None:
         SPANS.adopt(trace_ctx)
     job_parent = trace_ctx.parent_span_id if trace_ctx is not None else ""
-    for attempt in range(retries + 1):
-        ctx = JobContext()
-        registry.reset()
-        registry.enable()
-        try:
-            with SPANS.span(spec.label, parent_id=job_parent, seq=attempt,
-                            attempt=attempt):
-                with _JobAlarm(timeout_s):
-                    value = experiment.run_one(spec, ctx)
-        except JobTimeout as exc:
-            errors.append(("timeout", str(exc)))
-        except Exception as exc:   # noqa: BLE001 — capture, don't abort
-            errors.append(("exception", f"{type(exc).__name__}: {exc}"))
-        else:
-            wall = time.perf_counter() - wall_start
-            history = _attempt_history(errors)
-            extra = {"attempt_history": history} if history else {}
-            manifest = job_manifest(spec, ctx, registry.snapshot(),
-                                    status="success", wall_time_s=wall,
-                                    attempts=attempt + 1, **extra)
-            registry.disable()
-            return JobResult(spec=spec, value=value, attempts=attempt + 1,
-                             attempt_history=history, wall_time_s=wall,
-                             manifest=manifest)
-        registry.disable()
-    kind, message = errors[-1]
+    registry.reset()
+    registry.enable()
+    value = kind = message = None
+    try:
+        # seq=0: each job label is unique within its campaign, so the
+        # span id is the same whichever worker runs the job.
+        with SPANS.span(spec.label, parent_id=job_parent, seq=0):
+            with _JobAlarm(timeout_s):
+                value = experiment.run_one(spec, ctx)
+    except JobTimeout as exc:
+        kind, message = "timeout", str(exc)
+    except Exception as exc:   # noqa: BLE001 — capture, don't abort
+        kind, message = "exception", f"{type(exc).__name__}: {exc}"
+    registry.disable()
     wall = time.perf_counter() - wall_start
-    history = _attempt_history(errors[:-1])
-    extra = {"attempt_history": history} if history else {}
+    failure = {} if kind is None else {"error": message, "error_kind": kind}
     manifest = job_manifest(spec, ctx, registry.snapshot(),
-                            status="failure", wall_time_s=wall,
-                            error=message, error_kind=kind,
-                            attempts=len(errors), **extra)
-    return JobResult(spec=spec, error=message, error_kind=kind,
-                     attempts=len(errors), attempt_history=history,
+                            status="failure" if failure else "success",
+                            wall_time_s=wall, **failure)
+    return JobResult(spec=spec, value=value, error=message, error_kind=kind,
                      wall_time_s=wall, manifest=manifest)
 
 
@@ -311,10 +284,10 @@ def _broken_pool_error() -> type:
 
 
 def run_campaign(experiment, *, jobs: int | None = None,
-                 timeout_s: float | None = None, retries: int = 0,
+                 timeout_s: float | None = None,
                  config: dict | None = None, checkpoint=None,
-                 checkpoint_every: int = 1, resume=None,
-                 on_job_done=None, progress=None) -> CampaignResult:
+                 resume=None, on_job_done=None,
+                 progress=None) -> CampaignResult:
     """Execute every job of *experiment* and reduce the results.
 
     ``jobs=None``/``0`` uses one worker per available CPU; ``jobs=1``
@@ -325,10 +298,9 @@ def run_campaign(experiment, *, jobs: int | None = None,
     Resilience (see :mod:`repro.resilience` and ``docs/resilience.md``):
 
     * ``checkpoint`` — a path (or prepared ``CheckpointWriter``) to
-      journal each finished job to, flushed every ``checkpoint_every``
-      records; a ``KeyboardInterrupt`` or a broken process pool then
-      surfaces as :class:`CampaignInterrupted` with the journal
-      flushed.  Without a checkpoint either one propagates unchanged.
+      journal each finished job to, flushed as each job finishes; a
+      ``KeyboardInterrupt`` or a broken process pool then surfaces as
+      :class:`CampaignInterrupted` with the journal intact.  Without a checkpoint either one propagates unchanged.
     * ``resume`` — a checkpoint path whose journaled jobs are skipped;
       their recorded results merge into the manifest exactly as if
       they had just run.
@@ -378,7 +350,7 @@ def run_campaign(experiment, *, jobs: int | None = None,
         if isinstance(checkpoint, CheckpointWriter):
             writer = checkpoint
         elif checkpoint is not None:
-            writer = CheckpointWriter(checkpoint, every=checkpoint_every)
+            writer = CheckpointWriter(checkpoint)
             owns_writer = True
         else:
             writer = None
@@ -410,20 +382,17 @@ def run_campaign(experiment, *, jobs: int | None = None,
             if n_workers <= 1 or len(todo) <= 1:
                 for index in todo:
                     record(index, execute_job(experiment, specs[index],
-                                              timeout_s=timeout_s,
-                                              retries=retries))
+                                              timeout_s=timeout_s))
             else:
                 from ..resilience.supervisor import run_pool
 
                 run_pool(experiment, specs, todo, record,
-                         n_workers=n_workers, timeout_s=timeout_s,
-                         retries=retries)
+                         n_workers=n_workers, timeout_s=timeout_s)
         except (KeyboardInterrupt, _broken_pool_error()) as exc:
             if progress is not None:
                 progress.end("interrupted")
             if writer is None:
                 raise
-            writer.flush()
             done = sum(result is not None for result in slots)
             broken = not isinstance(exc, KeyboardInterrupt)
             cause = " by a broken process pool" if broken else ""
@@ -433,11 +402,8 @@ def run_campaign(experiment, *, jobs: int | None = None,
                 done=done, total=len(specs),
                 checkpoint=str(writer.path)) from (exc if broken else None)
         finally:
-            if writer is not None:
-                if owns_writer:
-                    writer.close()
-                else:
-                    writer.flush()
+            if owns_writer:
+                writer.close()
 
         results: list[JobResult] = slots   # every slot filled now
         with SPANS.span("reduce", job_count=len(results)):

@@ -38,16 +38,15 @@ class CampaignOptions:
 
     ``jobs=0`` means one worker per available CPU (the
     :func:`repro.runner.resolve_jobs` convention); results are
-    identical at any value.  ``resume``/``checkpoint_every`` drive the
-    resilience journal (see ``docs/resilience.md``); ``spans``/
-    ``progress`` the observability layer (``docs/observability.md``);
-    ``results_dir`` both archives the run manifest and hosts the
-    per-command checkpoint journal.
+    identical at any value.  ``resume`` drives the resilience journal
+    (see ``docs/resilience.md``); ``spans``/``progress`` the
+    observability layer (``docs/observability.md``); ``results_dir``
+    both archives the run manifest and hosts the per-command checkpoint
+    journal.
     """
 
     jobs: int = 0
     resume: str | None = None
-    checkpoint_every: int = 1
     spans: str | None = None
     progress: str | None = None
     results_dir: str | None = None
@@ -56,10 +55,10 @@ class CampaignOptions:
 
     @staticmethod
     def add_arguments(parser, *, jobs_default: int = 0) -> None:
-        """Register ``--jobs``/``--resume``/``--checkpoint-every`` on
-        *parser* (the telemetry flags — ``--spans``, ``--progress``,
-        ``--results-dir`` — are registered with the output flags, which
-        non-campaign commands also take).  ``jobs_default`` lets a
+        """Register ``--jobs``/``--resume`` on *parser* (the telemetry
+        flags — ``--spans``, ``--progress``, ``--results-dir`` — are
+        registered with the output flags, which non-campaign commands
+        also take).  ``jobs_default`` lets a
         command keep a serial default (``fuzz`` uses 1) without
         re-declaring the flag."""
         default_note = "one per available CPU" if jobs_default == 0 \
@@ -75,17 +74,10 @@ class CampaignOptions:
                                  "already recorded there are skipped, and "
                                  "the merged manifest is identical to an "
                                  "uninterrupted run")
-        parser.add_argument("--checkpoint-every", default=1, metavar="N",
-                            type=_int_at_least(1),
-                            help="flush the checkpoint journal every N "
-                                 "completed jobs (default 1 = each job "
-                                 "as it finishes; a flushed record "
-                                 "survives a killed process, not a "
-                                 "power loss)")
 
     @classmethod
     def from_args(cls, args) -> "CampaignOptions":
-        """Collect whichever of the six options *args* carries."""
+        """Collect whichever of the five options *args* carries."""
         values = {}
         for spec in fields(cls):
             if hasattr(args, spec.name):
@@ -118,7 +110,6 @@ class CampaignOptions:
         checkpoint = self.checkpoint_path(command)
         if checkpoint is not None:
             kwargs["checkpoint"] = checkpoint
-            kwargs["checkpoint_every"] = self.checkpoint_every
         if self.resume:
             kwargs["resume"] = self.resume
         if progress is not None:

@@ -87,13 +87,6 @@ def merge_job_manifests(command: str, config: dict, job_results,
                "jobs_failed": len(job_results) - ok}
     if failures:
         outcome["failures"] = failures
-    # Jobs that needed more than one attempt keep their error history
-    # in the campaign record (a retried success used to erase it).
-    retried = [{"job": result.spec.label, "attempts": result.attempts,
-                "history": list(getattr(result, "attempt_history", ()))}
-               for result in job_results if result.attempts > 1]
-    if retried:
-        outcome["retried"] = retried
     return {
         "schema": MANIFEST_SCHEMA,
         "command": command,
@@ -113,15 +106,14 @@ def manifest_fingerprint(doc: dict) -> dict:
     fields — equal fingerprints mean two campaigns did byte-identical
     simulated work (the whole point of the deterministic
     decomposition: ``--jobs`` is an execution detail, not part of the
-    result).  Retry/resume lineage is stripped for the same reason: a
+    result).  Resume lineage is stripped for the same reason: a
     campaign that was interrupted and resumed must fingerprint equal to
     one that ran clean."""
     out = copy.deepcopy(doc)
     out.pop("created_at", None)
     out.get("config", {}).pop("jobs", None)
     outcome = out.get("outcome", {})
-    for execution_detail in ("jobs", "attempts", "attempt_history",
-                             "retried", "resume", "spans", "progress",
+    for execution_detail in ("jobs", "resume", "spans", "progress",
                              "elapsed_seconds"):
         outcome.pop(execution_detail, None)
     out.get("totals", {}).pop("wall_time_s", None)

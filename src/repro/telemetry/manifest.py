@@ -113,8 +113,7 @@ class RunManifest:
         manifest from :mod:`repro.runner`) into this one: its phases are
         appended, metrics and PMC snapshots merged, its simulated
         totals added, and its recovery/observability lineage (resume /
-        retried / spans / progress) lifted into this
-        outcome.  Wall time stays this manifest's own."""
+        spans / progress) lifted into this outcome.  Wall time stays this manifest's own."""
         for phase in doc.get("phases", ()):
             self.phases.append(PhaseProfile(**phase))
         self.metrics = merge_metric_snapshots(self.metrics,
@@ -124,7 +123,7 @@ class RunManifest:
         self.totals["cycles"] += totals.get("cycles", 0)
         self.totals["simulated_seconds"] += totals.get(
             "simulated_seconds", 0.0)
-        for lineage in ("resume", "retried", "spans", "progress"):
+        for lineage in ("resume", "spans", "progress"):
             if lineage in doc.get("outcome", {}):
                 self.outcome.setdefault(lineage, doc["outcome"][lineage])
         return self

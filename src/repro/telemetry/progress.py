@@ -6,7 +6,7 @@ appeared.  The :class:`ProgressReporter` turns the executor's
 
 * a machine-readable JSONL event stream (``--progress FILE`` on the
   CLI) — one ``phantom.progress/1`` object per campaign begin/end and
-  per finished job, carrying done/failed/retried counts, throughput
+  per finished job, carrying done/failed counts, throughput
   and an ETA, so dashboards and orchestrators can watch a run without
   parsing human output;
 * a ``repro top``-style single-line TTY renderer (carriage-return
@@ -56,7 +56,6 @@ class ProgressReporter:
         self.total = 0
         self.done = 0
         self.failed = 0
-        self.retried = 0
         self._started = clock()
 
     # -- lifecycle ---------------------------------------------------------
@@ -71,7 +70,6 @@ class ProgressReporter:
         self.total = total
         self.done = done
         self.failed = 0
-        self.retried = 0
         self._started = self._clock()
         self._emit("campaign_begin")
         self._render()
@@ -92,22 +90,18 @@ class ProgressReporter:
 
     # -- the event stream --------------------------------------------------
 
-    def job_done(self, label: str, *, ok: bool,
-                 retried: bool = False) -> None:
+    def job_done(self, label: str, *, ok: bool) -> None:
         """Record one finished unit of work and emit/render."""
         self.done += 1
         if not ok:
             self.failed += 1
-        if retried:
-            self.retried += 1
         self._emit("job_done", job=label,
                    status="success" if ok else "failure")
         self._render()
 
     def on_job_done(self, result) -> None:
         """``run_campaign(on_job_done=…)``-compatible adapter."""
-        self.job_done(result.spec.label, ok=result.ok,
-                      retried=getattr(result, "attempts", 1) > 1)
+        self.job_done(result.spec.label, ok=result.ok)
 
     # -- derived state -----------------------------------------------------
 
@@ -118,7 +112,7 @@ class ProgressReporter:
         eta = remaining / rate if self.done and remaining else \
             (0.0 if not remaining else None)
         return {"done": self.done, "failed": self.failed,
-                "retried": self.retried, "total": self.total,
+                "total": self.total,
                 "elapsed_s": round(elapsed, 3),
                 "jobs_per_s": round(rate, 3),
                 "eta_s": round(eta, 3) if eta is not None else None}
@@ -145,7 +139,7 @@ class ProgressReporter:
         filled = int(width * self.done / self.total) if self.total else 0
         bar = "#" * filled + "." * (width - filled)
         line = (f"[{self.campaign}] {bar} {self.done}/{self.total} "
-                f"done  {self.failed} failed  {self.retried} retried  "
+                f"done  {self.failed} failed  "
                 f"{snap['jobs_per_s']:.1f} job/s  "
                 f"eta {_fmt_eta(snap['eta_s'])}")
         try:

@@ -11,7 +11,7 @@ checkpoint flush — recorded as one JSON line:
     {"schema": "phantom.span/1", "name": "matrix[zen2/jmp/call]",
      "trace_id": "…32 hex…", "span_id": "…16 hex…",
      "parent_id": "…16 hex…", "start_s": 1723000000.0, "duration_s": 0.12,
-     "status": "ok", "pid": 4242, "attrs": {"attempt": 0}}
+     "status": "ok", "pid": 4242, "attrs": {}}
 
 Three rules make the layer fit the repo's telemetry contract:
 
@@ -32,10 +32,11 @@ Three rules make the layer fit the repo's telemetry contract:
 * **Structure is deterministic at any ``--jobs``.**  Span ids derive
   from SHA-256 over ``(trace_id, parent_id, name, seq)`` — never from
   pids, clocks or worker identity — and the sequence number counts
-  same-named siblings within the emitting process (explicitly the
-  attempt number for job spans).  Two runs of the same campaign produce
-  the same tree of names and parent/child edges whether one worker ran
-  everything or sixteen shared the load; only the timing fields differ.
+  same-named siblings within the emitting process (explicitly 0 for
+  job spans, whose labels are unique within a campaign).  Two runs of
+  the same campaign produce the same tree of names and parent/child
+  edges whether one worker ran everything or sixteen shared the load;
+  only the timing fields differ.
 
 Exporters for the stitched trace live in
 :mod:`repro.telemetry.exporters` (Chrome trace-event JSON for Perfetto,
@@ -310,7 +311,7 @@ class SpanRecorder:
         ``parent_id`` defaults to the innermost open span (pass an
         explicit id — e.g. from a propagated context — to parent across
         processes); ``seq`` overrides the sibling counter when the
-        caller knows a deterministic one (job attempt numbers).  While
+        caller knows a deterministic one (0 for job spans).  While
         disabled this yields the shared :data:`NULL_SPAN` and records
         nothing.  An escaping exception marks the span ``error``.
         """

@@ -1,13 +1,17 @@
-"""The ``repro fuzz`` command: clean runs, budgets, artifacts."""
+"""The ``repro fuzz`` command: clean runs, --jobs independence,
+artifacts."""
 
 import importlib
 import json
 
-import repro.fuzz
+import pytest
+
 from repro.cli import main
 from repro.fuzz import Divergence, Verdict, load_program
+from repro.runner import manifest_fingerprint
 from repro.telemetry import validate_manifest
 
+oracle_module = importlib.import_module("repro.fuzz.oracle")
 shrink_module = importlib.import_module("repro.fuzz.shrink")
 
 
@@ -35,20 +39,28 @@ def test_fuzz_emits_valid_manifest(capsys, tmp_path):
     assert doc["config"]["uarches"] == ["zen2", "zen3"]
 
 
-def test_fuzz_respects_time_budget(capsys, tmp_path):
-    code, out = run(capsys, "fuzz", "--iters", "500",
-                    "--time-budget", "0.01",
-                    "--artifact-dir", str(tmp_path))
-    assert code == 0
-    assert "time budget hit" in out
+def test_fuzz_time_budget_is_gone(capsys):
+    """Every run is one whole campaign: the old budget flag is a usage
+    error, not silently ignored."""
+    with pytest.raises(SystemExit) as info:
+        main(["fuzz", "--time-budget", "1"])
+    assert info.value.code == 2
+    assert "--time-budget" in capsys.readouterr().err
 
 
 def test_fuzz_jobs_matches_serial(capsys, tmp_path):
-    code_serial, _ = run(capsys, "fuzz", "--iters", "6", "--seed", "21",
-                         "--artifact-dir", str(tmp_path))
-    code_jobs, _ = run(capsys, "fuzz", "--iters", "6", "--seed", "21",
-                       "--jobs", "2", "--artifact-dir", str(tmp_path))
-    assert code_serial == code_jobs == 0
+    """The default serial run goes through the same campaign as a
+    pooled one, so the manifests agree, phases included."""
+    docs = []
+    for jobs in ("1", "2"):
+        code, out = run(capsys, "fuzz", "--iters", "10", "--seed", "0",
+                        "--json", "--jobs", jobs,
+                        "--artifact-dir", str(tmp_path))
+        assert code == 0
+        docs.append(json.loads(out))
+    assert [phase["name"] for phase in docs[0]["phases"]] \
+        == ["fuzz", "fuzz[0]", "fuzz[1]"]
+    assert manifest_fingerprint(docs[0]) == manifest_fingerprint(docs[1])
 
 
 def test_fuzz_divergence_writes_counterexample(capsys, tmp_path,
@@ -63,7 +75,7 @@ def test_fuzz_divergence_writes_counterexample(capsys, tmp_path,
                 Divergence("engine", "zen2", "cycles: injected"))
         return verdict
 
-    monkeypatch.setattr(repro.fuzz, "check_program", fake_check)
+    monkeypatch.setattr(oracle_module, "check_program", fake_check)
     monkeypatch.setattr(shrink_module, "check_program", fake_check)
     artifact_dir = tmp_path / "artifacts"
     code, out = run(capsys, "fuzz", "--iters", "8",
@@ -84,7 +96,7 @@ def test_fuzz_no_shrink_skips_minimization(capsys, tmp_path, monkeypatch):
                        divergences=[Divergence("engine", "zen2",
                                                "cycles: injected")])
 
-    monkeypatch.setattr(repro.fuzz, "check_program", fake_check)
+    monkeypatch.setattr(oracle_module, "check_program", fake_check)
     code, out = run(capsys, "fuzz", "--iters", "1", "--no-shrink",
                     "--artifact-dir", str(tmp_path / "a"))
     assert code == 1
@@ -133,8 +145,6 @@ def test_contract_violation_ships_valid_artifact(capsys, tmp_path):
 
 
 def test_contract_manifest_identical_across_jobs(capsys, tmp_path):
-    from repro.runner import manifest_fingerprint
-
     docs = []
     for jobs in ("1", "2"):
         code, out = run(capsys, "fuzz", "--contract", "retbleed-safe",

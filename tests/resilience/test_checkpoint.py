@@ -3,6 +3,7 @@
 import errno
 import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import ClassVar
 
 import pytest
@@ -13,6 +14,13 @@ from repro.resilience import (CHECKPOINT_SCHEMA, CheckpointRecord,
                               spec_fingerprint)
 from repro.runner import (JobSpec, derive_seed, execute_job,
                           manifest_fingerprint, run_campaign)
+from repro.telemetry import validate_manifest
+
+#: A six-job ``toy`` journal from when jobs could be retried: every
+#: record and job manifest carries ``attempts``/``attempt_history``,
+#: and ``toy[2]`` succeeded on its second attempt.
+JOURNAL_WITH_ATTEMPTS = (Path(__file__).parent.parent / "data"
+                         / "checkpoint-with-attempts.jsonl")
 
 
 @dataclass(frozen=True)
@@ -78,7 +86,6 @@ def test_record_roundtrips_through_json_and_pickle():
     back = wire.to_job_result(spec)
     assert back.ok
     assert back.value == result.value
-    assert back.attempts == result.attempts
     assert back.manifest == result.manifest
 
 
@@ -182,22 +189,6 @@ def test_write_failure_degrades_and_is_counted(tmp_path):
     assert spec_fingerprint(specs[1]) in journal
 
 
-def test_checkpoint_every_batches_flushes(tmp_path):
-    experiment = ToyExperiment(n=4)
-    specs = experiment.job_specs()
-    path = tmp_path / "ckpt.jsonl"
-    writer = CheckpointWriter(path, every=3)
-    try:
-        writer.append(specs[0], execute_job(experiment, specs[0]))
-        writer.append(specs[1], execute_job(experiment, specs[1]))
-        assert writer._unflushed == 2
-        writer.append(specs[2], execute_job(experiment, specs[2]))
-        assert writer._unflushed == 0      # hit the batch size
-    finally:
-        writer.close()
-    assert len(load_checkpoint(path)) == 3
-
-
 def test_resume_skips_journaled_jobs_and_matches_clean_run(tmp_path):
     checkpoint = tmp_path / "ckpt.jsonl"
     clean = run_campaign(ToyExperiment(), jobs=1)
@@ -211,6 +202,17 @@ def test_resume_skips_journaled_jobs_and_matches_clean_run(tmp_path):
             == manifest_fingerprint(clean.manifest))
     assert resumed.manifest["outcome"]["resume"] == {
         "from": str(checkpoint), "jobs_skipped": 6, "jobs_rerun": 0}
+
+
+def test_journal_with_attempt_fields_still_resumes():
+    resumed = run_campaign(PoisonExperiment(), jobs=1,
+                           resume=JOURNAL_WITH_ATTEMPTS)
+    clean = run_campaign(ToyExperiment(), jobs=1)
+    assert resumed.manifest["outcome"]["resume"]["jobs_skipped"] == 6
+    assert resumed.value == clean.value
+    assert (manifest_fingerprint(resumed.manifest)
+            == manifest_fingerprint(clean.manifest))
+    validate_manifest(resumed.manifest)
 
 
 def test_resume_into_fresh_journal_is_self_contained(tmp_path):

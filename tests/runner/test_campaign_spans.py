@@ -14,7 +14,7 @@ from repro.runner import manifest_fingerprint, run_campaign
 from repro.telemetry import SPANS, TraceContext, validate_span
 from repro.telemetry.spans import (read_spans, stitch, trace_structure)
 
-from .test_executor import _FLAKY_STATE, FlakyExperiment, ToyExperiment
+from .test_executor import ToyExperiment
 
 
 @pytest.fixture(autouse=True)
@@ -23,11 +23,10 @@ def reset_spans():
     SPANS.finish()
 
 
-def _traced_campaign(tmp_path, jobs, experiment=None, **kwargs):
+def _traced_campaign(tmp_path, jobs):
     span_dir = tmp_path / f"jobs{jobs}"
     SPANS.start(span_dir, name="campaign-test")
-    campaign = run_campaign(experiment or ToyExperiment(), jobs=jobs,
-                            **kwargs)
+    campaign = run_campaign(ToyExperiment(), jobs=jobs)
     SPANS.finish()
     return campaign, read_spans(span_dir)
 
@@ -98,17 +97,3 @@ def test_trace_context_excluded_from_checkpoint_fingerprint():
                        span_dir="/tmp/anywhere")
     assert spec_fingerprint(replace(spec, trace=ctx)) \
         == spec_fingerprint(spec)
-
-
-def test_retried_job_records_one_span_per_attempt(tmp_path):
-    _FLAKY_STATE["calls"] = 0
-    campaign, records = _traced_campaign(
-        tmp_path, jobs=1, experiment=FlakyExperiment(n=1), retries=1)
-    assert not campaign.failures
-    attempts = sorted((r["attrs"]["attempt"], r["status"])
-                      for r in records if r["name"] == "toy[0]")
-    assert attempts == [(0, "error"), (1, "ok")]
-    # The attempt number is the sibling seq, so the two spans have
-    # distinct, deterministic ids.
-    ids = {r["span_id"] for r in records if r["name"] == "toy[0]"}
-    assert len(ids) == 2

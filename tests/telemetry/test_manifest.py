@@ -1,5 +1,7 @@
 """Run manifests: building, schema validity, write/load round-trips."""
 
+import copy
+
 import pytest
 
 from repro.kernel import Machine, SYS_GETPID
@@ -94,26 +96,93 @@ def test_validator_rejects_malformed_phase():
         validate_manifest(doc)
 
 
+def _variants(valid: dict, breaks) -> list[dict]:
+    """*valid* plus one copy per ``(path, value)`` break, where a value
+    of ``KeyError`` deletes the key instead of setting it."""
+    docs = [valid]
+    for path, value in breaks:
+        doc = copy.deepcopy(valid)
+        *parents, leaf = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        if value is KeyError:
+            del node[leaf]
+        else:
+            node[leaf] = value
+        docs.append(doc)
+    return docs
+
+
 def test_mini_validator_agrees_without_jsonschema(monkeypatch):
-    import builtins
+    """The standard-library checker is the only validator the package
+    runs.  ``jsonschema`` stays the reference it must agree with, on
+    valid and broken documents of all three schemas, and the checker
+    must work with ``jsonschema`` impossible to import."""
     import sys
 
-    from repro.telemetry import schema as schema_mod
-
-    real_import = builtins.__import__
-
-    def no_jsonschema(name, *args, **kwargs):
-        if name == "jsonschema":
-            raise ImportError(name)
-        return real_import(name, *args, **kwargs)
-
-    monkeypatch.delitem(sys.modules, "jsonschema", raising=False)
-    monkeypatch.setattr(builtins, "__import__", no_jsonschema)
+    jsonschema = pytest.importorskip("jsonschema")
+    from repro.telemetry import (CONTRACT_VIOLATION_JSON_SCHEMA,
+                                 MANIFEST_JSON_SCHEMA, SPAN_JSON_SCHEMA,
+                                 validate)
 
     manifest = RunManifest.begin("test-fallback")
-    manifest.finish("success")
-    schema_mod.validate_manifest(manifest.to_dict())
-    broken = manifest.to_dict()
-    broken["totals"]["cycles"] = "not-an-int"
-    with pytest.raises(SchemaError):
-        schema_mod.validate_manifest(broken)
+    manifest.finish("success", jobs=2)
+    manifest_docs = _variants(manifest.to_dict(), [
+        (("totals", "cycles"), "not-an-int"),
+        (("totals", "cycles"), True),
+        (("totals", "wall_time_s"), 3),
+        (("schema",), "phantom.run-manifest/999"),
+        (("phases",), [{"name": "p"}]),
+        (("outcome", "resume"), {"from": "j.jsonl"}),
+        (("metrics",), KeyError),
+    ])
+    span = {"schema": "phantom.span/1", "name": "job", "trace_id": "ab",
+            "span_id": "cd", "parent_id": None, "start_s": 1.0,
+            "duration_s": 0.5, "status": "ok", "pid": 7, "attrs": {}}
+    span_docs = _variants(span, [
+        (("parent_id",), "ef"),
+        (("parent_id",), 3),
+        (("parent_id",), False),
+        (("status",), "maybe"),
+        (("pid",), 7.5),
+        (("attrs",), KeyError),
+    ])
+    program = {"schema": "phantom.fuzz-program/1", "name": "p", "seed": 1,
+               "shape": "branchy", "user_items": [{"op": "nop"}]}
+    violation = {"schema": "phantom.contract-violation/1",
+                 "contract": "no-leak", "mitigation": "none",
+                 "uarches": ["zen2"], "protects": ["cycles"],
+                 "classes": ["cycles"], "divergences": ["cycles: 1 != 2"],
+                 "pair": {"schema": "phantom.fuzz-pair/1", "name": "p",
+                          "secret_a": "00", "secret_b": "01",
+                          "program": program}}
+    violation_docs = _variants(violation, [
+        (("uarches",), ["zen2", 3]),
+        (("shrink_checks",), 2),
+        (("shrink_checks",), "2"),
+        (("pair", "program", "seed"), None),
+        (("pair", "program", "user_items"), [1]),
+        (("classes",), KeyError),
+    ])
+
+    monkeypatch.setitem(sys.modules, "jsonschema", None)
+    for schema, docs in ((MANIFEST_JSON_SCHEMA, manifest_docs),
+                         (SPAN_JSON_SCHEMA, span_docs),
+                         (CONTRACT_VIOLATION_JSON_SCHEMA, violation_docs)):
+        verdicts = []
+        for doc in docs:
+            try:
+                jsonschema.validate(doc, schema)
+                expected = True
+            except jsonschema.ValidationError:
+                expected = False
+            try:
+                validate(doc, schema)
+                got = True
+            except SchemaError:
+                got = False
+            assert got == expected, (schema["$id"], doc)
+            verdicts.append(got)
+        # Each schema saw both verdicts, so agreement is not vacuous.
+        assert verdicts[0] and not all(verdicts)

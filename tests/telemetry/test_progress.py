@@ -64,21 +64,6 @@ def test_resumed_jobs_precount_toward_done():
     assert reporter.done == 8
 
 
-def test_retried_jobs_are_counted():
-    reporter, stream, clock = _reporter()
-    reporter.begin(campaign="toy", total=2)
-
-    class Result:
-        class spec:
-            label = "toy[0]"
-        ok = True
-        attempts = 2
-
-    reporter.on_job_done(Result())
-    assert reporter.retried == 1
-    assert _events(stream)[-1]["retried"] == 1
-
-
 def test_eta_is_unknown_before_first_completion_and_zero_at_end():
     reporter, stream, clock = _reporter()
     reporter.begin(campaign="toy", total=1)

@@ -369,19 +369,28 @@ def test_interrupted_campaign_exit_codes(capsys, monkeypatch):
 
 
 def test_campaign_flags_share_one_record(capsys, tmp_path):
-    """--jobs/--resume/--checkpoint-every come from CampaignOptions on
-    every campaign command (the six copies of flag plumbing are gone)."""
+    """--jobs/--resume come from CampaignOptions on every campaign
+    command (the six copies of flag plumbing are gone)."""
     from repro.cli import build_parser
 
     parser = build_parser()
     for command in ("matrix", "kaslr", "physmap", "leak", "covert",
                     "fuzz"):
         args = parser.parse_args([command, "--jobs", "3",
-                                  "--checkpoint-every", "2"])
+                                  "--resume", "j.jsonl"])
         from repro.runner import CampaignOptions
         options = CampaignOptions.from_args(args)
         assert options.jobs == 3
-        assert options.checkpoint_every == 2
+        assert options.resume == "j.jsonl"
     # fuzz keeps its serial default
     assert parser.parse_args(["fuzz"]).jobs == 1
     assert parser.parse_args(["matrix"]).jobs == 0
+
+
+def test_checkpoint_every_flag_is_a_usage_error(capsys):
+    """The journal flushes after every job; the old cadence flag must
+    fail loudly rather than be accepted and ignored."""
+    with pytest.raises(SystemExit) as info:
+        main(["kaslr", "--checkpoint-every", "2"])
+    assert info.value.code == 2
+    assert "--checkpoint-every" in capsys.readouterr().err
