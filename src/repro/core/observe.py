@@ -18,6 +18,12 @@ signal gadget.  Three channels observe how far the landing advanced:
 Nothing reads simulator internals: the channels go through timers and
 performance counters only, like the paper's native tooling.
 
+Each channel sets up only what it reads, as its first step and before
+any training: IF calibrates the landing's exec hit/miss threshold, EX
+calibrates the probe line's load threshold, and ID builds the
+jmp-series.  The landing gadget and the victim are common to all three
+and built with the experiment.
+
 Each measurement should run on a **fresh machine** (the paper uses
 fresh victim processes): a victim branch that executes architecturally
 installs its own correct BTB entry, which would make later rounds
@@ -28,6 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..isa import Assembler, Cond, Reg
 from ..params import PAGE_SIZE, VA_MASK
@@ -135,10 +142,33 @@ class TypeConfusionExperiment:
         self._build_victim()
         self.landing = self._landing_address()
         self._build_landing_gadget()
-        self._build_series()
-        self.exec_threshold = calibrate_threshold(
-            self.timer, self.landing, exec_=True)
-        self.load_threshold = calibrate_threshold(self.timer, _PROBE_DATA)
+
+    # -- per-channel set-up (computed on first read) -------------------------
+
+    @cached_property
+    def exec_threshold(self) -> int:
+        """IF channel: I-cache hit/miss threshold of the landing line."""
+        return calibrate_threshold(self.timer, self.landing, exec_=True)
+
+    @cached_property
+    def load_threshold(self) -> int:
+        """EX channel: D-cache hit/miss threshold of the probe line."""
+        return calibrate_threshold(self.timer, _PROBE_DATA)
+
+    @cached_property
+    def series_entry(self) -> int:
+        """ID channel: Figure 5 B's jmp-series, 7 forward jmps 4096 bytes
+        apart in the landing's µop-cache set, ending in hlt."""
+        offset = self.landing & 0xFC0
+        entry = _SERIES_BASE + offset
+        asm = Assembler(entry)
+        for i in range(7):
+            asm.jmp(_SERIES_BASE + (i + 1) * PAGE_SIZE + offset)
+            asm.pad_to(_SERIES_BASE + (i + 1) * PAGE_SIZE + offset)
+        asm.hlt()
+        segment, _ = asm.finish()
+        self.attacker.write_code(segment.base, segment.data)
+        return entry
 
     # -- construction -------------------------------------------------------
 
@@ -203,19 +233,6 @@ class TypeConfusionExperiment:
         self.attacker.write_code(segment.base, segment.data)
         self.attacker.ensure_mapped(_PROBE_DATA, PAGE_SIZE)
 
-    def _build_series(self) -> None:
-        """Figure 5 B's jmp-series: 7 forward jmps 4096 bytes apart in
-        the landing's µop-cache set, ending in hlt."""
-        offset = self.landing & 0xFC0
-        self.series_entry = _SERIES_BASE + offset
-        asm = Assembler(self.series_entry)
-        for i in range(7):
-            asm.jmp(_SERIES_BASE + (i + 1) * PAGE_SIZE + offset)
-            asm.pad_to(_SERIES_BASE + (i + 1) * PAGE_SIZE + offset)
-        asm.hlt()
-        segment, _ = asm.finish()
-        self.attacker.write_code(segment.base, segment.data)
-
     # -- per-trial steps -----------------------------------------------------
 
     def _train(self) -> None:
@@ -251,19 +268,21 @@ class TypeConfusionExperiment:
 
     def measure_fetch(self) -> bool:
         """IF channel: did the landing line enter the I-cache?"""
+        threshold = self.exec_threshold
         self._train()
         self._reset_channels()
         self._run_victim()
-        return self.timer.time_exec(self.landing) < self.exec_threshold
+        return self.timer.time_exec(self.landing) < threshold
 
     def measure_decode(self) -> bool:
         """ID channel: did decoding the landing evict a primed way?"""
+        series = self.series_entry
         self._train()
         self._reset_channels()
-        self.machine.run_user(self.series_entry)   # prime the µop set
+        self.machine.run_user(series)   # prime the µop set
         self._run_victim()
         with self.machine.cpu.pmc.sample("op_cache_miss") as sample:
-            self.machine.run_user(self.series_entry)
+            self.machine.run_user(series)
         return sample["op_cache_miss"] > 0
 
     def measure_decode_with_negative_control(self) -> bool:
@@ -278,6 +297,7 @@ class TypeConfusionExperiment:
         """
         if self.train_kind is TrainKind.NON_BRANCH:
             raise ValueError("negative control needs a trained branch")
+        series = self.series_entry
 
         def misses_with_training(src: int) -> int:
             saved = self.train_src
@@ -287,10 +307,10 @@ class TypeConfusionExperiment:
             finally:
                 self.train_src = saved
             self._reset_channels()
-            self.machine.run_user(self.series_entry)
+            self.machine.run_user(series)
             self._run_victim()
             with self.machine.cpu.pmc.sample("op_cache_miss") as sample:
-                self.machine.run_user(self.series_entry)
+                self.machine.run_user(series)
             return sample["op_cache_miss"]
 
         # Same page offset, different tag: no aliasing with the victim.
@@ -303,7 +323,8 @@ class TypeConfusionExperiment:
 
     def measure_execute(self) -> bool:
         """EX channel: did the landing's load fill the probe line?"""
+        threshold = self.load_threshold
         self._train()
         self._reset_channels()
         self._run_victim()
-        return self.timer.time_load(_PROBE_DATA) < self.load_threshold
+        return self.timer.time_load(_PROBE_DATA) < threshold

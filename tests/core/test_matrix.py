@@ -1,13 +1,17 @@
 """Table 1 matrix runner: combo enumeration and key cells."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.core import ASYMMETRIC_COMBOS, TrainKind, VictimKind, measure_cell
 from repro.core.matrix import (CHANNEL_MEASUREMENTS, format_matrix,
                                measure_channel, run_matrix)
-from repro.pipeline import Reach, ZEN1, ZEN2, ZEN3
+from repro.pipeline import ALL_MICROARCHES, Reach, ZEN1, ZEN2, ZEN3
+
+TABLE1 = (Path(__file__).resolve().parents[2] / "benchmarks" / "results"
+          / "table1.txt")
 
 
 def test_twenty_two_combinations():
@@ -60,3 +64,12 @@ def test_measure_cell_keeps_a_modified_uarch():
     assert result.reach is Reach.DECODE
     stock = measure_cell(ZEN2, TrainKind.INDIRECT, VictimKind.NON_BRANCH)
     assert stock.reach is Reach.EXECUTE
+
+
+def test_full_matrix_matches_committed_table1():
+    """All 8 µarches x 22 combinations, serially, render exactly the
+    committed Table 1 (benchmarks/test_table1_matrix.py's output)."""
+    results = run_matrix([u.name for u in ALL_MICROARCHES], jobs=1)
+    assert len(results) == 8 * 22
+    assert (format_matrix(results).splitlines()
+            == TABLE1.read_text().splitlines())

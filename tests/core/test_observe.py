@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core import TrainKind, TypeConfusionExperiment, VictimKind
+from repro.core import observe
 from repro.kernel import Machine
+from repro.params import PAGE_SIZE
 from repro.pipeline import Reach, ZEN2, ZEN3
 
 
@@ -35,9 +37,44 @@ class TestChannels:
     def test_no_training_no_signal(self):
         """Without training there is no phantom at a non-branch."""
         exp = experiment(ZEN2, TrainKind.INDIRECT, VictimKind.NON_BRANCH)
+        threshold = exp.exec_threshold
         exp._reset_channels()
         exp._run_victim()
-        assert exp.timer.time_exec(exp.landing) > exp.exec_threshold
+        assert exp.timer.time_exec(exp.landing) > threshold
+
+
+#: Each channel's set-up: the calibrations it runs and whether it
+#: builds the jmp-series.
+CHANNEL_SETUP = {
+    "measure_fetch": (["exec"], False),
+    "measure_execute": (["data"], False),
+    "measure_decode": ([], True),
+    "measure_decode_with_negative_control": ([], True),
+}
+
+
+def series_pages_mapped(exp):
+    aspace = exp.machine.mem.aspace
+    return [aspace.is_mapped(observe._SERIES_BASE + i * PAGE_SIZE)
+            for i in range(8)]
+
+
+@pytest.mark.parametrize("channel", sorted(CHANNEL_SETUP))
+def test_channel_sets_up_only_what_it_reads(monkeypatch, channel):
+    calls = []
+    real = observe.calibrate_threshold
+
+    def spy(timer, va, **kwargs):
+        calls.append("exec" if kwargs.get("exec_") else "data")
+        return real(timer, va, **kwargs)
+
+    monkeypatch.setattr(observe, "calibrate_threshold", spy)
+    exp = experiment(ZEN3, TrainKind.INDIRECT, VictimKind.NON_BRANCH)
+    assert calls == [] and not any(series_pages_mapped(exp))
+    getattr(exp, channel)()
+    want_calls, builds_series = CHANNEL_SETUP[channel]
+    assert calls == want_calls
+    assert series_pages_mapped(exp) == [builds_series] * 8
 
 
 class TestGeometry:
