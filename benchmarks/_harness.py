@@ -29,19 +29,31 @@ def emit(name: str, lines: list[str], manifest=None) -> None:
     document (dict), e.g. a merged campaign manifest from
     :mod:`repro.runner` — is supplied, its JSON is archived next to the
     table as ``<name>.manifest.json`` (a stable name, so ``repro
-    stats`` can diff successive runs).
+    stats`` can diff successive runs).  An archived manifest whose
+    :func:`repro.runner.manifest_fingerprint` equals the new one's is
+    kept as it is: the two differ only in timestamps and host wall
+    times, so a rerun that simulated the same work leaves the file
+    byte-identical and a changed cycle count shows up in ``git diff``.
     """
     import json
+
+    from repro.runner import manifest_fingerprint
 
     text = "\n".join(lines)
     print(f"\n{text}\n")
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-    if isinstance(manifest, dict):
-        (RESULTS_DIR / f"{name}.manifest.json").write_text(
-            json.dumps(manifest, indent=2) + "\n")
-    elif manifest is not None:
-        manifest.write(RESULTS_DIR, name=f"{name}.manifest.json")
+    if manifest is None:
+        return
+    doc = manifest if isinstance(manifest, dict) else manifest.to_dict()
+    new_text = json.dumps(doc, indent=2) + "\n"
+    path = RESULTS_DIR / f"{name}.manifest.json"
+    try:
+        old = manifest_fingerprint(json.loads(path.read_text()))
+    except (OSError, ValueError):
+        old = None
+    if old != manifest_fingerprint(json.loads(new_text)):
+        path.write_text(new_text)
 
 
 @contextmanager

@@ -72,28 +72,6 @@ class BPU:
                 return prediction
         return None
 
-    def predict_scanned(self, found: list,
-                        kernel_mode: bool) -> Prediction | None:
-        """``predict_in_block`` resumed from a cached ``scan_block`` result.
-
-        ``BTB.scan_block`` is a pure read, so callers that query the
-        same block repeatedly while the BTB is provably static (the
-        transient window walk — branches only train at retirement) may
-        cache its result and re-run just the resolution step.  The
-        resolution itself stays live on every call: conditional/RSB
-        state and the prediction metrics behave exactly as if
-        ``predict_in_block`` had been called.
-        """
-        for pc, entry in found:
-            prediction = self._resolve(pc, entry, kernel_mode)
-            if prediction is not None:
-                if _REG.enabled:
-                    self._m_predictions.value += 1
-                    if prediction.cross_privilege:
-                        self._m_cross_priv.value += 1
-                return prediction
-        return None
-
     def predict_at(self, pc: int, *, kernel_mode: bool) -> Prediction | None:
         """Prediction for a branch source at exactly *pc* (if any)."""
         entry = self.btb.lookup(pc, kernel_mode=kernel_mode)

@@ -160,11 +160,12 @@ def _remember_mask(memo: dict[BTBIndexing, int], indexing: BTBIndexing,
     memo[indexing] = mask
 
 
-#: Bound on each shared ``(set, tag)`` hash cache, in addresses.  Every
-#: fetched byte is hashed: a contract-fuzz pair touches ~500 addresses
-#: (~12,000 for page-straddling programs), a KASLR break ~12,000.  A
-#: cache that reaches the bound is dropped wholesale, so it never pins
-#: more than that working set.
+#: Bound on each shared ``(set, tag)`` hash cache, in addresses.  At
+#: most every fetched byte is hashed (scans skip bytes whose set is
+#: empty): a contract-fuzz pair touches ~500 addresses (~12,000 for
+#: page-straddling programs), a KASLR break ~12,000.  A cache that
+#: reaches the bound is dropped wholesale, so it never pins more than
+#: that working set.
 HASH_CACHE_SIZE = 1 << 14
 
 
@@ -331,22 +332,23 @@ class BTB:
         sets = self._sets
         if not sets:
             return found
-        # Inlined _key with the loop-invariant lookups hoisted: this
+        # Set first: every indexing takes the set from the address's low
+        # bits, so a byte whose set holds no entry is never hashed.  This
         # scan runs for every byte of every fetched instruction, the
         # hottest loop in the frontend.
+        set_mask = (1 << self.indexing.set_bits) - 1
         cache = self._hash_cache
         miss = self._hash
         priv = kernel_mode and self.indexing.privilege_in_tag
         for pc in range(block_start, block_start + block_len):
+            ways = sets.get(pc & set_mask)
+            if not ways:
+                continue
             cache_key = (pc, True) if priv else pc
             key = cache.get(cache_key)
             if key is None:
                 key = miss(cache_key, pc, kernel_mode)
-            set_index, tag = key
-            ways = sets.get(set_index)
-            if ways is None:
-                continue
-            entry = ways.get(tag)
+            entry = ways.get(key[1])
             if entry is not None:
                 found.append((pc, entry))
         return found

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -106,7 +106,6 @@ class RelationalPair:
                    secret_b=bytes.fromhex(doc["secret_b"]))
 
     def with_(self, **changes) -> "RelationalPair":
-        from dataclasses import replace
         return replace(self, **changes)
 
 
@@ -211,10 +210,12 @@ def check_pair(pair: RelationalPair, contract: Contract,
                               mitigation=effective,
                               uarches=tuple(uarches))
     report = verdict.divergences
-    # Assembly is a pure function of the variant: build each once and
-    # hand the images to all of its worlds (engines x µarches).
+    # Assembly reads only the code, which the variants share (they
+    # differ only in ``data``, loaded from ``built.program``): build
+    # once and hand the images to every world (variants x engines x
+    # µarches).
     built_a = pair.variant_a.build()
-    built_b = pair.variant_b.build()
+    built_b = replace(built_a, program=pair.variant_b)
     for name in uarches:
         uarch = by_name(name)
         trace_a = _run_variant(built_a, uarch, effective, report)

@@ -5,7 +5,7 @@ from .decoder import decode
 from .encoder import NOPL_SEQUENCES, encode, encode_with_length
 from .instructions import BranchKind, Cond, Instruction, Mnemonic, Reg
 from .semantics import (SUPERBLOCK_FUSIBLE, ArchState, ExecResult, Flags,
-                        MemAccess, compile_executor, condition_met, execute,
+                        compile_executor, condition_met, execute,
                         superblock_fusible)
 from .uops import Uop, UopKind, crack, uop_count
 
@@ -18,7 +18,6 @@ __all__ = [
     "Flags",
     "Image",
     "Instruction",
-    "MemAccess",
     "Mnemonic",
     "NOPL_SEQUENCES",
     "Reg",

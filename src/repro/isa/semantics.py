@@ -53,15 +53,6 @@ class ArchState:
         return clone
 
 
-@dataclass(frozen=True, slots=True)
-class MemAccess:
-    """One memory access performed by an instruction."""
-
-    addr: int
-    size: int
-    is_write: bool
-
-
 @dataclass(slots=True)
 class ExecResult:
     """Outcome of architecturally executing one instruction."""
@@ -69,7 +60,6 @@ class ExecResult:
     next_pc: int
     taken: bool | None = None          # branch direction (None: not a branch)
     target: int | None = None          # resolved branch target, if branch
-    accesses: list[MemAccess] = field(default_factory=list)
     trap: str | None = None            # 'syscall' | 'sysret' | 'hlt' | 'ud2'
 
 
@@ -189,7 +179,6 @@ def execute(instr: Instruction, pc: int, state: ArchState,
         rsp = (state.read(Reg.RSP) - 8) & MASK64
         state.write(Reg.RSP, rsp)
         store(rsp, 8, fall)
-        res.accesses.append(MemAccess(rsp, 8, True))
         res.taken = True
         if m is Mnemonic.CALL:
             res.target = instr.target(pc)
@@ -201,7 +190,6 @@ def execute(instr: Instruction, pc: int, state: ArchState,
         rsp = state.read(Reg.RSP)
         ret_addr = canonical(load(rsp, 8))
         state.write(Reg.RSP, (rsp + 8) & MASK64)
-        res.accesses.append(MemAccess(rsp, 8, False))
         res.taken = True
         res.target = ret_addr
         res.next_pc = ret_addr
@@ -215,19 +203,16 @@ def execute(instr: Instruction, pc: int, state: ArchState,
     if m is Mnemonic.MOV_RM:
         addr = mem_addr()
         state.write(instr.dest, load(addr, 8))
-        res.accesses.append(MemAccess(addr, 8, False))
         return res
     if m is Mnemonic.MOVB_RM:
         # Modelled as a zero-extending byte load (movzx-style), which is
         # how the paper's disclosure gadgets use byte loads.
         addr = mem_addr()
         state.write(instr.dest, load(addr, 1) & 0xFF)
-        res.accesses.append(MemAccess(addr, 1, False))
         return res
     if m is Mnemonic.MOV_MR:
         addr = mem_addr()
         store(addr, 8, state.read(instr.src))
-        res.accesses.append(MemAccess(addr, 8, True))
         return res
     if m is Mnemonic.LEA:
         state.write(instr.dest, canonical(state.read(instr.base) + instr.disp))
@@ -334,13 +319,11 @@ def execute(instr: Instruction, pc: int, state: ArchState,
         rsp = (state.read(Reg.RSP) - 8) & MASK64
         state.write(Reg.RSP, rsp)
         store(rsp, 8, state.read(instr.dest))
-        res.accesses.append(MemAccess(rsp, 8, True))
         return res
     if m is Mnemonic.POP:
         rsp = state.read(Reg.RSP)
         state.write(instr.dest, load(rsp, 8))
         state.write(Reg.RSP, (rsp + 8) & MASK64)
-        res.accesses.append(MemAccess(rsp, 8, False))
         return res
     if m is Mnemonic.RDTSC:
         cycles = rdtsc() if rdtsc is not None else 0
@@ -388,13 +371,11 @@ class Semantics(NamedTuple):
     The other fields build the :class:`ExecResult`, for the mnemonics
     that have them: ``exit`` gives its control-flow arguments (default
     ``next_pc=fall``; ``fall`` and ``tgt`` are the fall-through and
-    direct-branch target), ``access`` the :class:`MemAccess` arguments
-    and ``trap`` the trap name.
+    direct-branch target) and ``trap`` the trap name.
     """
 
     body: tuple[str, ...] = ()
     exit: str | None = None
-    access: str | None = None
     trap: str | None = None
 
 
@@ -441,21 +422,18 @@ SEMANTICS: dict[Mnemonic, Semantics] = {
     Mnemonic.JCC: _S(("_k = {cond}",),
                      exit="next_pc=tgt if _k else fall, taken=_k, target=tgt"),
     Mnemonic.CALL: _S(_RSP_DOWN + ("store(_a, 8, fall)",),
-                      exit=_TAKEN.format("tgt"), access="_a, 8, True"),
+                      exit=_TAKEN.format("tgt")),
     Mnemonic.CALL_REG: _S(_RSP_DOWN + ("store(_a, 8, fall)",
                                        "_t = canonical(regs[{d}])"),
-                          exit=_TAKEN.format("_t"), access="_a, 8, True"),
+                          exit=_TAKEN.format("_t")),
     Mnemonic.RET: _S(("_a = regs[{rsp}]", "_t = canonical(load(_a, 8))",
                       _RSP_UP),
-                     exit=_TAKEN.format("_t"), access="_a, 8, False"),
+                     exit=_TAKEN.format("_t")),
     Mnemonic.MOV_RI: _S(("regs[{d}] = {imm}",)),
     Mnemonic.MOV_RR: _S(("regs[{d}] = regs[{s}]",)),
-    Mnemonic.MOV_RM: _S((_EFFECTIVE, "regs[{d}] = load(_a, 8) & MASK64"),
-                        access="_a, 8, False"),
-    Mnemonic.MOVB_RM: _S((_EFFECTIVE, "regs[{d}] = load(_a, 1) & 0xFF"),
-                         access="_a, 1, False"),
-    Mnemonic.MOV_MR: _S((_EFFECTIVE, "store(_a, 8, regs[{s}])"),
-                        access="_a, 8, True"),
+    Mnemonic.MOV_RM: _S((_EFFECTIVE, "regs[{d}] = load(_a, 8) & MASK64")),
+    Mnemonic.MOVB_RM: _S((_EFFECTIVE, "regs[{d}] = load(_a, 1) & 0xFF")),
+    Mnemonic.MOV_MR: _S((_EFFECTIVE, "store(_a, 8, regs[{s}])")),
     Mnemonic.LEA: _S(("regs[{d}] = canonical(regs[{b}] + {disp})",)),
     Mnemonic.ADD_RI: _S(_add("{imm}")),
     Mnemonic.ADD_RR: _S(_add("regs[{s}]")),
@@ -487,11 +465,9 @@ SEMANTICS: dict[Mnemonic, Semantics] = {
     Mnemonic.XCHG_RR: _S(("_x = regs[{d}]", "regs[{d}] = regs[{s}]",
                           "regs[{s}] = _x")),
     Mnemonic.CMOV: _S(("if {cond}:", "    regs[{d}] = regs[{s}]")),
-    Mnemonic.PUSH: _S(_RSP_DOWN + ("store(_a, 8, regs[{d}])",),
-                      access="_a, 8, True"),
+    Mnemonic.PUSH: _S(_RSP_DOWN + ("store(_a, 8, regs[{d}])",)),
     Mnemonic.POP: _S(("_a = regs[{rsp}]", "regs[{d}] = load(_a, 8) & MASK64",
-                      _RSP_UP),
-                     access="_a, 8, False"),
+                      _RSP_UP)),
     Mnemonic.RDTSC: _S(("_c = rdtsc() if rdtsc is not None else 0",
                         "regs[{rax}] = _c & 0xFFFFFFFF",
                         "regs[{rdx}] = (_c >> 32) & 0xFFFFFFFF")),
@@ -547,8 +523,6 @@ def _executor_factory(m: Mnemonic, cc: Cond | None) -> Callable:
     fields = dict(_FIXED, cond=COND_EXPR.get(cc, ""), **_OPERAND_NAMES)
     body = [line.format_map(fields) for line in sem.body]
     args = [sem.exit or "next_pc=fall"]
-    if sem.access:
-        args.append(f"accesses=[MemAccess({sem.access})]")
     if sem.trap:
         args.append(f"trap={sem.trap!r}")
     text = "\n".join(body)
@@ -562,8 +536,7 @@ def _executor_factory(m: Mnemonic, cc: Cond | None) -> Callable:
     src += [f"        return ExecResult({', '.join(args)})",
             "    return thunk"]
     name = m.name if cc is None else f"{m.name}.{cc.name}"
-    namespace = dict(SUPERBLOCK_HELPERS, ExecResult=ExecResult,
-                     MemAccess=MemAccess)
+    namespace = dict(SUPERBLOCK_HELPERS, ExecResult=ExecResult)
     return _generate("\n".join(src), f"executor:{name}", namespace)["factory"]
 
 

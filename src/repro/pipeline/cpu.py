@@ -72,8 +72,9 @@ own: a per-µop transient decode cache of executor thunks, BTB key
 footprints and translations, cleared wholesale when the page tables
 change and per pc by :meth:`CPU.invalidate_code`.  Nothing is fused
 inside a window, so nested phantom episodes replay µop by µop on both
-engines.  ``PHANTOM_REPRO_FASTPATH=0`` selects the naive path (see
-``docs/performance.md``).
+engines, which predict a µop whose key footprint meets a live BTB key
+with the same ``BPU.predict_in_block`` call.  ``PHANTOM_REPRO_FASTPATH=0``
+selects the naive path (see ``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -1052,7 +1053,6 @@ class CPU:
         last_window = -1
         keys = None
         keys_kernel = False
-        scan_memo: dict[int, list] = {}
         if fast:
             generation = self.mem.aspace.generation
             if self._transient_gen != generation:
@@ -1121,17 +1121,6 @@ class CPU:
                     # of this instruction, so the scan below would
                     # return None with zero side effects — skip it.
                     nested_pred = None
-                elif fast:
-                    # The BTB is static for the whole window (branches
-                    # only train at retirement), so the pure per-byte
-                    # scan is memoized per pc; prediction resolution
-                    # and its metrics stay live on every visit.
-                    found = scan_memo.get(pc)
-                    if found is None:
-                        found = scan_memo[pc] = self.bpu.btb.scan_block(
-                            pc, length, kernel_mode=kernel_mode)
-                    nested_pred = self.bpu.predict_scanned(
-                        found, kernel_mode)
                 else:
                     nested_pred = self.bpu.predict_in_block(
                         pc, length, kernel_mode=kernel_mode)
