@@ -46,7 +46,6 @@ class BPU:
         self._m_predictions = _metrics.counter("bpu_predictions")
         self._m_cross_priv = _metrics.counter(
             "bpu_predictions", cross_privilege="true")
-        self._m_trainings = _metrics.counter("bpu_trainings")
 
     # -- prediction (frontend, pre-decode) ---------------------------------
 
@@ -104,8 +103,6 @@ class BPU:
         direction updates the PHT; calls push the RSB (the matching pop
         happens in :meth:`predict_return_pop` / at ret execution).
         """
-        if _REG.enabled:
-            self._m_trainings.value += 1
         if kind is BranchKind.CONDITIONAL:
             self.cond.update(pc, taken)
         if taken and target is not None:

@@ -238,8 +238,6 @@ class BTB:
         #: population with one set intersection instead of re-scanning
         #: each byte (see :meth:`block_keys`).
         self.live_keys: set[tuple[int, int]] = set()
-        self.installs = 0
-        self.hits = 0
         self.evictions = 0
         self._m_installs = _metrics.counter("btb_installs")
         self._m_hits = _metrics.counter("btb_hits")
@@ -295,7 +293,6 @@ class BTB:
             self.evictions += 1
             if _REG.enabled:
                 self._m_evictions.value += 1
-        self.installs += 1
         if _REG.enabled:
             self._m_installs.value += 1
 
@@ -315,7 +312,6 @@ class BTB:
         entry = ways.get(tag)
         if entry is not None:
             ways.move_to_end(tag)
-            self.hits += 1
             if _REG.enabled:
                 self._m_hits.value += 1
         return entry

@@ -12,9 +12,6 @@ from __future__ import annotations
 
 from ..memory.cache import Cache
 from ..params import CACHE_LINE
-from ..telemetry import metrics as _metrics
-
-_REG = _metrics.REGISTRY
 
 
 class UopCache:
@@ -27,10 +24,6 @@ class UopCache:
     def __init__(self) -> None:
         self._cache = Cache("uop", self.SETS * self.WAYS * self.WINDOW,
                             self.WAYS, line_size=self.WINDOW)
-        self.hit_events = 0
-        self.miss_events = 0
-        self._m_hits = _metrics.counter("uopcache_dispatch_hits")
-        self._m_misses = _metrics.counter("uopcache_dispatch_misses")
 
     def set_index(self, va: int) -> int:
         """Set selected by VA bits [6:12)."""
@@ -46,16 +39,7 @@ class UopCache:
         Returns True on hit.  This is the event pair the paper samples
         (Zen: ``op_cache_hit_miss``; Intel: ``idq.dsb_cycles``).
         """
-        hit, _ = self._cache.access(va)
-        if hit:
-            self.hit_events += 1
-            if _REG.enabled:
-                self._m_hits.value += 1
-        else:
-            self.miss_events += 1
-            if _REG.enabled:
-                self._m_misses.value += 1
-        return hit
+        return self._cache.access(va)[0]
 
     def fill(self, va: int) -> None:
         """Fill without counting dispatch events (speculative decode)."""
@@ -76,7 +60,3 @@ class UopCache:
 
     def resident_windows(self, set_index: int) -> list[int]:
         return self._cache.resident_lines(set_index)
-
-    def reset_counters(self) -> None:
-        self.hit_events = 0
-        self.miss_events = 0

@@ -190,7 +190,6 @@ class Machine:
                                 rng=self.rng)
         self.cpu = CPU(uarch, self.mem, rng=self.rng)
         self.kaslr = Kaslr.randomize(kaslr_seed)
-        self._m_syscalls = _metrics.counter("machine_syscalls")
         self._m_noise = _metrics.counter("machine_noise_evictions")
         self.mitigations = mitigations
         self.sibling_load = sibling_load
@@ -287,8 +286,6 @@ class Machine:
             cpu.state.write(Reg.RSP, KERNEL_STACK + KERNEL_STACK_SIZE - 64)
             cpu.cycles += self.uarch.syscall_entry_cost
             cpu.pmc.add("syscalls")
-            if _REG.enabled:
-                self._m_syscalls.value += 1
             if _TRACE.enabled:
                 _TRACE.emit("syscall", cpu.cycles,
                             nr=cpu.state.read(Reg.RAX))

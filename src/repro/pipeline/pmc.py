@@ -18,7 +18,6 @@ from contextlib import contextmanager
 
 #: Events the CPU emits.
 EVENTS = (
-    "cycles",
     "instructions",
     "op_cache_hit",                      # op_cache_hit_miss.op_cache_hit
     "op_cache_miss",                     # op_cache_hit_miss.op_cache_miss

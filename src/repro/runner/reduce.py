@@ -6,8 +6,8 @@ them into a single schema-valid campaign manifest:
 
 * one phase per job (name = the job's label, cycles = the simulated
   cycles of every machine the job booted);
-* metric counters and PMC values summed, gauges maxed, histograms
-  combined exactly (see :mod:`repro.telemetry.merge`);
+* metric counters and PMC values summed (see
+  :mod:`repro.telemetry.merge`);
 * totals = summed simulated work; wall time = the campaign's real
   elapsed time (which is where ``--jobs`` shows up).
 
@@ -24,8 +24,7 @@ from ..telemetry.manifest import MANIFEST_SCHEMA
 from ..telemetry.merge import merge_metric_snapshots, merge_pmc
 from .spec import JobSpec
 
-_EMPTY_METRICS = {"counters": {}, "gauges": {}, "histograms": {},
-                  "base_labels": {}}
+_EMPTY_METRICS = {"counters": {}, "base_labels": {}}
 
 
 def job_manifest(spec: JobSpec, ctx, metrics: dict, *, status: str,

@@ -2,8 +2,8 @@
 
 Three cooperating pieces (see ``docs/observability.md``):
 
-* :mod:`.metrics` — a process-wide registry of counters/gauges/
-  histograms the simulator layers emit into (no-op when disabled);
+* :mod:`.metrics` — a process-wide registry of labelled counters the
+  simulator layers emit into (no-op when disabled);
 * :mod:`.trace`   — typed, cycle-stamped events (retire, episode,
   resteer, syscall, probe round) fanned out to JSON-lines or in-memory
   sinks;
@@ -16,7 +16,7 @@ Three cooperating pieces (see ``docs/observability.md``):
 * :mod:`.progress` — live ``phantom.progress/1`` job-completion events
   plus a ``repro top``-style single-line TTY renderer;
 * :mod:`.exporters` — Chrome trace-event JSON (Perfetto) from span
-  records, OpenMetrics text from metric snapshots.
+  records, OpenMetrics text from counter and PMC snapshots.
 
 Everything is behaviour-neutral: telemetry never touches simulated
 cycles or machine state, so enabling it cannot change any result.
@@ -29,9 +29,8 @@ from .exporters import to_chrome_trace, to_openmetrics
 from .manifest import MANIFEST_SCHEMA, PhaseProfile, RunManifest, \
     machine_config
 from .merge import merge_metric_snapshots, merge_pmc
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry, REGISTRY, \
-    counter, gauge, histogram
-from .profiling import profile_block, time_callable
+from .metrics import Counter, MetricsRegistry, REGISTRY, counter
+from .profiling import time_callable
 from .progress import PROGRESS_SCHEMA, ProgressReporter
 from .schema import CONTRACT_VIOLATION_JSON_SCHEMA, \
     MANIFEST_JSON_SCHEMA, SchemaError, validate, validate_manifest, \
@@ -46,8 +45,6 @@ from .trace import JsonLinesSink, MemorySink, TRACE, TRACE_SCHEMA, \
 __all__ = [
     "CONTRACT_VIOLATION_JSON_SCHEMA",
     "Counter",
-    "Gauge",
-    "Histogram",
     "JsonLinesSink",
     "MANIFEST_JSON_SCHEMA",
     "MANIFEST_SCHEMA",
@@ -74,14 +71,11 @@ __all__ = [
     "critical_path",
     "diff_manifests",
     "enable_metrics",
-    "gauge",
-    "histogram",
     "machine_config",
     "merge_metric_snapshots",
     "merge_pmc",
     "metrics",
     "one_line_summary",
-    "profile_block",
     "read_jsonl",
     "read_spans",
     "stitch",
@@ -116,8 +110,8 @@ def one_line_summary(*machines) -> str:
     syscalls = sum(m.cpu.pmc.read("syscalls") for m in machines)
     seconds = sum(m.seconds() for m in machines)
     probe_rounds = sum(
-        inst.value for inst in REGISTRY._instruments.values()
-        if isinstance(inst, Counter) and inst.name == "sidechannel_probe_rounds")
+        value for key, value in REGISTRY.snapshot()["counters"].items()
+        if key.partition("{")[0] == "sidechannel_probe_rounds")
     return (f"telemetry: {frontend + backend} speculation episodes "
             f"({frontend} frontend / {backend} backend resteers), "
             f"{probe_rounds} probe rounds, {syscalls} syscalls, "

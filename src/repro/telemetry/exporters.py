@@ -8,10 +8,10 @@ Two wire formats the rest of the world already speaks:
   ``chrome://tracing``.  Each emitting process becomes one track, so
   the worker fan-out of a campaign is visible as parallel lanes.
 * :func:`to_openmetrics` — OpenMetrics text exposition from any
-  metrics snapshot (the ``{"counters": …, "gauges": …, "histograms":
-  …}`` dict a :class:`~repro.telemetry.MetricsRegistry` produces and
-  run manifests embed), optionally folding in a PMC snapshot.  Point a
-  Prometheus scrape job (or ``promtool check metrics``) at the output.
+  metrics snapshot (the ``{"counters": …}`` dict a
+  :class:`~repro.telemetry.MetricsRegistry` produces and run manifests
+  embed), optionally folding in a PMC snapshot.  Point a Prometheus
+  scrape job (or ``promtool check metrics``) at the output.
 
 Both are pure functions of their inputs — no I/O, no registry access —
 so they export live snapshots and years-old archived manifests alike.
@@ -83,57 +83,24 @@ def _label_block(label_body: str, base: dict) -> str:
     return "{" + inner + "}"
 
 
-def _num(value) -> str:
-    if value is None:
-        return "NaN"
-    if isinstance(value, bool):
-        return str(int(value))
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def to_openmetrics(metrics: dict, *, pmc: dict | None = None) -> str:
     """A metrics snapshot (+ optional PMC bank) → OpenMetrics text.
 
-    Counters become ``counter`` families (``_total`` samples), gauges
-    become ``gauge``\\ s, histograms expose their count/sum/min/max as a
-    gauge quartet (the snapshot's summary is what travels in manifests;
-    per-bucket data stays in-process, see
-    ``repro.telemetry.metrics.HISTOGRAM_BUCKETS``).  PMC values
-    export as counters under ``phantom_pmc_``.  Ends with the
+    Counters become ``counter`` families (``_total`` samples); PMC
+    values export as counters under ``phantom_pmc_``.  Ends with the
     mandatory ``# EOF`` marker.
     """
     base_labels = dict(metrics.get("base_labels", {}))
     lines: list[str] = []
 
-    for key, value in sorted(metrics.get("counters", {}).items()):
-        name, labels = _metric_name(key)
-        family = f"{_PREFIX}{name}"
-        lines.append(f"# TYPE {family} counter")
-        lines.append(f"{family}_total{_label_block(labels, base_labels)} "
-                     f"{_num(value)}")
-
-    for key, value in sorted(metrics.get("gauges", {}).items()):
-        name, labels = _metric_name(key)
-        family = f"{_PREFIX}{name}"
-        lines.append(f"# TYPE {family} gauge")
-        lines.append(f"{family}{_label_block(labels, base_labels)} "
-                     f"{_num(value)}")
-
-    for key, summary in sorted(metrics.get("histograms", {}).items()):
-        name, labels = _metric_name(key)
-        family = f"{_PREFIX}{name}"
-        block = _label_block(labels, base_labels)
-        lines.append(f"# TYPE {family} gauge")
-        for stat in ("count", "sum", "min", "max"):
-            lines.append(f"{family}_{stat}{block} "
-                         f"{_num(summary.get(stat))}")
-
-    for key, value in sorted((pmc or {}).items()):
-        name, labels = _metric_name(key)
-        family = f"{_PREFIX}pmc_{name}"
-        lines.append(f"# TYPE {family} counter")
-        lines.append(f"{family}_total{_label_block(labels, base_labels)} "
-                     f"{_num(value)}")
+    for prefix, snapshot in (("", metrics.get("counters", {})),
+                             ("pmc_", pmc or {})):
+        for key, value in sorted(snapshot.items()):
+            name, labels = _metric_name(key)
+            family = f"{_PREFIX}{prefix}{name}"
+            lines.append(f"# TYPE {family} counter")
+            lines.append(f"{family}_total"
+                         f"{_label_block(labels, base_labels)} {value}")
 
     lines.append("# EOF")
     return "\n".join(lines) + "\n"

@@ -6,11 +6,7 @@ serial mode — and each job returns a small ``phantom.run-manifest/1``
 document.  These helpers fold those per-job documents into one
 campaign-level view:
 
-* **counters** and **pmc** values are totals, so they add;
-* **gauges** are point-in-time values with no cross-job ordering, so
-  the merge keeps the maximum;
-* **histograms** combine exactly (counts and sums add, min/max widen,
-  the mean is recomputed).
+* **counters** and **pmc** values are totals, so they add.
 
 All functions are pure: inputs are never mutated.
 """
@@ -18,34 +14,11 @@ All functions are pure: inputs are never mutated.
 from __future__ import annotations
 
 
-def _merge_histogram(a: dict, b: dict) -> dict:
-    count = a.get("count", 0) + b.get("count", 0)
-    total = a.get("sum", 0.0) + b.get("sum", 0.0)
-    mins = [v for v in (a.get("min"), b.get("min")) if v is not None]
-    maxs = [v for v in (a.get("max"), b.get("max")) if v is not None]
-    return {"count": count, "sum": total,
-            "mean": total / count if count else 0.0,
-            "min": min(mins) if mins else None,
-            "max": max(maxs) if maxs else None}
-
-
 def merge_metric_snapshots(base: dict, other: dict) -> dict:
     """Fold one registry snapshot into another (see module doc)."""
-    out = {
-        "counters": dict(base.get("counters", {})),
-        "gauges": dict(base.get("gauges", {})),
-        "histograms": dict(base.get("histograms", {})),
-    }
+    out = {"counters": dict(base.get("counters", {}))}
     for key, value in other.get("counters", {}).items():
         out["counters"][key] = out["counters"].get(key, 0) + value
-    for key, value in other.get("gauges", {}).items():
-        out["gauges"][key] = max(out["gauges"].get(key, value), value)
-    for key, value in other.get("histograms", {}).items():
-        if key in out["histograms"]:
-            out["histograms"][key] = _merge_histogram(
-                out["histograms"][key], value)
-        else:
-            out["histograms"][key] = dict(value)
     labels_a = base.get("base_labels", {})
     labels_b = other.get("base_labels", {})
     out["base_labels"] = {k: v for k, v in labels_a.items()

@@ -1,12 +1,12 @@
-"""Process-wide metrics registry: counters, gauges, histograms.
+"""Process-wide metrics registry of labelled counters.
 
-Every simulator layer binds its instruments once (at construction) and
+Every simulator layer binds its counters once (at construction) and
 emits into them on the hot path.  Emission is a no-op while the
 registry is disabled — one attribute load and a branch — so leaving the
 hooks compiled in costs effectively nothing when nobody is measuring
 (the instrumentation contract every later perf PR relies on).
 
-Instruments carry **labels** (``uarch="zen2"``, ``level="L1I"``),
+Counters carry **labels** (``uarch="zen2"``, ``level="L1I"``),
 resolved at bind time; the registry additionally applies *base labels*
 (set once per run, e.g. the µarch under test) to every snapshot.
 
@@ -16,8 +16,6 @@ change any experiment's simulated behaviour.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 
 def _label_key(labels: dict[str, str]) -> tuple[tuple[str, str], ...]:
@@ -41,76 +39,13 @@ class Counter:
             self.value += n
 
 
-class Gauge:
-    """Point-in-time value (set, not accumulated)."""
-
-    __slots__ = ("_registry", "name", "labels", "value")
-
-    def __init__(self, registry: "MetricsRegistry", name: str,
-                 labels: dict[str, str]) -> None:
-        self._registry = registry
-        self.name = name
-        self.labels = labels
-        self.value = 0
-
-    def set(self, value) -> None:
-        if self._registry.enabled:
-            self.value = value
-
-    def add(self, n=1) -> None:
-        if self._registry.enabled:
-            self.value += n
-
-
-#: Histogram bucket upper bounds (powers of two; last bucket is +inf).
-HISTOGRAM_BUCKETS = tuple(1 << i for i in range(1, 21))
-
-
-class Histogram:
-    """Power-of-two bucketed histogram with count/sum/min/max."""
-
-    __slots__ = ("_registry", "name", "labels", "count", "sum",
-                 "min", "max", "buckets")
-
-    def __init__(self, registry: "MetricsRegistry", name: str,
-                 labels: dict[str, str]) -> None:
-        self._registry = registry
-        self.name = name
-        self.labels = labels
-        self.count = 0
-        self.sum = 0.0
-        self.min = None
-        self.max = None
-        self.buckets = [0] * (len(HISTOGRAM_BUCKETS) + 1)
-
-    def observe(self, value) -> None:
-        if not self._registry.enabled:
-            return
-        self.count += 1
-        self.sum += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        for i, bound in enumerate(HISTOGRAM_BUCKETS):
-            if value <= bound:
-                self.buckets[i] += 1
-                return
-        self.buckets[-1] += 1
-
-    def summary(self) -> dict:
-        mean = self.sum / self.count if self.count else 0.0
-        return {"count": self.count, "sum": self.sum, "mean": mean,
-                "min": self.min, "max": self.max}
-
-
 class MetricsRegistry:
-    """A process-wide bank of named, labelled instruments."""
+    """A process-wide bank of named, labelled counters."""
 
     def __init__(self) -> None:
         self.enabled = False
         self.base_labels: dict[str, str] = {}
-        self._instruments: dict[tuple, object] = {}
+        self._instruments: dict[tuple, Counter] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -121,15 +56,9 @@ class MetricsRegistry:
         self.enabled = False
 
     def reset(self) -> None:
-        """Zero every instrument (bindings stay valid)."""
+        """Zero every counter (bindings stay valid)."""
         for inst in self._instruments.values():
-            if isinstance(inst, Histogram):
-                inst.count = 0
-                inst.sum = 0.0
-                inst.min = inst.max = None
-                inst.buckets = [0] * len(inst.buckets)
-            else:
-                inst.value = 0
+            inst.value = 0
 
     def set_base_labels(self, **labels: str) -> None:
         """Labels applied to the whole snapshot (e.g. ``uarch='zen2'``)."""
@@ -137,44 +66,28 @@ class MetricsRegistry:
 
     # -- binding -----------------------------------------------------------
 
-    def _bind(self, cls, name: str, labels: dict[str, str]):
-        key = (cls.__name__, name, _label_key(labels))
+    def counter(self, name: str, **labels: str) -> Counter:
+        key = (name, _label_key(labels))
         inst = self._instruments.get(key)
         if inst is None:
-            inst = cls(self, name, labels)
+            inst = Counter(self, name, labels)
             self._instruments[key] = inst
         return inst
 
-    def counter(self, name: str, **labels: str) -> Counter:
-        return self._bind(Counter, name, labels)
-
-    def gauge(self, name: str, **labels: str) -> Gauge:
-        return self._bind(Gauge, name, labels)
-
-    def histogram(self, name: str, **labels: str) -> Histogram:
-        return self._bind(Histogram, name, labels)
-
     # -- export ------------------------------------------------------------
 
-    def snapshot(self, *, include_zero: bool = False) -> dict:
-        """JSON-ready dump: ``{kind: {name{labels}: value}}``."""
-        out: dict[str, dict] = {"counters": {}, "gauges": {},
-                                "histograms": {}}
+    def snapshot(self) -> dict:
+        """JSON-ready dump of the non-zero counters:
+        ``{"counters": {name{labels}: value}, "base_labels": {…}}``."""
+        counters: dict[str, int] = {}
         for inst in self._instruments.values():
+            if not inst.value:
+                continue
             label_txt = ",".join(f"{k}={v}"
                                  for k, v in sorted(inst.labels.items()))
             key = f"{inst.name}{{{label_txt}}}" if label_txt else inst.name
-            if isinstance(inst, Counter):
-                if inst.value or include_zero:
-                    out["counters"][key] = inst.value
-            elif isinstance(inst, Gauge):
-                if inst.value or include_zero:
-                    out["gauges"][key] = inst.value
-            elif isinstance(inst, Histogram):
-                if inst.count or include_zero:
-                    out["histograms"][key] = inst.summary()
-        out["base_labels"] = dict(self.base_labels)
-        return out
+            counters[key] = inst.value
+        return {"counters": counters, "base_labels": dict(self.base_labels)}
 
 
 #: The process-wide registry every simulator layer binds against.
@@ -183,11 +96,3 @@ REGISTRY = MetricsRegistry()
 
 def counter(name: str, **labels: str) -> Counter:
     return REGISTRY.counter(name, **labels)
-
-
-def gauge(name: str, **labels: str) -> Gauge:
-    return REGISTRY.gauge(name, **labels)
-
-
-def histogram(name: str, **labels: str) -> Histogram:
-    return REGISTRY.histogram(name, **labels)

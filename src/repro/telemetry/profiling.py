@@ -1,39 +1,14 @@
-"""Wall-clock profiling hooks feeding the metrics registry.
+"""Wall-clock timing of host code.
 
-These measure *host* time (how long the simulator itself takes), not
+This measures *host* time (how long the simulator itself takes), not
 simulated cycles — the instrument for "make a hot path measurably
-faster" claims.  Observations land in a histogram named
-``profile_<name>_seconds`` in the process registry, so profiles travel
-inside run manifests like any other metric.
+faster" claims.  Callers record the figures they need themselves, for
+example in a manifest's outcome.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-
-from .metrics import REGISTRY
-
-
-@contextmanager
-def profile_block(name: str, *, registry=None):
-    """Time a block and record the duration; yields a dict that gains
-    an ``elapsed_s`` key on exit (usable even when telemetry is off).
-
-    The histogram instrument binds lazily, on the first observation
-    made while the registry is enabled — profiling with telemetry off
-    must leave no ``profile_*`` entry behind in later snapshots.
-    """
-    registry = registry if registry is not None else REGISTRY
-    result: dict = {}
-    start = time.perf_counter()
-    try:
-        yield result
-    finally:
-        result["elapsed_s"] = time.perf_counter() - start
-        if registry.enabled:
-            registry.histogram(
-                f"profile_{name}_seconds").observe(result["elapsed_s"])
 
 
 def time_callable(fn, *, repeat: int = 5, number: int = 10_000) -> float:

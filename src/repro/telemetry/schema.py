@@ -40,11 +40,9 @@ MANIFEST_JSON_SCHEMA = {
         },
         "metrics": {
             "type": "object",
-            "required": ["counters", "gauges", "histograms"],
+            "required": ["counters"],
             "properties": {
                 "counters": {"type": "object"},
-                "gauges": {"type": "object"},
-                "histograms": {"type": "object"},
                 "base_labels": {"type": "object"},
             },
         },

@@ -10,19 +10,7 @@ from __future__ import annotations
 
 
 def _fmt_count(n) -> str:
-    if n is None:                      # empty-histogram min/max
-        return "-"
     return f"{n:,}" if isinstance(n, int) else f"{n:,.3f}"
-
-
-def _flatten_histograms(metrics: dict) -> dict:
-    """``{name: {count, sum, …}}`` → ``{name.count: v, name.sum: v}``,
-    the counter-shaped view sections and diffs work on."""
-    flat: dict = {}
-    for key, summary in metrics.get("histograms", {}).items():
-        flat[f"{key}.count"] = summary.get("count", 0)
-        flat[f"{key}.sum"] = summary.get("sum", 0.0)
-    return flat
 
 
 def _fmt_delta(before, after) -> str:
@@ -76,17 +64,6 @@ def summarize_manifest(doc: dict) -> list[str]:
         width = max(len(k) for k in counters)
         for name, value in sorted(counters.items()):
             lines.append(f"  {name:<{width}s}  {_fmt_count(value):>14s}")
-    histograms = doc.get("metrics", {}).get("histograms", {})
-    if histograms:
-        lines.append("histograms:")
-        width = max(len(k) for k in histograms)
-        for name, summary in sorted(histograms.items()):
-            lines.append(
-                f"  {name:<{width}s}  "
-                f"count {_fmt_count(summary.get('count', 0)):>10s}  "
-                f"sum {_fmt_count(summary.get('sum', 0.0)):>12s}  "
-                f"min {_fmt_count(summary.get('min')):>10s}  "
-                f"max {_fmt_count(summary.get('max')):>10s}")
     return lines
 
 
@@ -132,10 +109,6 @@ def diff_manifests(before: dict, after: dict) -> list[str]:
     _diff_section("metric counters",
                   before.get("metrics", {}).get("counters", {}),
                   after.get("metrics", {}).get("counters", {}), lines)
-    _diff_section("metric histograms",
-                  _flatten_histograms(before.get("metrics", {})),
-                  _flatten_histograms(after.get("metrics", {})), lines)
     if len(lines) == 2:
-        lines.append("no differences in phases, pmc, counters, "
-                     "or histograms")
+        lines.append("no differences in phases, pmc or counters")
     return lines

@@ -146,8 +146,8 @@ class TestUopCache:
         uc = UopCache()
         assert not uc.access(0x1000)
         assert uc.access(0x1000)
-        assert uc.miss_events == 1
-        assert uc.hit_events == 1
+        stats = uc._cache.stats
+        assert (stats.misses, stats.hits) == (1, 1)
 
     def test_priming_and_eviction(self):
         """Fill a set with 8 windows 4096 bytes apart (the jmp-series),
@@ -156,7 +156,6 @@ class TestUopCache:
         series = [0xAC0 + i * 4096 for i in range(8)]
         for va in series:
             uc.access(va)
-        uc.reset_counters()
         uc.fill(0x30AC0)  # phantom target decode
         # Probe MRU-first to avoid the classic LRU self-eviction cascade.
         hits = sum(uc.access(va) for va in reversed(series))
@@ -167,7 +166,6 @@ class TestUopCache:
         series = [0xAC0 + i * 4096 for i in range(8)]
         for va in series:
             uc.access(va)
-        uc.reset_counters()
         uc.fill(0x30B00)  # different page offset -> different set
         hits = sum(uc.access(va) for va in series)
         assert hits == 8
@@ -175,7 +173,8 @@ class TestUopCache:
     def test_fill_does_not_count_dispatch_events(self):
         uc = UopCache()
         uc.fill(0x2000)
-        assert uc.miss_events == 0 and uc.hit_events == 0
+        stats = uc._cache.stats
+        assert (stats.misses, stats.hits) == (0, 0)
         assert uc.lookup(0x2000)
 
     def test_invalidate_window(self):

@@ -29,11 +29,11 @@ def test_unknown_event_rejected():
 def test_sample_context_measures_delta():
     pmc = PMC()
     pmc.add("instructions", 100)
-    with pmc.sample("instructions", "cycles") as sample:
+    with pmc.sample("instructions", "syscalls") as sample:
         pmc.add("instructions", 7)
-        pmc.add("cycles", 3)
+        pmc.add("syscalls", 3)
     assert sample["instructions"] == 7
-    assert sample["cycles"] == 3
+    assert sample["syscalls"] == 3
     assert pmc.read("instructions") == 107
 
 
@@ -63,11 +63,11 @@ def test_sample_contexts_nest_independently():
     pmc = PMC()
     with pmc.sample("instructions") as outer:
         pmc.add("instructions", 2)
-        with pmc.sample("instructions", "cycles") as inner:
+        with pmc.sample("instructions", "syscalls") as inner:
             pmc.add("instructions", 5)
-            pmc.add("cycles", 9)
+            pmc.add("syscalls", 9)
         assert inner["instructions"] == 5
-        assert inner["cycles"] == 9
+        assert inner["syscalls"] == 9
         pmc.add("instructions", 1)
     assert outer["instructions"] == 8   # sees inner's additions too
 

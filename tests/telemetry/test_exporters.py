@@ -55,29 +55,16 @@ def test_chrome_trace_of_nothing_is_still_a_document():
 
 # -- OpenMetrics -------------------------------------------------------------
 
-def test_openmetrics_renders_counters_gauges_histograms():
-    metrics = {
-        "counters": {"btb.installs": 12},
-        "gauges": {"pool.workers": 4},
-        "histograms": {"profile_decode_seconds": {
-            "count": 3, "sum": 0.75, "mean": 0.25, "min": 0.1, "max": 0.4}},
-    }
-    text = to_openmetrics(metrics)
+def test_openmetrics_renders_counters():
+    text = to_openmetrics({"counters": {"btb.installs": 12}})
     assert "# TYPE phantom_btb_installs counter" in text
     assert "phantom_btb_installs_total 12" in text
-    assert "# TYPE phantom_pool_workers gauge" in text
-    assert "phantom_pool_workers 4" in text
-    assert "phantom_profile_decode_seconds_count 3" in text
-    assert "phantom_profile_decode_seconds_sum 0.75" in text
-    assert "phantom_profile_decode_seconds_min 0.1" in text
-    assert "phantom_profile_decode_seconds_max 0.4" in text
     assert text.endswith("# EOF\n")
 
 
 def test_openmetrics_merges_instrument_and_base_labels():
     metrics = {
         "counters": {"leaks{channel=fetch}": 9},
-        "gauges": {}, "histograms": {},
         "base_labels": {"uarch": "zen2"},
     }
     text = to_openmetrics(metrics)
@@ -85,16 +72,8 @@ def test_openmetrics_merges_instrument_and_base_labels():
 
 
 def test_openmetrics_exports_pmc_bank_as_counters():
-    text = to_openmetrics({"counters": {}, "gauges": {}, "histograms": {}},
+    text = to_openmetrics({"counters": {}},
                           pmc={"de_dis_uop_queue_empty": 41})
     assert "# TYPE phantom_pmc_de_dis_uop_queue_empty counter" in text
     assert "phantom_pmc_de_dis_uop_queue_empty_total 41" in text
 
-
-def test_openmetrics_handles_empty_histogram_bounds():
-    metrics = {"counters": {}, "gauges": {},
-               "histograms": {"empty": {"count": 0, "sum": 0.0,
-                                        "min": None, "max": None}}}
-    text = to_openmetrics(metrics)
-    assert "phantom_empty_min NaN" in text
-    assert "phantom_empty_max NaN" in text

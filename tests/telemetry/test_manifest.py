@@ -40,7 +40,9 @@ def test_begin_phase_finish_produces_a_valid_document():
     assert doc["totals"]["cycles"] == machine.cycles
     assert doc["totals"]["simulated_seconds"] == machine.seconds()
     assert doc["pmc"]["syscalls"] == 1
-    assert any(k.startswith("machine_syscalls")
+    assert "cycles" not in doc["pmc"]          # totals.cycles holds them
+    assert set(doc["metrics"]) == {"counters", "base_labels"}
+    assert any(k.startswith("cache_hits{")
                for k in doc["metrics"]["counters"])
 
 

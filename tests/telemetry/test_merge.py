@@ -1,60 +1,28 @@
-"""Merging per-job telemetry into campaign views (satellite: histogram
-merge semantics and absorb lineage)."""
+"""Merging per-job telemetry into campaign views: counter and PMC sums,
+archived gauge/histogram blocks, absorb lineage."""
 
 from repro.telemetry import RunManifest
 from repro.telemetry.merge import merge_metric_snapshots, merge_pmc
 
 
-def _snapshot(counters=None, gauges=None, histograms=None, labels=None):
-    snap = {"counters": counters or {}, "gauges": gauges or {},
-            "histograms": histograms or {}}
-    if labels is not None:
-        snap["base_labels"] = labels
-    return snap
+def _snapshot(counters=None):
+    return {"counters": counters or {}}
 
 
-def test_counters_add_and_gauges_keep_max():
-    merged = merge_metric_snapshots(
-        _snapshot(counters={"a": 2}, gauges={"depth": 3}),
-        _snapshot(counters={"a": 5, "b": 1}, gauges={"depth": 2}))
+def test_counters_add():
+    merged = merge_metric_snapshots(_snapshot(counters={"a": 2}),
+                                    _snapshot(counters={"a": 5, "b": 1}))
     assert merged["counters"] == {"a": 7, "b": 1}
-    assert merged["gauges"] == {"depth": 3}
 
 
-def test_histograms_add_counts_and_widen_bounds():
-    a = {"h": {"count": 2, "sum": 3.0, "mean": 1.5, "min": 1.0, "max": 2.0}}
-    b = {"h": {"count": 1, "sum": 9.0, "mean": 9.0, "min": 9.0, "max": 9.0}}
-    merged = merge_metric_snapshots(_snapshot(histograms=a),
-                                    _snapshot(histograms=b))
-    assert merged["histograms"]["h"] == {
-        "count": 3, "sum": 12.0, "mean": 4.0, "min": 1.0, "max": 9.0}
-
-
-def test_empty_histogram_merges_without_poisoning_bounds():
-    empty = {"h": {"count": 0, "sum": 0.0, "mean": 0.0,
-                   "min": None, "max": None}}
-    full = {"h": {"count": 2, "sum": 1.0, "mean": 0.5,
-                  "min": 0.25, "max": 0.75}}
-    merged = merge_metric_snapshots(_snapshot(histograms=empty),
-                                    _snapshot(histograms=full))
-    assert merged["histograms"]["h"]["min"] == 0.25
-    assert merged["histograms"]["h"]["max"] == 0.75
-    both_empty = merge_metric_snapshots(_snapshot(histograms=empty),
-                                        _snapshot(histograms=empty))
-    assert both_empty["histograms"]["h"]["min"] is None
-    assert both_empty["histograms"]["h"]["max"] is None
-
-
-def test_disjoint_histogram_keys_pass_through_as_copies():
-    a = {"only_a": {"count": 1, "sum": 1.0, "mean": 1.0,
-                    "min": 1.0, "max": 1.0}}
-    b = {"only_b": {"count": 1, "sum": 2.0, "mean": 2.0,
-                    "min": 2.0, "max": 2.0}}
-    merged = merge_metric_snapshots(_snapshot(histograms=a),
-                                    _snapshot(histograms=b))
-    assert set(merged["histograms"]) == {"only_a", "only_b"}
-    merged["histograms"]["only_b"]["count"] = 99
-    assert b["only_b"]["count"] == 1       # inputs never mutated
+def test_archived_gauges_and_histograms_are_dropped():
+    # Manifests written before the registry held only counters carry
+    # (empty or not) gauge and histogram blocks; merging keeps counters.
+    archived = {"counters": {"a": 1}, "gauges": {"depth": 3},
+                "histograms": {"h": {"count": 1, "sum": 1.0, "mean": 1.0,
+                                     "min": 1.0, "max": 1.0}}}
+    merged = merge_metric_snapshots(archived, _snapshot(counters={"a": 2}))
+    assert merged == {"counters": {"a": 3}, "base_labels": {}}
 
 
 def test_merge_does_not_mutate_inputs():
@@ -70,20 +38,13 @@ def test_pmc_banks_sum():
         == {"x": 1, "y": 5, "z": 4}
 
 
-def test_absorb_merges_histograms_and_lifts_observability_lineage():
+def test_absorb_merges_counters_and_lifts_observability_lineage():
     host = RunManifest.begin("matrix", config={})
-    host.metrics = _snapshot(histograms={
-        "profile_decode_seconds": {"count": 1, "sum": 0.5, "mean": 0.5,
-                                   "min": 0.5, "max": 0.5}})
     host.finish("success")
-    host.metrics = _snapshot(histograms={
-        "profile_decode_seconds": {"count": 1, "sum": 0.5, "mean": 0.5,
-                                   "min": 0.5, "max": 0.5}})
+    host.metrics = _snapshot(counters={"btb_installs": 1})
     campaign = {
         "phases": [{"name": "jobs", "cycles": 10, "wall_time_s": 1.0}],
-        "metrics": _snapshot(histograms={
-            "profile_decode_seconds": {"count": 3, "sum": 4.5, "mean": 1.5,
-                                       "min": 0.25, "max": 3.0}}),
+        "metrics": _snapshot(counters={"btb_installs": 3}),
         "pmc": {"syscalls": 2},
         "totals": {"cycles": 10, "simulated_seconds": 0.5},
         "outcome": {"status": "success",
@@ -93,9 +54,7 @@ def test_absorb_merges_histograms_and_lifts_observability_lineage():
                     "progress": {"done": 6, "failed": 0}},
     }
     host.absorb(campaign)
-    merged = host.metrics["histograms"]["profile_decode_seconds"]
-    assert merged["count"] == 4
-    assert merged["min"] == 0.25 and merged["max"] == 3.0
+    assert host.metrics["counters"] == {"btb_installs": 4}
     assert host.pmc["syscalls"] == 2
     # Recovery AND observability lineage lift into the host outcome.
     assert host.outcome["resume"] == {"from": "journal.jsonl",

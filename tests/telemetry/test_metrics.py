@@ -1,8 +1,7 @@
-"""Metrics registry: instruments, labels, enable/disable, snapshots."""
+"""Metrics registry: counters, labels, enable/disable, snapshots."""
 
 from repro.telemetry import REGISTRY
-from repro.telemetry.metrics import (Counter, Gauge, Histogram,
-                                     HISTOGRAM_BUCKETS, MetricsRegistry)
+from repro.telemetry.metrics import Counter, MetricsRegistry
 
 
 def test_disabled_registry_is_a_noop():
@@ -40,38 +39,12 @@ def test_same_name_and_labels_share_one_instrument():
     assert a is not other
 
 
-def test_gauge_set_and_add():
-    REGISTRY.enable()
-    g = REGISTRY.gauge("test_gauge")
-    g.set(7)
-    g.add(3)
-    assert g.value == 10
-
-
-def test_histogram_observe_and_summary():
-    REGISTRY.enable()
-    h = REGISTRY.histogram("test_hist")
-    for v in (1, 2, 3, 1000):
-        h.observe(v)
-    s = h.summary()
-    assert s["count"] == 4
-    assert s["sum"] == 1006
-    assert s["min"] == 1 and s["max"] == 1000
-    assert sum(h.buckets) == 4
-
-
-def test_histogram_overflow_bucket():
-    REGISTRY.enable()
-    h = REGISTRY.histogram("test_hist_overflow")
-    h.observe(HISTOGRAM_BUCKETS[-1] + 1)
-    assert h.buckets[-1] == 1
-
-
 def test_snapshot_format_and_zero_suppression():
     REGISTRY.enable()
     REGISTRY.counter("test_snap_zero")          # stays zero: suppressed
     REGISTRY.counter("test_snap", level="L1I").inc(3)
     snap = REGISTRY.snapshot()
+    assert set(snap) == {"counters", "base_labels"}
     assert "test_snap{level=L1I}" in snap["counters"]
     assert snap["counters"]["test_snap{level=L1I}"] == 3
     assert "test_snap_zero" not in snap["counters"]
@@ -99,10 +72,23 @@ def test_registries_are_independent():
     c = mine.counter("test_private")
     c.inc()
     assert c.value == 1
-    assert ("Counter", "test_private", ()) not in REGISTRY._instruments
+    assert ("test_private", ()) not in REGISTRY._instruments
+
 
 
 def test_instrument_kinds():
+    # Counters are the only instrument: point-in-time values and
+    # timings belong in a manifest's outcome, not in the registry.
     assert isinstance(REGISTRY.counter("test_kind_c"), Counter)
-    assert isinstance(REGISTRY.gauge("test_kind_g"), Gauge)
-    assert isinstance(REGISTRY.histogram("test_kind_h"), Histogram)
+    assert not hasattr(REGISTRY, "gauge")
+    assert not hasattr(REGISTRY, "histogram")
+
+
+def test_one_line_summary_sums_probe_rounds_over_channels():
+    from repro.telemetry import one_line_summary
+
+    REGISTRY.enable()
+    REGISTRY.counter("sidechannel_probe_rounds", channel="L1I").inc(2)
+    REGISTRY.counter("sidechannel_probe_rounds", channel="FR").inc(3)
+    REGISTRY.counter("sidechannel_prime_rounds", channel="L1I").inc(7)
+    assert "5 probe rounds" in one_line_summary()

@@ -11,7 +11,7 @@ SCHEMA_COPY = Path(__file__).parent.parent / "data" / \
 
 
 def _doc(command="kaslr", status="success", cycles=1000, counters=None,
-         pmc=None, histograms=None):
+         pmc=None):
     manifest = RunManifest.begin(command, config={"uarch": "Zen 2"})
     manifest.finish(status)
     doc = manifest.to_dict()
@@ -20,7 +20,6 @@ def _doc(command="kaslr", status="success", cycles=1000, counters=None,
     doc["phases"] = [{"name": "attack", "cycles": cycles,
                       "wall_time_s": 0.5}]
     doc["metrics"]["counters"] = counters or {}
-    doc["metrics"]["histograms"] = histograms or {}
     doc["pmc"] = pmc or {}
     return doc
 
@@ -80,39 +79,13 @@ def test_diff_handles_new_counters():
     assert "fresh_counter" in text and "+9" in text
 
 
-def test_summary_renders_histograms():
-    doc = _doc(histograms={"profile_decode_seconds": {
-        "count": 4, "sum": 2.0, "mean": 0.5, "min": 0.1, "max": 0.9}})
-    text = "\n".join(summarize_manifest(doc))
-    assert "histograms:" in text
-    assert "profile_decode_seconds" in text
-    assert "count" in text and "4" in text
-    assert "min" in text and "0.100" in text
-    assert "max" in text and "0.900" in text
-
-
-def test_summary_renders_empty_histogram_bounds_as_dash():
-    doc = _doc(histograms={"empty": {"count": 0, "sum": 0.0,
-                                     "min": None, "max": None}})
-    text = "\n".join(summarize_manifest(doc))
-    assert "min          -" in text or "-" in text.split("empty")[1]
-
-
-def test_diff_reports_moved_histograms():
-    before = _doc(histograms={"profile_decode_seconds": {
-        "count": 2, "sum": 1.0, "mean": 0.5, "min": 0.5, "max": 0.5}})
-    after = _doc(histograms={"profile_decode_seconds": {
-        "count": 6, "sum": 1.5, "mean": 0.25, "min": 0.1, "max": 0.5}})
-    text = "\n".join(diff_manifests(before, after))
-    assert "metric histograms:" in text
-    assert "profile_decode_seconds.count" in text
-    assert "+4 (+200.0%)" in text
-    assert "profile_decode_seconds.sum" in text
-
-
 def test_diff_of_identical_histograms_is_silent():
-    doc = _doc(histograms={"h": {"count": 1, "sum": 1.0, "mean": 1.0,
-                                 "min": 1.0, "max": 1.0}})
+    # Archived manifests still carry histogram blocks; only counters,
+    # PMC and phases are compared.
+    doc = _doc()
+    doc["metrics"]["histograms"] = {"h": {"count": 1, "sum": 1.0,
+                                          "mean": 1.0, "min": 1.0,
+                                          "max": 1.0}}
     text = "\n".join(diff_manifests(doc, doc))
-    assert "metric histograms" not in text
+    assert "histograms" not in text
     assert "no differences" in text

@@ -1,5 +1,7 @@
 """CLI: every command runs through the public API and exits cleanly."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -174,6 +176,56 @@ def test_stats_diffs_two_manifests(capsys, tmp_path):
     code, out = run(capsys, "stats", str(a), str(b))
     assert code == 0
     assert "diff: gadgets" in out
+
+
+#: A manifest written while the registry still exported gauge and
+#: histogram blocks (``benchmarks/results/pmc_overhead.manifest.json``
+#: as it was then).
+MANIFEST_WITH_HISTOGRAMS = (Path(__file__).parent / "data"
+                            / "manifest-with-histograms.json")
+
+
+def test_campaign_manifest_holds_one_counter_per_quantity(capsys):
+    import json
+
+    from repro.pipeline.pmc import EVENTS
+
+    code, out = run(capsys, "matrix", "--uarch", "zen2", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert set(doc["metrics"]) == {"counters", "base_labels"}
+    counters = doc["metrics"]["counters"]
+    # Every counter here has no PMC twin, or is one perfbench reads
+    # (speculation episodes, BTB installs, predictions, cache levels).
+    assert {key.partition("{")[0] for key in counters} == {
+        "bpu_predictions", "btb_installs", "cache_evictions",
+        "cache_hits", "cache_misses", "speculation_episodes"}
+    for level in ("uop", "L1I", "L1D"):
+        assert f"cache_hits{{level={level}}}" in counters
+        assert f"cache_misses{{level={level}}}" in counters
+    assert set(doc["pmc"]) == set(EVENTS)
+    assert "cycles" not in doc["pmc"]       # totals.cycles holds them
+    assert doc["totals"]["cycles"] > 0
+
+
+def test_stats_reads_manifests_with_histogram_blocks(capsys, tmp_path):
+    import json
+
+    from repro.telemetry import validate_manifest
+
+    validate_manifest(json.loads(MANIFEST_WITH_HISTOGRAMS.read_text()))
+    code, out = run(capsys, "stats", str(MANIFEST_WITH_HISTOGRAMS))
+    assert code == 0
+    assert "run: bench-pmc-overhead" in out
+    assert "speedup" in out
+    run(capsys, "gadgets", "--functions", "60",
+        "--results-dir", str(tmp_path))
+    (current,) = tmp_path.glob("gadgets-*.json")
+    code, out = run(capsys, "stats", str(MANIFEST_WITH_HISTOGRAMS),
+                    str(current))
+    assert code == 0
+    assert "diff: bench-pmc-overhead" in out
+    assert "histograms" not in out
 
 
 def _write_bench_doc(path, speedup=10.0):
