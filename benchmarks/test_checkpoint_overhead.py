@@ -8,23 +8,23 @@ resumed from a complete journal, and archives the per-job cost of each
 in a run manifest for ``repro stats`` to track across revisions.
 
 Whichever campaign runs third in one process reads 2-3x slower than
-the same campaign run first, so the variants are timed over several
-rounds in rotating order (each variant runs first, second and third
-equally often) and each one reports its median.
+the same campaign run first, so the variants are timed in
+:func:`repro.bench.paired_rounds`, whose rotating order runs each one
+first, second and third equally often, and each one reports its
+median.
 """
 
-import statistics
+import itertools
 from dataclasses import dataclass
 from typing import ClassVar
 
+from repro.bench import ROUNDS, paired_rounds
 from repro.resilience import load_checkpoint
 from repro.runner import JobSpec, derive_seed, run_campaign
 
 from _harness import emit, run_once, scale, telemetry_run
 
 JOBS = scale(200, 2_000)
-#: A multiple of the three variants: each runs in each slot equally often.
-ROUNDS = 6
 
 
 @dataclass(frozen=True)
@@ -50,37 +50,28 @@ class JournaledToy:
         return [r.value for r in results if r.ok]
 
 
-def _timed_campaign(**kwargs) -> float:
-    import time
-
-    start = time.perf_counter()
-    campaign = run_campaign(JournaledToy(), jobs=1, **kwargs)
-    elapsed = time.perf_counter() - start
-    assert not campaign.failures
-    return elapsed
+def _campaign(**kwargs):
+    def run():
+        campaign = run_campaign(JournaledToy(), jobs=1, **kwargs)
+        assert not campaign.failures
+    return run
 
 
 def test_checkpoint_journal_overhead(benchmark, tmp_path):
     full_journal = tmp_path / "full.jsonl"
-    _timed_campaign(checkpoint=full_journal)
+    _campaign(checkpoint=full_journal)()
+    journals = (tmp_path / f"ckpt-{r}.jsonl" for r in itertools.count())
     variants = {
-        "bare": lambda r: _timed_campaign(),
-        "journaled": lambda r: _timed_campaign(
-            checkpoint=tmp_path / f"ckpt-{r}.jsonl"),
-        "resume": lambda r: _timed_campaign(resume=full_journal),
+        "bare": _campaign,
+        "journaled": lambda: _campaign(checkpoint=next(journals)),
+        "resume": lambda: _campaign(resume=full_journal),
     }
-    order = list(variants)
 
     def measure():
-        times = {name: [] for name in order}
         with telemetry_run("bench-checkpoint-overhead", jobs=JOBS,
                            rounds=ROUNDS) as manifest:
-            for r in range(ROUNDS):
-                shift = r % len(order)
-                for name in order[shift:] + order[:shift]:
-                    times[name].append(variants[name](r))
-            medians = {name: statistics.median(ts)
-                       for name, ts in times.items()}
+            rounds = paired_rounds(variants)
+            medians = {name: rounds.median(name) for name in variants}
             manifest.finish(
                 "success",
                 bare_us_per_job=medians["bare"] / JOBS * 1e6,
@@ -92,7 +83,7 @@ def test_checkpoint_journal_overhead(benchmark, tmp_path):
     bare_s, per_job_s, resume_s, manifest = run_once(benchmark, measure)
 
     lines = [f"checkpoint journal overhead, {JOBS:,} jobs, "
-             f"median of {ROUNDS} rotating rounds",
+             f"median of {ROUNDS} rotating rounds, CPU time",
              f"{'variant':22s} {'us/job':>8s}",
              f"{'no journal':22s} {bare_s / JOBS * 1e6:8.1f}",
              f"{'journal every job':22s} {per_job_s / JOBS * 1e6:8.1f}",

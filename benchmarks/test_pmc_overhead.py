@@ -5,12 +5,13 @@ counters are interned: event names map to fixed integer indices into a
 plain list (``EVENT_INDEX``), and the pipeline pre-resolves the indices
 it uses so its hot loops bump list slots directly.  This benchmark
 measures the per-call cost of the interned implementation against the
-previous dict-of-names variant and archives the delta in a run
-manifest, so ``repro stats`` can track it across revisions.
+previous dict-of-names variant in :func:`repro.bench.paired_rounds`
+and archives the delta in a run manifest, so ``repro stats`` can track
+it across revisions.
 """
 
+from repro.bench import ROUNDS, paired_rounds
 from repro.pipeline.pmc import EVENTS, PMC
-from repro.telemetry import time_callable
 
 from _harness import emit, run_once, scale, telemetry_run
 
@@ -36,36 +37,43 @@ class DictPMC:
         return self._counts[event]
 
 
+def _calls(add):
+    def run():
+        for _ in range(CALLS):
+            add(LAST_EVENT)
+    return run
+
+
 def test_pmc_add_interned_counters(benchmark):
     pmc = PMC()
     legacy = DictPMC()
 
     def measure():
-        with telemetry_run("bench-pmc-overhead", calls=CALLS) as manifest:
-            interned_s = time_callable(
-                lambda: pmc.add(LAST_EVENT), repeat=3, number=CALLS)
-            dict_s = time_callable(
-                lambda: legacy.add(LAST_EVENT), repeat=3, number=CALLS)
-            speedup = dict_s / interned_s if interned_s else 0.0
+        with telemetry_run("bench-pmc-overhead", calls=CALLS,
+                           rounds=ROUNDS) as manifest:
+            rounds = paired_rounds({"interned": lambda: _calls(pmc.add),
+                                    "dict": lambda: _calls(legacy.add)})
+            speedup, iqr = rounds.ratio("dict", "interned")
             manifest.finish(
                 "success",
-                interned_ns_per_call=interned_s / CALLS * 1e9,
-                dict_ns_per_call=dict_s / CALLS * 1e9,
-                speedup=speedup)
-        return interned_s, dict_s, speedup, manifest
+                interned_ns_per_call=rounds.median("interned") / CALLS * 1e9,
+                dict_ns_per_call=rounds.median("dict") / CALLS * 1e9,
+                speedup=speedup, speedup_iqr=iqr)
+        return rounds, speedup, iqr, manifest
 
-    interned_s, dict_s, speedup, manifest = run_once(benchmark, measure)
+    rounds, speedup, iqr, manifest = run_once(benchmark, measure)
+    interned_s, dict_s = rounds.median("interned"), rounds.median("dict")
 
     lines = [f"PMC.add per-call cost, {CALLS:,} calls "
-             f"(event {LAST_EVENT!r})",
+             f"(event {LAST_EVENT!r}, median of {ROUNDS} paired rounds)",
              f"{'variant':14s} {'ns/call':>10s}",
              f"{'interned':14s} {interned_s / CALLS * 1e9:10.1f}",
              f"{'dict':14s} {dict_s / CALLS * 1e9:10.1f}",
-             f"speedup: {speedup:.2f}x"]
+             f"speedup: {speedup:.2f}x (IQR {iqr:.2f}x)"]
     emit("pmc_overhead", lines, manifest=manifest)
 
     # Both implementations must count identically.
-    assert pmc.read(LAST_EVENT) == legacy.read(LAST_EVENT) == 3 * CALLS
+    assert pmc.read(LAST_EVENT) == legacy.read(LAST_EVENT) == ROUNDS * CALLS
     # Interning must never lose to the dict variant by more than
     # measurement noise (generous bound: CI machines are noisy).
     assert interned_s < dict_s * 1.5

@@ -5,62 +5,61 @@ no-op branch and *enabled* telemetry only brackets coarse phases (jobs,
 boots, fast-path compiles) — never per-instruction work.  This guard
 runs the ``branch_heavy`` bench workload (the mispredict-and-recover
 steady state the experiments live in) with the span recorder off and
-on, and fails if enabling capture costs more than a few percent of
-wall clock.
-
-Tolerance: 3% by default (the acceptance bar), overridable through
-``REPRO_SPAN_OVERHEAD_TOL`` (fraction, e.g. ``0.10``) for noisy CI
-runners.  The off/on rounds are *interleaved* (off, on, off, on, ...)
-and best-of-N is taken per variant, so slow clock drift — thermal
-throttling, a neighbour landing on the core — hits both variants
-equally instead of being billed to whichever batch ran second.
+on in :func:`repro.bench.paired_rounds`, and fails if enabling capture
+costs more than 3 % of CPU time (median per-round ratio).  The
+deterministic half of the contract, spans per retired instruction, is
+pinned by ``tests/telemetry/test_spans.py``.
 """
 
-import os
+import itertools
 
-from repro.bench import _branch_heavy, _run_program
+from repro.bench import ROUNDS, _branch_heavy, _program, paired_rounds
 from repro.telemetry import SPANS
 
 from _harness import emit, run_once, scale
 
 ITERS = scale(3_000, 20_000)
-REPEATS = 5
-TOLERANCE = float(os.environ.get("REPRO_SPAN_OVERHEAD_TOL", "0.03"))
+TOLERANCE = 0.03
 
 
-def _one_round(tracing: bool, span_dir) -> float:
-    if not tracing:
-        return _run_program(_branch_heavy, ITERS, fastpath=True)[1]
-    SPANS.start(span_dir, name="bench")
-    try:
-        with SPANS.span("branch_heavy", iters=ITERS):
-            _, wall, _ = _run_program(_branch_heavy, ITERS, fastpath=True)
-    finally:
-        SPANS.finish()
-    return wall
+def _untraced():
+    return _program(_branch_heavy, ITERS, fastpath=True)
+
+
+def _traced(span_dirs):
+    def setup():
+        run = _untraced()
+        span_dir = next(span_dirs)
+
+        def traced():
+            SPANS.start(span_dir, name="bench")
+            try:
+                with SPANS.span("branch_heavy", iters=ITERS):
+                    return run()
+            finally:
+                SPANS.finish()
+        return traced
+    return setup
 
 
 def test_span_capture_overhead_is_bounded(benchmark, tmp_path):
-    def measure():
-        _one_round(False, None)                    # warm both engines
-        _one_round(True, tmp_path / "warmup")
-        baseline_s = traced_s = float("inf")
-        for round_ in range(REPEATS):
-            baseline_s = min(baseline_s, _one_round(False, None))
-            traced_s = min(
-                traced_s, _one_round(True, tmp_path / f"round{round_}"))
-        return baseline_s, traced_s
+    span_dirs = (tmp_path / f"round{r}" for r in itertools.count())
 
-    baseline_s, traced_s = run_once(benchmark, measure)
-    overhead = traced_s / baseline_s - 1.0
+    def measure():
+        return paired_rounds({"spans off": _untraced,
+                              "spans on": _traced(span_dirs)})
+
+    rounds = run_once(benchmark, measure)
+    ratio, iqr = rounds.ratio("spans on", "spans off")
+    overhead = ratio - 1.0
 
     lines = [f"span capture overhead, branch_heavy x {ITERS:,} "
-             f"(best of {REPEATS})",
+             f"(median of {ROUNDS} paired rounds, CPU time)",
              f"{'variant':14s} {'seconds':>9s}",
-             f"{'spans off':14s} {baseline_s:9.4f}",
-             f"{'spans on':14s} {traced_s:9.4f}",
+             f"{'spans off':14s} {rounds.median('spans off'):9.4f}",
+             f"{'spans on':14s} {rounds.median('spans on'):9.4f}",
              f"overhead: {overhead * 100:+.2f}% "
-             f"(tolerance {TOLERANCE * 100:.0f}%)"]
+             f"(IQR {iqr * 100:.2f} pp, tolerance {TOLERANCE * 100:.0f}%)"]
     emit("span_overhead", lines)
 
     assert not SPANS.enabled          # benchmark left no recorder behind

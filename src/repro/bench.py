@@ -22,6 +22,13 @@ perf regression can be localised to the layer that lost coverage.
 Regression comparison is done on the fast/slow *speedup ratio*, not
 absolute IPS: the ratio divides out host speed, so a baseline committed
 from one machine remains meaningful on any other (CI runners included).
+
+Every host-timed gate in the repository measures through one protocol,
+:func:`paired_rounds`: the variants run in rotating order for
+:data:`ROUNDS` rounds, each run is timed by the process's CPU clock,
+and the gate reads the median per-round ratio.  A neighbour that slows
+the host for a while slows both variants of a round alike, so the
+ratio divides it out as well.
 """
 
 from __future__ import annotations
@@ -29,8 +36,10 @@ from __future__ import annotations
 import json
 import os
 import platform
+import statistics
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import HaltRequested
 from .fastpath import ENV_VAR
@@ -44,19 +53,72 @@ BENCH_SCHEMA = "phantom.bench/1"
 #: Workload names in report order.
 WORKLOADS = ("straight_line", "branch_heavy", "syscall")
 
-#: Iteration counts: (full, quick).  Sized so a full run finishes in a
-#: couple of minutes on a laptop and ``--quick`` fits a CI smoke job.
+#: Iterations per workload, sized so one ``repro bench`` run takes
+#: well under a minute.
 _SIZES = {
-    "straight_line": (10_000, 1_500),
-    "branch_heavy": (20_000, 3_000),
+    "straight_line": 1_500,
+    "branch_heavy": 3_000,
     # Round trips are cheap but individually tiny; anything under a few
-    # hundred milliseconds of wall time measures the OS scheduler, not
+    # hundred milliseconds of CPU time measures the OS scheduler, not
     # the simulator.
-    "syscall": (2_000, 300),
+    "syscall": 300,
 }
+
+#: Allowed fractional speedup drop against a baseline.
+TOLERANCE = 0.30
+
+#: Rounds per paired measurement: a multiple of 2 and of 3, so with two
+#: or three variants each one runs in every position equally often.
+ROUNDS = 6
 
 _CODE = 0x0000_0010_0000
 _STACK = 0x0000_7FF0_0000
+
+
+@dataclass
+class Rounds:
+    """What :func:`paired_rounds` measured, per variant and round."""
+
+    seconds: dict[str, list[float]]
+    #: What each timed callable returned, per round.
+    results: dict[str, list]
+
+    def median(self, name: str) -> float:
+        """Median CPU seconds of variant *name*."""
+        return statistics.median(self.seconds[name])
+
+    def ratio(self, num: str, den: str) -> tuple[float, float]:
+        """Median and interquartile range of the per-round ratio
+        ``num / den``."""
+        ratios = [a / b for a, b in zip(self.seconds[num],
+                                        self.seconds[den])]
+        q1, _, q3 = statistics.quantiles(ratios, n=4)
+        return statistics.median(ratios), q3 - q1
+
+
+def paired_rounds(
+        variants: dict[str, Callable[[], Callable[[], object]]]) -> Rounds:
+    """Time *variants* in :data:`ROUNDS` rotating rounds.
+
+    Each variant is a set-up callable that returns the callable to
+    time, so boots and image loads stay outside the timed region.
+    Round *r* starts with variant ``r % len(variants)``; with two
+    variants they alternate.  Each run is timed by
+    :func:`time.process_time`, which a waiting neighbour process does
+    not advance.
+    """
+    names = list(variants)
+    seconds = {name: [] for name in names}
+    results = {name: [] for name in names}
+    for r in range(ROUNDS):
+        shift = r % len(names)
+        for name in names[shift:] + names[:shift]:
+            run = variants[name]()
+            start = time.process_time()
+            value = run()
+            seconds[name].append(time.process_time() - start)
+            results[name].append(value)
+    return Rounds(seconds, results)
 
 
 @dataclass
@@ -66,10 +128,12 @@ class WorkloadResult:
     name: str
     iterations: int
     instructions: int          # simulated instructions per engine run
-    slow_seconds: float
+    slow_seconds: float        # median over the rounds
     fast_seconds: float
-    #: Fast-engine superblock statistics (see
-    #: :func:`superblock_stats`); None when the fast run predates them.
+    #: Median per-round slow/fast ratio and its interquartile range.
+    speedup: float
+    speedup_iqr: float = 0.0
+    #: Fast-engine superblock statistics (see :func:`superblock_stats`).
     superblocks: dict | None = None
 
     @property
@@ -79,10 +143,6 @@ class WorkloadResult:
     @property
     def fast_ips(self) -> float:
         return self.instructions / self.fast_seconds
-
-    @property
-    def speedup(self) -> float:
-        return self.slow_seconds / self.fast_seconds
 
     def to_dict(self) -> dict:
         out = {
@@ -94,6 +154,7 @@ class WorkloadResult:
             "slow_ips": round(self.slow_ips, 1),
             "fast_ips": round(self.fast_ips, 1),
             "speedup": round(self.speedup, 3),
+            "speedup_iqr": round(self.speedup_iqr, 3),
         }
         if self.superblocks is not None:
             out["superblocks"] = self.superblocks
@@ -166,27 +227,28 @@ def _branch_heavy(iters: int) -> Assembler:
     return asm
 
 
-def _run_program(builder, iters: int,
-                 fastpath: bool) -> tuple[int, float, dict]:
-    """Run one user-mode program to HLT; return (instrs, wall, stats)."""
+def _program(builder, iters: int, fastpath: bool):
+    """Load one user-mode program; return the callable that runs it to
+    HLT and returns ``(instructions, superblock stats)``."""
     mem = MemorySystem(256 << 20, fastpath=fastpath)
     cpu = CPU(ZEN2, mem, fastpath=fastpath)
     mem.map_anonymous(_STACK - 16 * PAGE_SIZE, 16 * PAGE_SIZE,
                       user=True, nx=True)
     cpu.state.write(Reg.RSP, _STACK)
     mem.load_image(builder(iters).image(), user=True)
-    start = time.perf_counter()
-    try:
-        cpu.run(_CODE, max_instructions=1_000_000_000)
-    except HaltRequested:
-        pass
-    wall = time.perf_counter() - start
-    return cpu.pmc.read("instructions"), wall, superblock_stats(cpu)
+
+    def run() -> tuple[int, dict]:
+        try:
+            cpu.run(_CODE, max_instructions=1_000_000_000)
+        except HaltRequested:
+            pass
+        return cpu.pmc.read("instructions"), superblock_stats(cpu)
+    return run
 
 
-def _run_syscalls(iters: int,
-                  fastpath: bool) -> tuple[int, float, dict]:
-    """getpid round trips on a booted machine; (instrs, wall, stats).
+def _syscalls(iters: int, fastpath: bool):
+    """Boot a machine; return the callable that makes *iters* getpid
+    round trips and returns ``(instructions, superblock stats)``.
 
     The engine is selected through the environment toggle the escape
     hatch documents (a :class:`Machine` boots its own memory system),
@@ -205,69 +267,56 @@ def _run_syscalls(iters: int,
         else:
             os.environ[ENV_VAR] = saved
     machine.syscall(39)          # warm caches and predictors
-    base = machine.cpu.pmc.read("instructions")
-    start = time.perf_counter()
-    for _ in range(iters):
-        machine.syscall(39)
-    wall = time.perf_counter() - start
-    return (machine.cpu.pmc.read("instructions") - base, wall,
-            superblock_stats(machine.cpu))
+
+    def run() -> tuple[int, dict]:
+        base = machine.cpu.pmc.read("instructions")
+        for _ in range(iters):
+            machine.syscall(39)
+        return (machine.cpu.pmc.read("instructions") - base,
+                superblock_stats(machine.cpu))
+    return run
 
 
-#: Repetitions per engine measurement; the best (minimum) wall wins.
-#: Simulated work is deterministic, so the fastest repeat is the one
-#: least disturbed by the host — the ratio of two minima is far more
-#: stable than the ratio of two single samples on a shared machine.
-_REPEATS = 3
-
-
-def _best_of(run, *args) -> tuple[int, float, dict]:
-    best = None
-    for _ in range(_REPEATS):
-        sample = run(*args)
-        if best is None or sample[1] < best[1]:
-            best = sample
-    return best
-
-
-def measure(name: str, *, quick: bool = False) -> WorkloadResult:
-    """Measure one workload under both engines (best of ``_REPEATS``)."""
-    full, small = _SIZES[name]
-    iters = small if quick else full
+def _setup(name: str, fastpath: bool):
+    iters = _SIZES[name]
     if name == "syscall":
-        slow_instrs, slow_wall, _ = _best_of(_run_syscalls, iters, False)
-        fast_instrs, fast_wall, stats = _best_of(_run_syscalls, iters, True)
-    else:
-        builder = _straight_line if name == "straight_line" \
-            else _branch_heavy
-        slow_instrs, slow_wall, _ = _best_of(_run_program, builder,
-                                             iters, False)
-        fast_instrs, fast_wall, stats = _best_of(_run_program, builder,
-                                                 iters, True)
-    if slow_instrs != fast_instrs:
-        raise AssertionError(
-            f"{name}: engines retired different instruction counts "
-            f"({slow_instrs} slow vs {fast_instrs} fast) — the fast "
-            f"path diverged architecturally")
-    return WorkloadResult(name=name, iterations=iters,
-                          instructions=slow_instrs,
-                          slow_seconds=slow_wall, fast_seconds=fast_wall,
+        return _syscalls(iters, fastpath)
+    builder = _straight_line if name == "straight_line" else _branch_heavy
+    return _program(builder, iters, fastpath)
+
+
+def measure(name: str) -> WorkloadResult:
+    """Measure one workload under both engines in paired rounds."""
+    rounds = paired_rounds({"slow": lambda: _setup(name, False),
+                            "fast": lambda: _setup(name, True)})
+    for (slow_instrs, _), (fast_instrs, _) in zip(rounds.results["slow"],
+                                                  rounds.results["fast"]):
+        if slow_instrs != fast_instrs:
+            raise AssertionError(
+                f"{name}: engines retired different instruction counts "
+                f"({slow_instrs} slow vs {fast_instrs} fast) — the fast "
+                f"path diverged architecturally")
+    instructions, stats = rounds.results["fast"][-1]
+    speedup, iqr = rounds.ratio("slow", "fast")
+    return WorkloadResult(name=name, iterations=_SIZES[name],
+                          instructions=instructions,
+                          slow_seconds=rounds.median("slow"),
+                          fast_seconds=rounds.median("fast"),
+                          speedup=speedup, speedup_iqr=iqr,
                           superblocks=stats)
 
 
-def run_bench(*, quick: bool = False,
-              workloads=WORKLOADS) -> list[WorkloadResult]:
-    return [measure(name, quick=quick) for name in workloads]
+def run_bench(workloads=WORKLOADS) -> list[WorkloadResult]:
+    return [measure(name) for name in workloads]
 
 
 # -- document / comparison ----------------------------------------------------
 
-def document(results: list[WorkloadResult], *, quick: bool = False) -> dict:
+def document(results: list[WorkloadResult]) -> dict:
     """Build the ``phantom.bench/1`` document for *results*."""
     return {
         "schema": BENCH_SCHEMA,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "quick": quick,
+        "rounds": ROUNDS,
         "host": {
             "python": platform.python_version(),
             "implementation": platform.python_implementation(),
@@ -277,13 +326,14 @@ def document(results: list[WorkloadResult], *, quick: bool = False) -> dict:
     }
 
 
-def compare(doc: dict, baseline: dict, *,
-            tolerance: float = 0.3) -> list[str]:
+def compare(doc: dict, baseline: dict) -> list[str]:
     """Regressions of *doc* against *baseline*; empty when clean.
 
     Compares the fast/slow speedup per workload — absolute IPS depends
     on the host, the ratio does not — and flags any workload whose
-    ratio fell more than *tolerance* below the baseline's.
+    ratio fell more than :data:`TOLERANCE` below the baseline's.
+    Raises :class:`ValueError` when *baseline* is not a bench document
+    or ran a workload at a different size: such ratios do not compare.
     """
     if baseline.get("schema") != BENCH_SCHEMA:
         raise ValueError(
@@ -295,22 +345,26 @@ def compare(doc: dict, baseline: dict, *,
         ref = base.get(entry["name"])
         if ref is None:
             continue
-        floor = ref["speedup"] * (1.0 - tolerance)
+        if ref["iterations"] != entry["iterations"]:
+            raise ValueError(
+                f"baseline ran {entry['name']} at {ref['iterations']} "
+                f"iterations, this run at {entry['iterations']}")
+        floor = ref["speedup"] * (1.0 - TOLERANCE)
         if entry["speedup"] < floor:
             problems.append(
                 f"{entry['name']}: speedup {entry['speedup']:.2f}x fell "
                 f"below {floor:.2f}x (baseline {ref['speedup']:.2f}x "
-                f"- {tolerance:.0%} tolerance)")
+                f"- {TOLERANCE:.0%} tolerance)")
     return problems
 
 
 def format_table(results: list[WorkloadResult]) -> str:
     lines = [f"{'workload':16s} {'instrs':>10s} {'slow ips':>10s} "
-             f"{'fast ips':>10s} {'speedup':>8s}"]
+             f"{'fast ips':>10s} {'speedup':>8s} {'iqr':>6s}"]
     for r in results:
         lines.append(f"{r.name:16s} {r.instructions:10,d} "
                      f"{r.slow_ips:10,.0f} {r.fast_ips:10,.0f} "
-                     f"{r.speedup:7.2f}x")
+                     f"{r.speedup:7.2f}x {r.speedup_iqr:6.2f}")
     return "\n".join(lines)
 
 
@@ -334,9 +388,10 @@ _SB_KEYS = ("compiled", "fused_instructions", "mean_length",
 def summarize_bench(doc: dict) -> str:
     """Human-readable summary of one ``phantom.bench/1`` document."""
     host = doc.get("host", {})
+    rounds = doc.get("rounds")
     lines = [
-        f"bench document ({'quick' if doc.get('quick') else 'full'}) "
-        f"created {doc.get('created', '?')}",
+        f"bench document, median of {rounds} paired rounds" if rounds
+        else "bench document",
         f"host: {host.get('implementation', '?')} "
         f"{host.get('python', '?')} on {host.get('machine', '?')}",
         "",
@@ -346,7 +401,9 @@ def summarize_bench(doc: dict) -> str:
             f"{entry['name']:16s} {entry['instructions']:10,d} instrs  "
             f"{entry['slow_ips']:10,.0f} slow ips  "
             f"{entry['fast_ips']:10,.0f} fast ips  "
-            f"{entry['speedup']:6.2f}x")
+            f"{entry['speedup']:6.2f}x"
+            + (f" (IQR {entry['speedup_iqr']:.2f})"
+               if "speedup_iqr" in entry else ""))
         stats = entry.get("superblocks")
         if stats:
             detail = "  ".join(f"{key}={stats[key]}" for key in _SB_KEYS

@@ -703,8 +703,8 @@ def cmd_contracts(args) -> int:
 def cmd_bench(args) -> int:
     import json
 
-    from .bench import (WORKLOADS, compare, document, format_table,
-                        load_document, run_bench)
+    from .bench import (TOLERANCE, WORKLOADS, compare, document,
+                        format_table, load_document, run_bench)
 
     workloads = tuple(args.workloads) if args.workloads else WORKLOADS
     for name in workloads:
@@ -712,9 +712,9 @@ def cmd_bench(args) -> int:
             print(f"bench: unknown workload {name!r} "
                   f"(choose from {', '.join(WORKLOADS)})", file=sys.stderr)
             return 2
-    results = run_bench(quick=args.quick, workloads=workloads)
+    results = run_bench(workloads)
     print(format_table(results))
-    doc = document(results, quick=args.quick)
+    doc = document(results)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2)
@@ -723,7 +723,7 @@ def cmd_bench(args) -> int:
     if args.baseline:
         try:
             baseline = load_document(args.baseline)
-            problems = compare(doc, baseline, tolerance=args.tolerance)
+            problems = compare(doc, baseline)
         except (OSError, json.JSONDecodeError, ValueError) as exc:
             print(f"bench: cannot compare against {args.baseline}: {exc}",
                   file=sys.stderr)
@@ -733,7 +733,7 @@ def cmd_bench(args) -> int:
                 print(f"REGRESSION {line}", file=sys.stderr)
             return 1
         print(f"no speedup regression vs {args.baseline} "
-              f"(tolerance {args.tolerance:.0%})")
+              f"(tolerance {TOLERANCE:.0%})")
     return 0
 
 
@@ -920,16 +920,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench",
                        help="simulator throughput: fast vs naive engine")
-    p.add_argument("--quick", action="store_true",
-                   help="CI-sized workloads (seconds, not minutes)")
     p.add_argument("--out", metavar="FILE", default=None,
                    help="write the phantom.bench/1 document to FILE")
     p.add_argument("--baseline", metavar="FILE", default=None,
                    help="compare speedups against a committed "
-                        "phantom.bench/1 document; exit 1 on regression")
-    p.add_argument("--tolerance", type=float, default=0.3,
-                   help="allowed fractional speedup drop vs the "
-                        "baseline (default 0.3)")
+                        "phantom.bench/1 document; exit 1 on a "
+                        "speedup drop over 30%%")
     p.add_argument("--workloads", nargs="+", metavar="NAME",
                    default=None,
                    help="subset of workloads to run (default: all)")

@@ -30,7 +30,6 @@ from .manifest import MANIFEST_SCHEMA, PhaseProfile, RunManifest, \
     machine_config
 from .merge import merge_metric_snapshots, merge_pmc
 from .metrics import Counter, MetricsRegistry, REGISTRY, counter
-from .profiling import time_callable
 from .progress import PROGRESS_SCHEMA, ProgressReporter
 from .schema import CONTRACT_VIOLATION_JSON_SCHEMA, \
     MANIFEST_JSON_SCHEMA, SchemaError, validate, validate_manifest, \
@@ -82,7 +81,6 @@ __all__ = [
     "stitch_to_file",
     "summarize_manifest",
     "summarize_trace",
-    "time_callable",
     "to_chrome_trace",
     "to_openmetrics",
     "trace_structure",

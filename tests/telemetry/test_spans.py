@@ -254,3 +254,27 @@ def test_summarize_trace_renders_table_and_errors():
 
 def test_global_recorder_starts_disabled():
     assert SPANS.enabled is False
+
+
+# -- span budget -------------------------------------------------------------
+
+#: Spans bracket coarse phases (jobs, boots, fast-path compiles), never
+#: per-instruction work: at most one span per 1,000 retired
+#: instructions on the fast engine's mispredict-heavy steady state.
+MAX_SPANS_PER_1000_INSTRUCTIONS = 1.0
+
+
+def test_branch_heavy_spans_bracket_phases_not_instructions(tmp_path):
+    from repro.bench import _SIZES, _branch_heavy, _program
+
+    run = _program(_branch_heavy, _SIZES["branch_heavy"], fastpath=True)
+    SPANS.start(tmp_path, name="bench")
+    try:
+        instructions, _ = run()
+    finally:
+        SPANS.finish()
+    spans = read_spans(tmp_path)
+    assert any(s["name"] == "fastpath:compile" for s in spans)
+    per_1000 = len(spans) * 1000 / instructions
+    assert per_1000 <= MAX_SPANS_PER_1000_INSTRUCTIONS, (
+        f"{len(spans)} spans over {instructions:,} instructions")

@@ -1,10 +1,12 @@
-"""The bench harness: document shape, comparison, superblock stats.
+"""The bench harness: paired rounds, document shape, comparison,
+superblock stats.
 
 The actual throughput numbers are host-dependent and untestable; what
-is pinned here is everything around them — engines retiring identical
-instruction counts, superblock statistics landing in the document,
-regression comparison logic, and the summarize/diff text paths the
-``repro stats`` command uses for ``phantom.bench/1`` documents.
+is pinned here is everything around them — the paired-rounds order and
+statistics, engines retiring identical instruction counts, superblock
+statistics landing in the document, regression comparison logic, and
+the summarize/diff text paths the ``repro stats`` command uses for
+``phantom.bench/1`` documents.
 """
 
 import copy
@@ -13,17 +15,65 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import (BENCH_SCHEMA, WORKLOADS, WorkloadResult, compare,
-                         diff_bench, document, is_bench_document,
-                         load_document, summarize_bench, _run_program,
-                         _straight_line)
+from repro.bench import (BENCH_SCHEMA, ROUNDS, WORKLOADS, Rounds,
+                         WorkloadResult, compare, diff_bench, document,
+                         is_bench_document, load_document, paired_rounds,
+                         summarize_bench, _program, _straight_line)
 from repro.cli import main
 
+#: A ``phantom.bench/1`` document written before the paired-rounds
+#: protocol: full-size workloads, ``quick: false``, and the retired
+#: ``transient_compiled``/``cycles_skipped`` superblock keys.
+OLD_DOCUMENT = Path(__file__).resolve().parent / "data" \
+    / "bench-with-retired-keys.json"
 
-def make_result(name="branch_heavy", speedup=10.0, stats=None):
-    return WorkloadResult(name=name, iterations=100, instructions=1000,
-                          slow_seconds=speedup, fast_seconds=1.0,
+
+def make_result(name="branch_heavy", speedup=10.0, stats=None,
+                iterations=100):
+    return WorkloadResult(name=name, iterations=iterations,
+                          instructions=1000, slow_seconds=speedup,
+                          fast_seconds=1.0, speedup=speedup,
                           superblocks=stats)
+
+
+class TestPairedRounds:
+    def test_variants_rotate_and_set_up_once_per_round(self):
+        log = []
+
+        def variant(name):
+            def setup():
+                log.append(f"setup {name}")
+                return lambda: log.append(f"run {name}") or name
+            return setup
+
+        rounds = paired_rounds({"a": variant("a"), "b": variant("b"),
+                                "c": variant("c")})
+        runs = [entry[4:] for entry in log if entry.startswith("run")]
+        assert runs[:9] == ["a", "b", "c", "b", "c", "a", "c", "a", "b"]
+        assert len(runs) == 3 * ROUNDS
+        # Every run is set up immediately before it is timed.
+        assert log[::2] == [f"setup {name}" for name in runs]
+        assert rounds.results == {name: [name] * ROUNDS for name in "abc"}
+        assert all(len(ts) == ROUNDS and min(ts) >= 0.0
+                   for ts in rounds.seconds.values())
+
+    def test_two_variants_alternate_so_each_leads_half_the_rounds(self):
+        order = []
+        paired_rounds({name: (lambda n=name: lambda: order.append(n))
+                       for name in ("slow", "fast")})
+        leads = order[::2]
+        assert leads.count("slow") == leads.count("fast") == ROUNDS // 2
+
+    def test_median_and_per_round_ratio_with_iqr(self):
+        rounds = Rounds(seconds={"slow": [4.0, 6.0, 9.0, 8.0],
+                                 "fast": [2.0, 2.0, 3.0, 1.0]},
+                        results={})
+        assert rounds.median("slow") == 7.0
+        # Per-round ratios 2, 3, 3, 8: the median ignores the outlier
+        # round that a ratio of medians (7 / 2) would not.
+        ratio, iqr = rounds.ratio("slow", "fast")
+        assert ratio == 3.0
+        assert iqr == pytest.approx(6.75 - 2.25)
 
 
 class TestWorkloadResult:
@@ -32,6 +82,7 @@ class TestWorkloadResult:
         assert r.speedup == 8.0
         assert r.fast_ips == 1000.0
         assert r.slow_ips == 125.0
+        assert r.to_dict()["speedup_iqr"] == 0.0
 
     def test_to_dict_includes_superblocks_when_present(self):
         stats = {"compiled": 3, "fused_instructions": 30}
@@ -41,8 +92,10 @@ class TestWorkloadResult:
 
 class TestDocument:
     def test_schema_and_detection(self):
-        doc = document([make_result()], quick=True)
+        doc = document([make_result()])
         assert doc["schema"] == BENCH_SCHEMA
+        assert doc["rounds"] == ROUNDS
+        assert "quick" not in doc
         assert is_bench_document(doc)
         assert not is_bench_document({"schema": "phantom.run/1"})
         assert not is_bench_document([])
@@ -51,14 +104,37 @@ class TestDocument:
         baseline = document([make_result(speedup=10.0)])
         ok = document([make_result(speedup=8.0)])
         bad = document([make_result(speedup=6.0)])
-        assert compare(ok, baseline, tolerance=0.3) == []
-        problems = compare(bad, baseline, tolerance=0.3)
+        assert compare(ok, baseline) == []
+        problems = compare(bad, baseline)
         assert len(problems) == 1
         assert "branch_heavy" in problems[0]
 
     def test_compare_rejects_non_bench_baseline(self):
         with pytest.raises(ValueError):
             compare(document([make_result()]), {"schema": "nope"})
+
+    def test_compare_rejects_a_baseline_of_another_size(self):
+        old = load_document(str(OLD_DOCUMENT))
+        run = document([make_result(iterations=3_000)])
+        with pytest.raises(ValueError, match="20000 iterations"):
+            compare(run, old)
+
+    def test_cli_exits_2_on_an_unlike_baseline(self, monkeypatch, capsys):
+        import repro.bench
+
+        monkeypatch.setattr(repro.bench, "run_bench", lambda workloads: [
+            make_result(iterations=3_000)])
+        assert main(["bench", "--baseline", str(OLD_DOCUMENT)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "bench: cannot compare" in err and "iterations" in err
+
+    def test_quick_and_tolerance_flags_are_usage_errors(self, capsys):
+        for flag in (["--quick"], ["--tolerance", "0.3"]):
+            with pytest.raises(SystemExit) as info:
+                main(["bench", *flag])
+            assert info.value.code == 2
+            assert flag[0] in capsys.readouterr().err
 
     def test_summarize_mentions_superblock_stats(self):
         stats = {"compiled": 4, "mean_length": 12.0, "cycles_skipped": 77}
@@ -86,14 +162,14 @@ class TestDocument:
 
 class TestRunners:
     def test_program_runner_returns_superblock_stats(self):
-        instrs, wall, stats = _run_program(_straight_line, 50, True)
-        assert instrs > 0 and wall > 0
+        instrs, stats = _program(_straight_line, 50, True)()
+        assert instrs > 0
         assert stats["compiled"] >= 1
         assert stats["fused_instructions"] >= 3 * stats["compiled"]
         assert stats["mean_length"] > 0
 
     def test_fresh_stats_omit_retired_keys(self):
-        _, _, stats = _run_program(_straight_line, 20, True)
+        _, stats = _program(_straight_line, 20, True)()
         doc = document([make_result(stats=stats)])
         written = doc["workloads"][0]["superblocks"]
         assert "transient_compiled" not in written
@@ -105,11 +181,11 @@ class TestRunners:
 
 
 class TestCommittedBaseline:
-    """The committed baseline predates the retired stat keys; it must
-    still summarise and diff through ``repro stats``."""
+    """A document that predates the retired stat keys and the
+    paired-rounds protocol must still summarise and diff through
+    ``repro stats``."""
 
-    BASELINE = (Path(__file__).resolve().parent.parent / "benchmarks"
-                / "results" / "BENCH_simulator.json")
+    BASELINE = OLD_DOCUMENT
 
     def test_summary_renders_retired_keys(self, capsys):
         assert main(["stats", str(self.BASELINE)]) == 0
@@ -130,3 +206,12 @@ class TestCommittedBaseline:
         out = capsys.readouterr().out
         assert "branch_heavy" in out
         assert "transient_compiled" not in out   # one-sided keys skip
+
+    def test_diff_against_the_committed_baseline(self, capsys):
+        """Old and paired-rounds documents diff even though their
+        workload sizes differ (only ``compare`` refuses that)."""
+        committed = (Path(__file__).resolve().parent.parent / "benchmarks"
+                     / "results" / "BENCH_simulator.json")
+        assert main(["stats", str(self.BASELINE), str(committed)]) == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in WORKLOADS)

@@ -235,7 +235,7 @@ def _write_bench_doc(path, speedup=10.0):
 
     result = WorkloadResult(
         name="branch_heavy", iterations=10, instructions=100,
-        slow_seconds=speedup, fast_seconds=1.0,
+        slow_seconds=speedup, fast_seconds=1.0, speedup=speedup,
         superblocks={"compiled": 2, "fused_instructions": 10,
                      "mean_length": 5.0, "invalidated": 0,
                      "probe_bails": 0})
