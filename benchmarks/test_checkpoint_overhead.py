@@ -93,6 +93,7 @@ def test_checkpoint_journal_overhead(benchmark, tmp_path):
     # Every journal captured every job.
     for r in range(ROUNDS):
         assert len(load_checkpoint(tmp_path / f"ckpt-{r}.jsonl")) == JOBS
-    # Durability must stay cheap: generous CI-noise bound against the
-    # bare campaign (journaling is file appends, not simulation).
-    assert per_job_s < bare_s * 5 + 0.5
+    # Durability must stay cheap: journaling is file appends, not
+    # simulation, so it may cost at most 5x the bare campaign (20 runs
+    # read 2.7-3.3x on a shared 2-vCPU host).
+    assert per_job_s < bare_s * 5

@@ -74,6 +74,6 @@ def test_pmc_add_interned_counters(benchmark):
 
     # Both implementations must count identically.
     assert pmc.read(LAST_EVENT) == legacy.read(LAST_EVENT) == ROUNDS * CALLS
-    # Interning must never lose to the dict variant by more than
-    # measurement noise (generous bound: CI machines are noisy).
-    assert interned_s < dict_s * 1.5
+    # Interning must beat the dict variant it replaced (20 runs read
+    # dict/interned 1.3-1.6x on a shared 2-vCPU host).
+    assert interned_s < dict_s

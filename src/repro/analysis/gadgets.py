@@ -153,10 +153,6 @@ class ScanSummary:
     mds_single_load: int = 0
 
     @property
-    def conventional_exploitable(self) -> int:
-        return self.spectre_v1
-
-    @property
     def phantom_exploitable(self) -> int:
         """With P3 every single-load gadget transmits too (§9.3)."""
         return self.spectre_v1 + self.mds_single_load

@@ -5,9 +5,10 @@ timeline interleaving architectural instructions with the phantom /
 Spectre episodes they triggered — the tool we reach for when a new
 experiment misbehaves.
 
-Internally the tracer records typed :class:`~repro.telemetry.trace.TraceEvent`
-objects (schema ``phantom.trace/1``); the text renderer is one sink over
-that stream, and :meth:`Tracer.write_jsonl` is another.
+The tracer is a sink of the process-wide ``phantom.trace/1`` stream
+(:data:`~repro.telemetry.trace.TRACE`): it keeps the ``retire`` and
+``episode`` events it sees, and its text renderer and
+:meth:`Tracer.write_jsonl` are two views of that list.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..pipeline import EpisodeRecord, Reach
-from ..telemetry.trace import JsonLinesSink, TraceEvent
+from ..telemetry.trace import TRACE, JsonLinesSink, TraceEvent
 
 
 @dataclass
@@ -29,27 +30,19 @@ class TraceEntry:
     episodes: list[EpisodeRecord] = field(default_factory=list)
 
 
-def _episode_fields(ep: EpisodeRecord) -> dict:
-    return {
-        "source_pc": ep.source_pc,
-        "predicted_kind": ep.predicted_kind.value if ep.predicted_kind else None,
-        "actual_kind": ep.actual_kind.value,
-        "target": ep.target,
-        "reach": ep.reach.name,
-        "flavour": "phantom" if ep.frontend_resteer else "spectre",
-        "cross_privilege": ep.cross_privilege,
-        "nested": ep.nested,
-    }
-
-
 class Tracer:
     """Records an instruction/episode timeline from a machine.
 
-    Episodes recorded after the ``limit``-th instruction are not dropped:
-    the first overflow attaches its pending episodes to the final entry
-    and emits a ``trace_truncated`` event; later episodes land in
-    :attr:`orphan_episodes`, as do episodes recorded before the first
-    instruction retires.
+    A ``phantom.trace/1`` sink: inside the ``with`` block it is attached
+    to :data:`~repro.telemetry.trace.TRACE`, each ``retire`` event
+    becomes an entry and each ``episode`` event attaches to the latest
+    entry.  Sinks attached before it (``--trace-out``) keep receiving
+    the same stream; only the tracer's own sink is detached on exit.
+
+    Episodes after the ``limit``-th instruction are not dropped: the
+    first overflow emits a ``trace_truncated`` event, and later
+    episodes land in :attr:`orphan_episodes`, as do episodes recorded
+    before the first instruction retires.
     """
 
     def __init__(self, machine, *, limit: int = 10_000) -> None:
@@ -60,67 +53,49 @@ class Tracer:
         self.orphan_episodes: list[EpisodeRecord] = []
         self.truncated = False
         self.dropped_instructions = 0
-        self._armed = False
 
     # -- recording -----------------------------------------------------------
 
     def __enter__(self) -> "Tracer":
-        cpu = self.machine.cpu
-        self._saved_hook = cpu.instr_hook
-        self._saved_record = cpu.record_episodes
-        self._episode_mark = len(cpu.episodes)
-        cpu.record_episodes = True
-        cpu.instr_hook = self._on_instruction
-        self._armed = True
+        TRACE.add_sink(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        cpu = self.machine.cpu
-        cpu.instr_hook = self._saved_hook
-        cpu.record_episodes = self._saved_record
-        self._armed = False
-        self._attach_remaining_episodes()
+        TRACE.remove_sink(self)
         if self.orphan_episodes:
             self.events.append(TraceEvent(
-                "orphan_episodes", cpu.cycles,
+                "orphan_episodes", self.machine.cpu.cycles,
                 {"count": len(self.orphan_episodes)}))
 
-    def _on_instruction(self, pc: int, instr) -> None:
-        cpu = self.machine.cpu
-        if len(self.entries) >= self.limit:
-            if not self.truncated:
-                # Pending episodes belong to the last traced instruction;
-                # attach them before marking the cut.
-                self._attach_remaining_episodes()
-                self.truncated = True
-                self.events.append(TraceEvent(
-                    "trace_truncated", cpu.cycles, {"limit": self.limit}))
-            self.dropped_instructions += 1
-            self._attach_remaining_episodes()
-            return
-        self._attach_remaining_episodes()
-        self.entries.append(TraceEntry(
-            pc=pc, text=str(instr), cycle=cpu.cycles,
-            kernel_mode=cpu.kernel_mode))
-        self.events.append(TraceEvent(
-            "retire", cpu.cycles,
-            {"pc": pc, "text": str(instr), "kernel_mode": cpu.kernel_mode}))
-
-    def _attach_remaining_episodes(self) -> None:
-        cpu = self.machine.cpu
-        new = cpu.episodes[self._episode_mark:]
-        self._episode_mark = len(cpu.episodes)
-        if not new:
-            return
-        for ep in new:
-            self.events.append(TraceEvent(
-                "episode", ep.cycle, _episode_fields(ep)))
-        if self.entries and not self.truncated:
-            self.entries[-1].episodes.extend(new)
+    def emit(self, event: TraceEvent) -> None:
+        if event.kind == "retire":
+            if len(self.entries) >= self.limit:
+                if not self.truncated:
+                    self.truncated = True
+                    self.events.append(TraceEvent(
+                        "trace_truncated", event.cycle,
+                        {"limit": self.limit}))
+                self.dropped_instructions += 1
+                return
+            fields = event.fields
+            self.entries.append(TraceEntry(
+                pc=fields["pc"], text=fields["text"], cycle=event.cycle,
+                kernel_mode=fields["kernel_mode"]))
+        elif event.kind == "episode":
+            episode = EpisodeRecord.from_event(event)
+            if self.entries and not self.truncated:
+                self.entries[-1].episodes.append(episode)
+            else:
+                # Before the first instruction, or past the truncation
+                # point: keep them visible instead of attaching to
+                # nothing.
+                self.orphan_episodes.append(episode)
         else:
-            # Before the first instruction, or past the truncation point:
-            # keep them visible instead of attaching to nothing.
-            self.orphan_episodes.extend(new)
+            return
+        self.events.append(event)
+
+    def close(self) -> None:
+        pass
 
     # -- structured export -----------------------------------------------------
 

@@ -30,8 +30,10 @@ also take ``--jobs N`` to shard their jobs across worker processes
 count), and — with ``--results-dir`` — journal every finished job to
 ``DIR/<command>-checkpoint.jsonl`` (flushed as each job finishes);
 ``--resume CHECKPOINT`` skips the jobs already journaled there (see
-``docs/resilience.md``).  Every ``fuzz`` run, serial or not, is one
-such campaign, so its manifest is the same at any ``--jobs``.  Ctrl-C
+``docs/resilience.md``).  ``--trace-out`` needs a single worker: with
+``--jobs`` resolving to more it is a usage error (exit 2).  Every
+``fuzz`` run, serial or not, is one such campaign, so its manifest is
+the same at any ``--jobs``.  Ctrl-C
 with a checkpoint active exits 130 after printing the resume command; a
 worker process that dies does the same but exits 1.
 
@@ -69,7 +71,7 @@ def _add_telemetry(parser):
                              "(suppresses normal text output)")
     parser.add_argument("--trace-out", metavar="FILE", default=None,
                         help="write a phantom.trace/1 JSON-lines event "
-                             "trace to FILE")
+                             "trace to FILE (campaigns: with --jobs 1)")
     parser.add_argument("--results-dir", metavar="DIR", default=None,
                         help="archive the run manifest under DIR")
     parser.add_argument("--spans", metavar="DIR", default=None,
@@ -553,10 +555,8 @@ def cmd_fuzz(args) -> int:
         return 2
 
     uarches = tuple(args.uarch) if args.uarch else DEFAULT_UARCHES
-    invariants = not args.no_invariants
     with _Run(args, "fuzz", seed=args.seed, iters=args.iters,
-              uarches=list(uarches), shape=args.shape,
-              invariants=invariants) as run:
+              uarches=list(uarches), shape=args.shape) as run:
         started = time.monotonic()
         # Fixed chunks, so the manifest is the same at any --jobs; long
         # sweeps checkpoint through --results-dir and pick up where
@@ -564,8 +564,7 @@ def cmd_fuzz(args) -> int:
         with run.phase("fuzz"):
             campaign = run_campaign(
                 FuzzExperiment(seed=args.seed, count=args.iters,
-                               shape=args.shape, uarches=uarches,
-                               invariants=invariants),
+                               shape=args.shape, uarches=uarches),
                 jobs=args.jobs, **run.campaign_kwargs())
         run.absorb(campaign)
         outcome = campaign.raise_on_failure().value
@@ -574,8 +573,7 @@ def cmd_fuzz(args) -> int:
         for index in outcome["failed_indices"]:
             program = generate(program_seed(args.seed, index), args.shape)
             failures.append((index, program,
-                             oracle.check_program(program, uarches,
-                                                  invariants=invariants)))
+                             oracle.check_program(program, uarches)))
 
         artifacts = []
         for index, program, verdict in failures:
@@ -584,8 +582,7 @@ def cmd_fuzz(args) -> int:
                 run.text(f"  {divergence}")
             shrink_checks = 0
             if not args.no_shrink:
-                result = shrink(program, verdict, uarches=uarches,
-                                invariants=invariants)
+                result = shrink(program, verdict, uarches=uarches)
                 run.text(f"  shrunk {result.items_before} -> "
                          f"{result.items_after} items "
                          f"({result.checks} oracle checks)")
@@ -893,8 +890,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--artifact-dir", default="fuzz-artifacts",
                    metavar="DIR",
                    help="where minimized counterexamples are written")
-    p.add_argument("--no-invariants", action="store_true",
-                   help="engine differential only, skip invariant checks")
     p.add_argument("--no-shrink", action="store_true",
                    help="write counterexamples without minimizing them")
     p.add_argument("--contract", default=None, choices=_fuzz_contracts(),
@@ -944,9 +939,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from .runner import CampaignInterrupted
+    from .runner import CampaignInterrupted, resolve_jobs
 
     args = build_parser().parse_args(argv)
+    if getattr(args, "trace_out", None) and hasattr(args, "jobs"):
+        # Forked workers would inherit the open trace file and write
+        # into it concurrently; the event stream is one process's.
+        workers = resolve_jobs(args.jobs)
+        if workers > 1:
+            print(f"repro: --trace-out records one process's events but "
+                  f"--jobs resolves to {workers} workers; rerun with "
+                  f"--jobs 1", file=sys.stderr)
+            return 2
     try:
         return args.fn(args)
     except BrokenPipeError:   # e.g. `repro stats ... | head`

@@ -1,6 +1,5 @@
-"""Branch-prediction frontend: BTB, BHB, RSB, PHT, µop cache, BPU."""
+"""Branch-prediction frontend: BTB, RSB, PHT, µop cache, BPU."""
 
-from .bhb import BHB
 from .bpu import BPU, Prediction
 from .btb import (BTB, BTBEntry, BTBIndexing, ZEN1_ALIAS_PATTERN,
                   ZEN1_TAG_FUNCTIONS, ZEN3_ALIAS_PATTERNS,
@@ -11,7 +10,6 @@ from .rsb import RSB
 from .uopcache import UopCache
 
 __all__ = [
-    "BHB",
     "BPU",
     "BTB",
     "BTBEntry",

@@ -1,4 +1,4 @@
-"""Branch Prediction Unit: BTB + RSB + conditional predictor + BHB.
+"""Branch Prediction Unit: BTB + RSB + conditional predictor.
 
 The BPU answers one question for the fetch unit, *before any byte is
 decoded*: "does this fetch block contain a branch, and where does it
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from ..isa import BranchKind
 from ..telemetry import metrics as _metrics
-from .bhb import BHB
 from .btb import BTB, BTBEntry, BTBIndexing
 from .cond import ConditionalPredictor
 from .rsb import RSB
@@ -42,7 +41,6 @@ class BPU:
         self.btb = BTB(indexing, ways=btb_ways, shared_hashes=shared_hashes)
         self.rsb = RSB(rsb_depth)
         self.cond = ConditionalPredictor(pht_entries)
-        self.bhb = BHB()
         self._m_predictions = _metrics.counter("bpu_predictions")
         self._m_cross_priv = _metrics.counter(
             "bpu_predictions", cross_privilege="true")
@@ -107,7 +105,6 @@ class BPU:
             self.cond.update(pc, taken)
         if taken and target is not None:
             self.btb.train(pc, kind, target, kernel_mode=kernel_mode)
-            self.bhb.update(pc, target)
 
     def call_executed(self, return_address: int) -> None:
         self.rsb.push(return_address)
@@ -123,4 +120,3 @@ class BPU:
         self.btb.flush()
         self.rsb.clear()
         self.cond.clear()
-        self.bhb.clear()

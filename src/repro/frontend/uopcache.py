@@ -57,6 +57,3 @@ class UopCache:
 
     def set_occupancy(self, set_index: int) -> int:
         return self._cache.set_occupancy(set_index)
-
-    def resident_windows(self, set_index: int) -> list[int]:
-        return self._cache.resident_lines(set_index)

@@ -21,8 +21,7 @@ from .contracts import (CONTRACTS, Contract, VIOLATION_SCHEMA,
                         contract_by_name, contract_names, save_violation,
                         violation_document)
 from .corpus import (COUNTEREXAMPLE_SCHEMA, SEED_CORPUS, iter_corpus,
-                     iter_pair_corpus, load_program, save_counterexample,
-                     save_program, seed_corpus, write_seed_corpus)
+                     iter_pair_corpus, load_program, save_counterexample)
 from .gen import SHAPES, generate
 from .harness import (Observables, World, compare_observables,
                       run_program)
@@ -34,7 +33,7 @@ from .program import (BuiltProgram, FuzzProgram, FuzzProgramError,
                       SECRET_OFFSET, SECRET_SIZE)
 from .relational import (ContractExperiment, ContractVerdict, PAIR_SCHEMA,
                          RelationalPair, check_pair, check_pair_range,
-                         generate_pair, load_pair, pair_seed, save_pair)
+                         generate_pair, load_pair, pair_seed)
 from .shrink import (PairShrinkResult, ShrinkResult, shrink, shrink_pair)
 from .witness import (LISTINGS, WitnessVerdict, check_listing, run_listing)
 
@@ -90,12 +89,8 @@ __all__ = [
     "run_listing",
     "run_program",
     "save_counterexample",
-    "save_pair",
-    "save_program",
     "save_violation",
-    "seed_corpus",
     "shrink",
     "shrink_pair",
     "violation_document",
-    "write_seed_corpus",
 ]

@@ -4,10 +4,10 @@ Corpus entries are :data:`~repro.fuzz.program.PROGRAM_SCHEMA` JSON
 documents.  Two sources feed the directory:
 
 * the **seed corpus** — one generated program per generator shape,
-  pinned by ``(shape, seed)`` in :data:`SEED_CORPUS` and regenerated
-  bit-identically by :func:`seed_corpus` (a committed entry that stops
-  matching its pin means the generator changed — version the pin, do
-  not silently regenerate);
+  pinned by ``(shape, seed)`` in :data:`SEED_CORPUS`, which
+  :func:`~repro.fuzz.gen.generate` must regenerate bit-identically (a
+  committed entry that stops matching its pin means the generator
+  changed — version the pin, do not silently regenerate);
 * **minimized counterexamples** — shrunk failing programs written by
   ``repro fuzz`` when the oracle diverges; commit them after fixing the
   bug so the regression replays forever in tier-1
@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .gen import generate
 from .program import FuzzProgram
 
 #: Schema tag for minimized counterexamples written by ``repro fuzz``.
@@ -37,19 +36,6 @@ SEED_CORPUS: tuple[tuple[str, int], ...] = (
     ("smc", 5),         # three runs, two code rewrites between them
     ("mixed", 16),      # kernel stub + dense speculation
 )
-
-
-def seed_corpus() -> list[FuzzProgram]:
-    """Regenerate the pinned seed corpus."""
-    return [generate(seed, shape) for shape, seed in SEED_CORPUS]
-
-
-def save_program(program: FuzzProgram, directory: Path | str) -> Path:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{program.name}.json"
-    path.write_text(program.to_json())
-    return path
 
 
 def load_program(path: Path | str) -> FuzzProgram:
@@ -111,8 +97,3 @@ def iter_pair_corpus(directory: Path | str) -> list[tuple[Path, dict]]:
         if doc.get("schema") in _RELATIONAL_SCHEMAS:
             entries.append((path, doc))
     return entries
-
-
-def write_seed_corpus(directory: Path | str) -> list[Path]:
-    """(Re)write the pinned seed corpus into *directory*."""
-    return [save_program(program, directory) for program in seed_corpus()]

@@ -61,7 +61,7 @@ class Observables:
     cycles: int
     instructions: int
     pmc: tuple[tuple[str, int], ...]
-    episodes: tuple[tuple, ...]
+    episodes: tuple[tuple, ...]        # EpisodeRecord.key() + (cycle,)
     data_sha: str
 
     #: Field presentation order for divergence reports.
@@ -253,12 +253,7 @@ def _data_digest(world: World) -> str:
 def collect_observables(world: World) -> Observables:
     cpu = world.cpu
     flags = cpu.state.flags
-    episodes = tuple(
-        (e.source_pc,
-         e.predicted_kind.value if e.predicted_kind is not None else None,
-         e.actual_kind.value, e.target, e.reach.name, e.frontend_resteer,
-         e.cross_privilege, e.nested, e.cycle)
-        for e in cpu.episodes)
+    episodes = tuple(e.key() + (e.cycle,) for e in cpu.episodes)
     return Observables(
         outcome=";".join(world.run_outcomes),
         pc=cpu.pc,
@@ -285,7 +280,6 @@ def run_world(world: World) -> Observables:
 
 def run_program(program: FuzzProgram | BuiltProgram, uarch: Microarch, *,
                 fastpath: bool, record_episodes: bool = True,
-                instr_hook=None,
                 mitigations: MitigationConfig = DEFAULT_MITIGATIONS
                 ) -> tuple[Observables, World]:
     """Run every scheduled run of *program* on one engine.
@@ -296,7 +290,5 @@ def run_program(program: FuzzProgram | BuiltProgram, uarch: Microarch, *,
     world = build_world(program, uarch, fastpath=fastpath,
                         mitigations=mitigations)
     world.cpu.record_episodes = record_episodes
-    if instr_hook is not None:
-        world.cpu.instr_hook = instr_hook
     observables = run_world(world)
     return observables, world

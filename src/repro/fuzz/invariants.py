@@ -9,9 +9,10 @@ engine-differential diffs.  The four families from the issue:
    window, zero phantom execute µops) must reach the identical
    architectural state: registers, flags, data-region digest, outcome.
    Anything speculation "leaked" into architecture shows up here.
-2. **PMC counters are monotone** — sampled between consecutive retired
-   instructions via :attr:`CPU.instr_hook` (architecturally invisible,
-   so hooked and unhooked runs must still produce equal observables).
+2. **PMC counters are monotone** — sampled at every ``retire`` event
+   of the ``phantom.trace/1`` stream (a trace sink is architecturally
+   invisible, so traced and untraced runs must still produce equal
+   observables).
 3. **Generation-guarded caches never serve stale entries** — after a
    run, every surviving cache entry (software-TLB PTE, decoded
    instruction, transient decode tuple) is re-derived from the current
@@ -33,6 +34,7 @@ from ..errors import DecodeError
 from ..isa import BranchKind, Instruction, decode
 from ..params import PAGE_SHIFT, PAGE_SIZE, is_canonical
 from ..pipeline import CPU, Microarch, Reach
+from ..telemetry.trace import TraceEvent
 from .harness import Observables, World, compare_observables, run_program
 from .program import FuzzProgram
 
@@ -89,8 +91,9 @@ def check_no_transient_architectural_effect(
 # ---------------------------------------------------------------------------
 
 class PMCMonotoneHook:
-    """``instr_hook`` sampling the PMC bank between retired
-    instructions; any counter that ever decreases is recorded."""
+    """Trace sink sampling *cpu*'s PMC bank at every ``retire`` event;
+    any counter that ever decreases is recorded.  Attach it with
+    ``TRACE.sink(hook)`` around the run it should watch."""
 
     def __init__(self, cpu: CPU) -> None:
         self._counts = cpu.pmc.counts
@@ -98,17 +101,23 @@ class PMCMonotoneHook:
         self._events = cpu.pmc.snapshot().keys()
         self.violations: list[Violation] = []
 
-    def __call__(self, pc: int, instr: Instruction) -> None:
+    def emit(self, event: TraceEvent) -> None:
+        if event.kind != "retire":
+            return
+        pc = event.fields["pc"]
         counts = self._counts
         previous = self._previous
         for slot, value in enumerate(counts):
             if value < previous[slot]:
-                event = list(self._events)[slot]
+                name = list(self._events)[slot]
                 self.violations.append(Violation(
                     "pmc-monotone",
-                    f"{event} decreased {previous[slot]} -> {value} "
+                    f"{name} decreased {previous[slot]} -> {value} "
                     f"at pc={pc:#x}"))
             previous[slot] = value
+
+    def close(self) -> None:
+        pass
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,12 @@ decoder loses the resteer race and one where it wins), the oracle runs
 the program under the naive interpreter and the fast-path engine and
 compares the full :class:`~repro.fuzz.harness.Observables` — cycles,
 registers, flags, PMC snapshot, episode list, data digest, outcome.
-The naive run carries the PMC-monotonicity hook (architecturally
-invisible, so hooked-slow vs unhooked-fast still has to match — the
-comparison doubles as a test of that claim); it rides the slow engine
-because superblock dispatch steps aside while a per-instruction hook
-is attached, and the oracle's fast run must exercise the fused path.
+The naive run carries the PMC-monotonicity sink on the
+``phantom.trace/1`` stream (architecturally invisible, so traced-slow
+vs untraced-fast still has to match — the comparison doubles as a test
+of that claim); it rides the slow engine because compiled dispatch
+steps aside while any trace sink is attached, and the oracle's fast
+run must exercise the fused path.
 Both worlds are then subjected to the post-run invariant checks from
 :mod:`repro.fuzz.invariants`.
 
@@ -28,6 +29,7 @@ from typing import Sequence
 from ..pipeline import by_name
 from ..runner import JobSpec, derive_seed
 from ..core.experiment import chunked, values
+from ..telemetry.trace import TRACE
 from .gen import generate
 from .harness import build_world, compare_observables, run_world
 from .invariants import (PMCMonotoneHook, check_cache_coherence,
@@ -86,26 +88,26 @@ class Verdict:
 
 
 def check_program(program: FuzzProgram,
-                  uarches: Sequence[str] = DEFAULT_UARCHES,
-                  *, invariants: bool = True) -> Verdict:
+                  uarches: Sequence[str] = DEFAULT_UARCHES) -> Verdict:
     """Run the full oracle matrix over one program."""
     verdict = Verdict(program=program)
     report = verdict.divergences
     for name in uarches:
         uarch = by_name(name)
-        # Build the slow world by hand so the monotonicity hook can be
+        # Build the slow world by hand so the monotonicity sink can be
         # bound to its CPU before the first instruction retires.  The
-        # hook rides the *naive* engine: it is architecturally passive
-        # (hooked-slow vs unhooked-fast still has to match — the
-        # comparison doubles as a test of that claim), and the fast
-        # engine must run bare because superblock dispatch steps aside
-        # whenever a per-instruction hook is observing — a hooked fast
-        # run would silently stop exercising the fused path.
+        # sink is attached around the *naive* run only: it is
+        # architecturally passive (traced-slow vs untraced-fast still
+        # has to match — the comparison doubles as a test of that
+        # claim), and the fast engine must run untraced because
+        # compiled dispatch steps aside whenever a trace sink is
+        # attached — a traced fast run would silently stop exercising
+        # the fused path.
         slow_world = build_world(program, uarch, fastpath=False)
         slow_world.cpu.record_episodes = True
         hook = PMCMonotoneHook(slow_world.cpu)
-        slow_world.cpu.instr_hook = hook
-        slow = run_world(slow_world)
+        with TRACE.sink(hook):
+            slow = run_world(slow_world)
 
         fast_world = build_world(program, uarch, fastpath=True)
         fast_world.cpu.record_episodes = True
@@ -113,8 +115,6 @@ def check_program(program: FuzzProgram,
 
         for diff in compare_observables(slow, fast):
             report.append(Divergence("engine", uarch.name, diff))
-        if not invariants:
-            continue
         for violation in hook.violations:
             report.append(Divergence("invariant", uarch.name,
                                      str(violation)))
@@ -143,14 +143,12 @@ def program_seed(campaign_seed: int, index: int) -> int:
 
 def check_range(campaign_seed: int, start: int, stop: int,
                 uarches: Sequence[str] = DEFAULT_UARCHES,
-                *, shape: str | None = None,
-                invariants: bool = True) -> list[Verdict]:
+                *, shape: str | None = None) -> list[Verdict]:
     """Generate and check programs *start*..*stop* of a campaign."""
     verdicts = []
     for index in range(start, stop):
         program = generate(program_seed(campaign_seed, index), shape)
-        verdicts.append(check_program(program, uarches,
-                                      invariants=invariants))
+        verdicts.append(check_program(program, uarches))
     return verdicts
 
 
@@ -164,13 +162,11 @@ class FuzzExperiment:
     count: int = 50
     shape: str | None = None
     uarches: tuple[str, ...] = DEFAULT_UARCHES
-    invariants: bool = True
     name: str = "fuzz"
 
     def campaign_config(self) -> dict:
         return {"seed": self.seed, "count": self.count,
-                "shape": self.shape, "uarches": list(self.uarches),
-                "invariants": self.invariants}
+                "shape": self.shape, "uarches": list(self.uarches)}
 
     def job_specs(self) -> list[JobSpec]:
         return [
@@ -183,8 +179,7 @@ class FuzzExperiment:
     def run_one(self, spec: JobSpec, ctx) -> list[dict]:
         verdicts = check_range(self.seed, spec.param("start"),
                                spec.param("stop"), self.uarches,
-                               shape=self.shape,
-                               invariants=self.invariants)
+                               shape=self.shape)
         return [
             {"index": spec.param("start") + offset, **verdict.to_dict()}
             for offset, verdict in enumerate(verdicts)

@@ -379,10 +379,6 @@ class BuiltProgram:
     def entry(self) -> int:
         return USER_CODE
 
-    @property
-    def kernel_entry(self) -> int | None:
-        return KERNEL_CODE if self.kernel_image is not None else None
-
     def patch_bytes(self, patch: Patch) -> tuple[int, bytes]:
         """Encode *patch* for in-place rewrite: ``(address, bytes)``.
 

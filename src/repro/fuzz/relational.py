@@ -304,15 +304,6 @@ class ContractExperiment:
 # -- pair persistence ------------------------------------------------------
 
 
-def save_pair(pair: RelationalPair, directory: Path | str) -> Path:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"pair-{pair.name}.json"
-    path.write_text(json.dumps(pair.to_dict(), indent=2,
-                               sort_keys=False) + "\n")
-    return path
-
-
 def load_pair(path: Path | str) -> RelationalPair:
     """Load a pair from a pair document **or** a violation artifact."""
     doc = json.loads(Path(path).read_text())

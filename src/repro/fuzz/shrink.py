@@ -216,7 +216,6 @@ def _truncate_data(program: FuzzProgram, predicate,
 
 def shrink(program: FuzzProgram, verdict: Verdict, *,
            uarches: Sequence[str] = DEFAULT_UARCHES,
-           invariants: bool = True,
            max_checks: int = 250) -> ShrinkResult:
     """Minimize *program* while at least one of *verdict*'s divergence
     classes keeps reproducing."""
@@ -227,8 +226,7 @@ def shrink(program: FuzzProgram, verdict: Verdict, *,
 
     def predicate(candidate: FuzzProgram) -> bool:
         try:
-            result = check_program(candidate, uarches,
-                                   invariants=invariants)
+            result = check_program(candidate, uarches)
         except Exception:
             return False  # malformed reduction: reject
         return bool(set(result.classes) & classes)

@@ -195,9 +195,6 @@ class AddressSpace:
             return None
         return (entry.pfn << PAGE_SHIFT) | (va & (PAGE_SIZE - 1))
 
-    def mapped_pages(self) -> int:
-        return len(self._ptes)
-
 
 #: Cache sentinel distinguishing "never looked up" from "known unmapped".
 _UNRESOLVED = object()

@@ -20,10 +20,6 @@ class PhysicalMemory:
         self.size = size
         self._pages: dict[int, bytearray] = {}
 
-    @property
-    def page_count(self) -> int:
-        return self.size >> PAGE_SHIFT
-
     def _page(self, pfn: int) -> bytearray:
         page = self._pages.get(pfn)
         if page is None:

@@ -51,7 +51,7 @@ results (cycles, PMCs, episodes — pinned by the differential tests):
   (:func:`~repro.isa.semantics.compile_executor`) and pre-resolved PMC
   counter slots.  ``fn()`` returns the instructions it retired, or 0
   when a superblock's probe hits; then, and whenever there is no entry,
-  ``n`` exceeds the budget or a per-instruction observer is active,
+  ``n`` exceeds the budget or a trace sink is attached,
   dispatch runs one ``_step_slow`` — so phantom episodes replay
   exactly.  Executor thunks and superblock code are both generated from
   one per-mnemonic table (:data:`~repro.isa.semantics.SEMANTICS`),
@@ -177,6 +177,13 @@ class Reach(enum.IntEnum):
     EXECUTE = 3
 
 
+#: Names of the ``episode`` trace event's fields, slot for slot with
+#: :meth:`EpisodeRecord.key` (the resteer side spelled as a flavour).
+EPISODE_EVENT_FIELDS = ("source_pc", "predicted_kind", "actual_kind",
+                        "target", "reach", "flavour", "cross_privilege",
+                        "nested")
+
+
 @dataclass
 class EpisodeRecord:
     """Diagnostic record of one speculation episode (tests only —
@@ -191,6 +198,37 @@ class EpisodeRecord:
     cross_privilege: bool = False
     nested: bool = False
     cycle: int = 0
+
+    def key(self) -> tuple:
+        """The one structural encoding of an episode, shared by the
+        ``episode`` trace event, :class:`~repro.sidechannel.LeakTrace`
+        and the fuzz oracle's observables: plain values (kinds as
+        their mnemonics, ``None`` for no prediction; reach by name),
+        cycle stamp excluded."""
+        return (self.source_pc,
+                self.predicted_kind.value
+                if self.predicted_kind is not None else None,
+                self.actual_kind.value, self.target, self.reach.name,
+                self.frontend_resteer, self.cross_privilege, self.nested)
+
+    def event_fields(self) -> dict:
+        """:meth:`key` as the ``episode`` event's named fields."""
+        fields = dict(zip(EPISODE_EVENT_FIELDS, self.key()))
+        fields["flavour"] = "phantom" if self.frontend_resteer \
+            else "spectre"
+        return fields
+
+    @classmethod
+    def from_event(cls, event) -> "EpisodeRecord":
+        """Rebuild the record an ``episode`` trace event was made from."""
+        (source_pc, predicted, actual, target, reach, flavour,
+         cross_privilege, nested) = (event.fields[name]
+                                     for name in EPISODE_EVENT_FIELDS)
+        return cls(source_pc,
+                   BranchKind(predicted) if predicted is not None else None,
+                   BranchKind(actual), target, Reach[reach],
+                   flavour == "phantom", cross_privilege, nested,
+                   event.cycle)
 
 
 @dataclass
@@ -251,9 +289,6 @@ class CPU:
         self.record_episodes = False
         #: Set by the Machine: handle syscall/sysret/hlt/ud2 traps.
         self.trap_handler = None
-        #: Optional per-instruction observer: fn(pc, instr) called after
-        #: decode, before execution (used by the analysis tracer).
-        self.instr_hook = None
         self._decode_cache: dict[int, Instruction] = {}
         #: Engine selection; defaults to the memory system's, so one
         #: PHANTOM_REPRO_FASTPATH read governs the whole machine.  The
@@ -454,8 +489,8 @@ class CPU:
         superblock's probe bails, run exactly one ``_step_slow``.  The
         budget is decremented by real instructions retired, so the
         "limit" outcome fires after precisely *max_instructions* steps,
-        as on the naive engine.  Compiled code is skipped while a
-        per-instruction hook or retire tracing is active: both observe
+        as on the naive engine.  Compiled code is skipped while the
+        trace collector has a sink: ``retire`` events observe
         individual steps, which only ``_step_slow`` reports.
         """
         user_cache = self._code_user
@@ -464,7 +499,7 @@ class CPU:
         step_slow = self._step_slow
         remaining = max_instructions
         while remaining > 0:
-            if self.instr_hook is None and not _TRACE.enabled:
+            if not _TRACE.enabled:
                 kernel_mode = self.kernel_mode
                 cache = kernel_cache if kernel_mode else user_cache
                 pc = self.pc
@@ -500,8 +535,6 @@ class CPU:
         instr = self._decode_at(pc)
         if not uop_hit:
             self._counts[_IDX_DE_DIS] += uop_count(instr)
-        if self.instr_hook is not None:
-            self.instr_hook(pc, instr)
         if _TRACE.enabled:
             _TRACE.emit("retire", self.cycles, pc=pc, text=str(instr),
                         kernel_mode=self.kernel_mode)
@@ -588,8 +621,8 @@ class CPU:
         potential.  The closure still consults every stateful shared
         model (µop cache, BPU, PMC, cache hierarchy) — its results must
         be byte-identical to ``_step_slow`` on a decode-cache hit.  It
-        never runs under an ``instr_hook`` or retire tracing (the
-        dispatch loop steps those slowly), so it reports to neither.
+        never runs while the trace collector has a sink (the dispatch
+        loop steps slowly then), so it emits no ``retire`` events.
         """
         cpu = self
         counts = self._counts
@@ -1201,21 +1234,15 @@ class CPU:
                 cross_privilege: bool = False, nested: bool = False) -> None:
         if _REG.enabled:
             (self._m_phantom if frontend else self._m_spectre).value += 1
+        if not (_TRACE.enabled or self.record_episodes):
+            return
+        episode = EpisodeRecord(source_pc, predicted_kind, actual_kind,
+                                target, reach, frontend, cross_privilege,
+                                nested, self.cycles)
         if _TRACE.enabled:
-            _TRACE.emit(
-                "episode", self.cycles, source_pc=source_pc,
-                predicted_kind=(predicted_kind.value
-                                if predicted_kind else None),
-                actual_kind=actual_kind.value, target=target,
-                reach=reach.name,
-                flavour="phantom" if frontend else "spectre",
-                cross_privilege=cross_privilege, nested=nested)
+            _TRACE.emit("episode", self.cycles, **episode.event_fields())
             _TRACE.emit("resteer", self.cycles,
                         source="frontend" if frontend else "backend",
                         pc=source_pc)
         if self.record_episodes:
-            self.episodes.append(EpisodeRecord(
-                source_pc=source_pc, predicted_kind=predicted_kind,
-                actual_kind=actual_kind, target=target, reach=reach,
-                frontend_resteer=frontend, cross_privilege=cross_privilege,
-                nested=nested, cycle=self.cycles))
+            self.episodes.append(episode)

@@ -9,8 +9,9 @@ stated over its **channels**:
 * ``cycles``        — the elapsed cycle count (timing);
 * ``pmc``           — the speculation-related performance counters
   (resteers, phantom fetch/decode/execute, transient loads);
-* ``episodes``      — the structural speculation-episode log (source,
-  predicted/actual kind, target, pipeline reach);
+* ``episodes``      — the structural speculation-episode log
+  (:meth:`~repro.pipeline.EpisodeRecord.key`: source, predicted/actual
+  kind, target, pipeline reach);
 * ``ret-episodes``  — the return-predictor slice of the episode log
   (anything predicted or decoded as ``ret``) — the Retbleed channel;
 * ``icache``        — L1I Prime+Probe residue (per-set resident lines);
@@ -46,18 +47,6 @@ def _residue(cache) -> tuple[tuple[int, tuple[int, ...]], ...]:
     order (replacement order is itself attacker-observable)."""
     return tuple((index, tuple(lines))
                  for index, lines in cache.occupied_sets())
-
-
-def _episode_tuple(episode) -> tuple:
-    """Structural view of one episode (cycle stamps excluded — pure
-    timing shifts are the ``cycles`` channel's business)."""
-    return (episode.source_pc,
-            episode.predicted_kind.value
-            if episode.predicted_kind is not None else None,
-            episode.actual_kind.value,
-            episode.target, episode.reach.name,
-            episode.frontend_resteer, episode.cross_privilege,
-            episode.nested)
 
 
 @dataclass(frozen=True)
@@ -133,7 +122,9 @@ def capture(cpu, mem) -> LeakTrace:
     or the episode channels stay empty.
     """
     hier = mem.hier
-    episodes = tuple(_episode_tuple(e) for e in cpu.episodes)
+    # Structural keys exclude cycle stamps: pure timing shifts are the
+    # ``cycles`` channel's business.
+    episodes = tuple(e.key() for e in cpu.episodes)
     ret_episodes = tuple(
         e for e in episodes if "ret" in (e[1], e[2]))
     snapshot = cpu.pmc.snapshot()

@@ -2,10 +2,11 @@
 
 The simulator emits *events* — instruction retire, speculation episode,
 frontend/backend resteer, syscall, probe round — into a process-wide
-:class:`TraceCollector`.  Sinks consume them: a JSON-lines file sink
-(one object per line, schema-versioned) for machine processing, and an
-in-memory sink for programmatic consumers such as
-:class:`repro.analysis.Tracer`, whose text timeline is just one
+:class:`TraceCollector`, the CPU's only per-step observation
+channel.  Sinks (anything with ``emit(event)`` and ``close()``) consume
+them: a JSON-lines file sink (one object per line, schema-versioned)
+for machine processing, an in-memory sink, and programmatic consumers
+such as :class:`repro.analysis.Tracer`, whose text timeline is just one
 rendering of the same event stream.
 
 Emission is a no-op while the collector is disabled; enabling it never

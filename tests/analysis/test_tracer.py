@@ -5,6 +5,7 @@ from repro.core import AttackerRuntime
 from repro.isa import Assembler, Reg
 from repro.kernel import Machine, SYS_GETPID
 from repro.pipeline import ZEN2
+from repro.telemetry import TRACE, MemorySink
 
 CODE = 0x0000_0000_0900_0000
 
@@ -52,11 +53,16 @@ def test_episodes_attributed_to_instruction():
 
 
 def test_tracer_restores_hooks():
+    """The tracer is a TRACE sink only while its block runs, and it
+    leaves the CPU's own episode log alone."""
     machine = Machine(ZEN2)
-    with Tracer(machine):
-        pass
-    assert machine.cpu.instr_hook is None
+    with Tracer(machine) as trace:
+        assert TRACE.enabled
+        machine.syscall(SYS_GETPID)
+    assert not TRACE.enabled
     assert machine.cpu.record_episodes is False
+    assert machine.cpu.episodes == []
+    assert trace.episode_count() >= 1
 
 
 def test_limit_respected():
@@ -72,15 +78,27 @@ def test_limit_respected():
 
 
 def test_hooks_restored_when_body_raises():
+    """Only the tracer's own sink is detached, even on an exception: a
+    sink attached before it (as ``--trace-out`` does) keeps receiving
+    the stream, inside the block and after it."""
     machine = Machine(ZEN2)
-    machine.cpu.instr_hook = sentinel = (lambda pc, instr: None)
-    try:
-        with Tracer(machine):
-            assert machine.cpu.instr_hook is not sentinel
-            raise RuntimeError("boom")
-    except RuntimeError:
-        pass
-    assert machine.cpu.instr_hook is sentinel
+    outer = MemorySink()
+    with TRACE.sink(outer):
+        try:
+            with Tracer(machine) as trace:
+                machine.syscall(SYS_GETPID)
+                raise RuntimeError("boom")
+        except RuntimeError:
+            pass
+        traced = len(outer.events)
+        assert [e for e in outer.events if e.kind in ("retire", "episode")] \
+            == trace.events
+        machine.syscall(SYS_GETPID)
+        assert TRACE.enabled
+    assert not TRACE.enabled
+    assert len(outer.events) > traced
+    assert len(trace.entries) == sum(e.kind == "retire"
+                                     for e in outer.events[:traced])
     assert machine.cpu.record_episodes is False
 
 

@@ -1,10 +1,10 @@
-"""RSB, conditional predictor, BHB, µop cache unit tests."""
+"""RSB, conditional predictor, µop cache unit tests."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.frontend import BHB, RSB, ConditionalPredictor, UopCache
+from repro.frontend import RSB, ConditionalPredictor, UopCache
 
 
 class TestRSB:
@@ -89,43 +89,6 @@ class TestConditionalPredictor:
     def test_bad_size(self):
         with pytest.raises(ValueError):
             ConditionalPredictor(entries=1000)
-
-
-class TestBHB:
-    def test_update_changes_value(self):
-        bhb = BHB()
-        before = bhb.snapshot()
-        bhb.update(0x400000, 0x401000)
-        assert bhb.snapshot() != before
-
-    def test_deterministic(self):
-        a, b = BHB(), BHB()
-        for edge in [(0x1, 0x2), (0x40, 0x80)]:
-            a.update(*edge)
-            b.update(*edge)
-        assert a.snapshot() == b.snapshot()
-
-    def test_order_sensitive(self):
-        a, b = BHB(), BHB()
-        a.update(0x1000, 0x2000)
-        a.update(0x3000, 0x4000)
-        b.update(0x3000, 0x4000)
-        b.update(0x1000, 0x2000)
-        assert a.snapshot() != b.snapshot()
-
-    def test_restore(self):
-        bhb = BHB()
-        bhb.update(0x1, 0x2)
-        saved = bhb.snapshot()
-        bhb.update(0x3, 0x4)
-        bhb.restore(saved)
-        assert bhb.snapshot() == saved
-
-    def test_clear(self):
-        bhb = BHB()
-        bhb.update(0x1, 0x2)
-        bhb.clear()
-        assert bhb.snapshot() == 0
 
 
 class TestUopCache:

@@ -68,7 +68,7 @@ def test_fuzz_divergence_writes_counterexample(capsys, tmp_path,
     """Fault-inject the oracle: the command must exit 1 and write a
     replayable counterexample artifact."""
 
-    def fake_check(program, uarches, *, invariants=True):
+    def fake_check(program, uarches):
         verdict = Verdict(program=program)
         if program.seed % 2:
             verdict.divergences.append(
@@ -91,7 +91,7 @@ def test_fuzz_divergence_writes_counterexample(capsys, tmp_path,
 
 
 def test_fuzz_no_shrink_skips_minimization(capsys, tmp_path, monkeypatch):
-    def fake_check(program, uarches, *, invariants=True):
+    def fake_check(program, uarches):
         return Verdict(program=program,
                        divergences=[Divergence("engine", "zen2",
                                                "cycles: injected")])

@@ -14,6 +14,7 @@ from repro.fuzz.invariants import (PMCMonotoneHook, check_cache_coherence,
                                    despeculated)
 from repro.params import PAGE_SHIFT
 from repro.pipeline import by_name
+from repro.telemetry import TRACE
 
 
 def run_fast_world(seed):
@@ -102,13 +103,18 @@ def test_pmc_monotone_hook_catches_a_decrease():
     hook = PMCMonotoneHook(world.cpu)
     pmc = world.cpu.pmc
     pmc.add("l1d_access")
-    hook(0x1000, None)
-    assert hook.violations == []
-    slot = list(pmc.snapshot()).index("l1d_access")
-    pmc.counts[slot] -= 1
-    hook(0x1008, None)
+    with TRACE.sink(hook):
+        TRACE.emit("retire", 0, pc=0x1000, text="nop", kernel_mode=False)
+        assert hook.violations == []
+        slot = list(pmc.snapshot()).index("l1d_access")
+        pmc.counts[slot] -= 1
+        # Only retire events sample the bank.
+        TRACE.emit("syscall", 0, nr=39)
+        assert hook.violations == []
+        TRACE.emit("retire", 0, pc=0x1008, text="nop", kernel_mode=False)
     assert len(hook.violations) == 1
     assert "l1d_access" in hook.violations[0].detail
+    assert "pc=0x1008" in hook.violations[0].detail
 
 
 def test_episode_cycle_must_be_monotone():

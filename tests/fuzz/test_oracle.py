@@ -57,17 +57,6 @@ def test_counterexample_round_trips_through_disk(tmp_path):
     assert load_program(path) == program
 
 
-def test_invariants_flag_skips_invariant_checks(monkeypatch):
-    import repro.fuzz.oracle as oracle_module
-
-    def boom(*args, **kwargs):
-        raise AssertionError("invariant check ran with invariants=False")
-
-    monkeypatch.setattr(oracle_module, "check_cache_coherence", boom)
-    verdict = check_program(generate(2), invariants=False)
-    assert verdict.ok
-
-
 def test_oracle_reports_engine_divergence(monkeypatch):
     """Fault-inject the fast engine: a cycle perturbation must surface
     as an engine-class divergence on every µarch."""
@@ -83,7 +72,49 @@ def test_oracle_reports_engine_divergence(monkeypatch):
         return observables
 
     monkeypatch.setattr(oracle_module, "run_world", skewed_run_world)
-    verdict = check_program(generate(3), invariants=False)
+    verdict = check_program(generate(3))
     assert not verdict.ok
-    assert {d.kind for d in verdict.divergences} == {"engine"}
-    assert all("cycles" in d.detail for d in verdict.divergences)
+    engine = [d for d in verdict.divergences if d.kind == "engine"]
+    assert {d.uarch for d in engine} == {"Zen 2", "Zen 3"}
+    assert all("cycles" in d.detail for d in engine)
+
+
+def test_pmc_sink_watches_only_the_naive_run(monkeypatch):
+    """The monotonicity sink is attached around the naive run alone, so
+    the fast run stays untraced and keeps its compiled dispatch."""
+    import repro.fuzz.oracle as oracle_module
+    from repro.telemetry import TRACE
+
+    real_run_world = oracle_module.run_world
+    seen = []
+
+    def spying_run_world(world):
+        seen.append((world.cpu._fastpath, TRACE.enabled))
+        return real_run_world(world)
+
+    monkeypatch.setattr(oracle_module, "run_world", spying_run_world)
+    assert check_program(generate(3)).ok
+    assert seen == [(False, True), (True, False)] * 2
+    assert not TRACE.enabled
+
+
+def test_oracle_reports_a_decreasing_pmc_counter(monkeypatch):
+    """A step that lowers a PMC counter surfaces as a pmc-monotone
+    invariant divergence on every µarch."""
+    from repro.pipeline import CPU, PMC
+
+    real_resolve = CPU._resolve_and_train
+    slot = PMC.index("instructions")
+
+    def decreasing_resolve(self, *args):
+        real_resolve(self, *args)
+        self._steps = getattr(self, "_steps", 0) + 1
+        if self._steps == 3:
+            self.pmc.counts[slot] -= 2
+
+    monkeypatch.setattr(CPU, "_resolve_and_train", decreasing_resolve)
+    verdict = check_program(generate(3))
+    monotone = [d for d in verdict.divergences
+                if "pmc-monotone" in d.detail]
+    assert {d.uarch for d in monotone} == {"Zen 2", "Zen 3"}
+    assert all("instructions decreased" in d.detail for d in monotone)

@@ -15,7 +15,7 @@ def fake_oracle(monkeypatch, failing):
     """Install a stand-in oracle: a program 'fails' iff *failing* says
     so; the divergence class is fixed so the shrinker must preserve it."""
 
-    def check(program, uarches, *, invariants=True):
+    def check(program, uarches):
         verdict = Verdict(program=program)
         if failing(program):
             verdict.divergences.append(
@@ -83,7 +83,7 @@ def test_shrink_rejects_class_changing_reductions(monkeypatch):
     not accepted — the minimized program reproduces the original bug."""
     program = generate(find_seed_with("imul_rr"))
 
-    def check(candidate, uarches, *, invariants=True):
+    def check(candidate, uarches):
         verdict = Verdict(program=candidate)
         if count_mnemonic(candidate, "imul_rr") > 0:
             verdict.divergences.append(
@@ -112,7 +112,7 @@ def test_malformed_reductions_are_rejected_not_fatal(monkeypatch):
     seed = find_seed_with("imul_rr")
     program = generate(seed)
 
-    def check(candidate, uarches, *, invariants=True):
+    def check(candidate, uarches):
         candidate.build()                      # raises on malformed input
         verdict = Verdict(program=candidate)
         if count_mnemonic(candidate, "imul_rr") > 0:

@@ -446,3 +446,27 @@ def test_checkpoint_every_flag_is_a_usage_error(capsys):
         main(["kaslr", "--checkpoint-every", "2"])
     assert info.value.code == 2
     assert "--checkpoint-every" in capsys.readouterr().err
+
+
+def test_trace_out_with_a_worker_pool_is_a_usage_error(capsys, tmp_path):
+    """Forked workers would share the parent's open trace file."""
+    path = tmp_path / "trace.jsonl"
+    code = main(["matrix", "--uarch", "zen2", "--jobs", "2",
+                 "--trace-out", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and "--jobs 1" in err
+    assert not path.exists()
+
+
+def test_trace_out_with_one_worker_writes_whole_lines(capsys, tmp_path):
+    from repro.telemetry import TRACE, read_jsonl
+
+    path = tmp_path / "trace.jsonl"
+    code, _ = run(capsys, "matrix", "--uarch", "zen2", "--jobs", "1",
+                  "--trace-out", str(path))
+    assert code == 0
+    events = read_jsonl(path)     # raises on a torn line
+    kinds = {e["kind"] for e in events}
+    assert {"retire", "episode", "resteer"} <= kinds
+    assert not TRACE.enabled
