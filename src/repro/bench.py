@@ -15,11 +15,8 @@ simulator's main cost regimes:
   :class:`~repro.kernel.Machine`: privilege transitions, IBPB/fence
   mitigation work and kernel-text execution.
 
-Results are written as a ``phantom.bench/1`` document; each workload
-entry carries the fast engine's superblock statistics (blocks compiled,
-mean fused length, invalidations, probe bails) so a
-perf regression can be localised to the layer that lost coverage.
-Regression comparison is done on the fast/slow *speedup ratio*, not
+Results are written as a ``phantom.bench/1`` document.  Regression
+comparison is done on the fast/slow *speedup ratio*, not
 absolute IPS: the ratio divides out host speed, so a baseline committed
 from one machine remains meaningful on any other (CI runners included).
 
@@ -133,8 +130,6 @@ class WorkloadResult:
     #: Median per-round slow/fast ratio and its interquartile range.
     speedup: float
     speedup_iqr: float = 0.0
-    #: Fast-engine superblock statistics (see :func:`superblock_stats`).
-    superblocks: dict | None = None
 
     @property
     def slow_ips(self) -> float:
@@ -145,7 +140,7 @@ class WorkloadResult:
         return self.instructions / self.fast_seconds
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "name": self.name,
             "iterations": self.iterations,
             "instructions": self.instructions,
@@ -156,22 +151,6 @@ class WorkloadResult:
             "speedup": round(self.speedup, 3),
             "speedup_iqr": round(self.speedup_iqr, 3),
         }
-        if self.superblocks is not None:
-            out["superblocks"] = self.superblocks
-        return out
-
-
-def superblock_stats(cpu: CPU) -> dict:
-    """Snapshot the fast engine's fusion counters."""
-    compiled = cpu.sb_compiled
-    return {
-        "compiled": compiled,
-        "fused_instructions": cpu.sb_fused_instructions,
-        "mean_length": round(cpu.sb_fused_instructions / compiled, 2)
-        if compiled else 0.0,
-        "invalidated": cpu.sb_invalidated,
-        "probe_bails": cpu.sb_probe_bails,
-    }
 
 
 # -- workload programs --------------------------------------------------------
@@ -229,7 +208,7 @@ def _branch_heavy(iters: int) -> Assembler:
 
 def _program(builder, iters: int, fastpath: bool):
     """Load one user-mode program; return the callable that runs it to
-    HLT and returns ``(instructions, superblock stats)``."""
+    HLT and returns the instructions retired."""
     mem = MemorySystem(256 << 20, fastpath=fastpath)
     cpu = CPU(ZEN2, mem, fastpath=fastpath)
     mem.map_anonymous(_STACK - 16 * PAGE_SIZE, 16 * PAGE_SIZE,
@@ -237,18 +216,18 @@ def _program(builder, iters: int, fastpath: bool):
     cpu.state.write(Reg.RSP, _STACK)
     mem.load_image(builder(iters).image(), user=True)
 
-    def run() -> tuple[int, dict]:
+    def run() -> int:
         try:
             cpu.run(_CODE, max_instructions=1_000_000_000)
         except HaltRequested:
             pass
-        return cpu.pmc.read("instructions"), superblock_stats(cpu)
+        return cpu.pmc.read("instructions")
     return run
 
 
 def _syscalls(iters: int, fastpath: bool):
     """Boot a machine; return the callable that makes *iters* getpid
-    round trips and returns ``(instructions, superblock stats)``.
+    round trips and returns the instructions they retired.
 
     The engine is selected through the environment toggle the escape
     hatch documents (a :class:`Machine` boots its own memory system),
@@ -268,12 +247,11 @@ def _syscalls(iters: int, fastpath: bool):
             os.environ[ENV_VAR] = saved
     machine.syscall(39)          # warm caches and predictors
 
-    def run() -> tuple[int, dict]:
+    def run() -> int:
         base = machine.cpu.pmc.read("instructions")
         for _ in range(iters):
             machine.syscall(39)
-        return (machine.cpu.pmc.read("instructions") - base,
-                superblock_stats(machine.cpu))
+        return machine.cpu.pmc.read("instructions") - base
     return run
 
 
@@ -289,21 +267,20 @@ def measure(name: str) -> WorkloadResult:
     """Measure one workload under both engines in paired rounds."""
     rounds = paired_rounds({"slow": lambda: _setup(name, False),
                             "fast": lambda: _setup(name, True)})
-    for (slow_instrs, _), (fast_instrs, _) in zip(rounds.results["slow"],
-                                                  rounds.results["fast"]):
+    for slow_instrs, fast_instrs in zip(rounds.results["slow"],
+                                        rounds.results["fast"]):
         if slow_instrs != fast_instrs:
             raise AssertionError(
                 f"{name}: engines retired different instruction counts "
                 f"({slow_instrs} slow vs {fast_instrs} fast) — the fast "
                 f"path diverged architecturally")
-    instructions, stats = rounds.results["fast"][-1]
+    instructions = rounds.results["fast"][-1]
     speedup, iqr = rounds.ratio("slow", "fast")
     return WorkloadResult(name=name, iterations=_SIZES[name],
                           instructions=instructions,
                           slow_seconds=rounds.median("slow"),
                           fast_seconds=rounds.median("fast"),
-                          speedup=speedup, speedup_iqr=iqr,
-                          superblocks=stats)
+                          speedup=speedup, speedup_iqr=iqr)
 
 
 def run_bench(workloads=WORKLOADS) -> list[WorkloadResult]:
@@ -377,16 +354,11 @@ def is_bench_document(doc: dict) -> bool:
     return isinstance(doc, dict) and doc.get("schema") == BENCH_SCHEMA
 
 
-#: Superblock stat keys in report order (subset shown by summaries).
-#: ``transient_compiled`` and ``cycles_skipped`` are no longer written;
-#: they stay so older documents still summarise and diff.
-_SB_KEYS = ("compiled", "fused_instructions", "mean_length",
-            "invalidated", "probe_bails", "transient_compiled",
-            "cycles_skipped")
-
-
 def summarize_bench(doc: dict) -> str:
-    """Human-readable summary of one ``phantom.bench/1`` document."""
+    """Human-readable summary of one ``phantom.bench/1`` document.
+
+    Keys this module no longer writes (older documents carry a
+    per-workload stat block and a ``quick`` flag) are ignored."""
     host = doc.get("host", {})
     rounds = doc.get("rounds")
     lines = [
@@ -404,11 +376,6 @@ def summarize_bench(doc: dict) -> str:
             f"{entry['speedup']:6.2f}x"
             + (f" (IQR {entry['speedup_iqr']:.2f})"
                if "speedup_iqr" in entry else ""))
-        stats = entry.get("superblocks")
-        if stats:
-            detail = "  ".join(f"{key}={stats[key]}" for key in _SB_KEYS
-                               if key in stats)
-            lines.append(f"{'':16s} superblocks: {detail}")
     return "\n".join(lines)
 
 
@@ -427,11 +394,4 @@ def diff_bench(a: dict, b: dict) -> str:
         delta = wb["speedup"] - wa["speedup"]
         lines.append(f"{name:16s} {wa['speedup']:9.2f}x {wb['speedup']:9.2f}x "
                      f"{delta:+7.2f}x")
-        sa, sb = wa.get("superblocks") or {}, wb.get("superblocks") or {}
-        changed = [key for key in _SB_KEYS
-                   if key in sa and key in sb and sa[key] != sb[key]]
-        if changed:
-            detail = "  ".join(f"{key} {sa[key]} -> {sb[key]}"
-                               for key in changed)
-            lines.append(f"{'':16s} superblocks: {detail}")
     return "\n".join(lines)

@@ -58,7 +58,7 @@ from .telemetry import (JsonLinesSink, ProgressReporter, REGISTRY,
                         stitch_to_file, summarize_manifest)
 
 
-def _add_uarch(parser, default="zen 2", choices_amd_only=False):
+def _add_uarch(parser, default="zen 2"):
     parser.add_argument("--uarch", default=default,
                         help="microarchitecture name (e.g. 'zen 3')")
     parser.add_argument("--seed", type=int, default=0,

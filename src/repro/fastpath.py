@@ -2,7 +2,7 @@
 
 The simulator ships two architecturally identical execution engines: the
 naive per-step interpreter and a fast path built on one compiled-code
-cache (step closures and superblocks) and translation memoization (see
+cache of step closures and translation memoization (see
 ``docs/performance.md``).  The ``PHANTOM_REPRO_FASTPATH`` environment
 variable selects the engine at *construction* time — ``CPU``/
 ``MemorySystem`` read it once when built, so flipping the variable
@@ -14,8 +14,8 @@ Accepted values (case-insensitive):
 * ``0`` / ``false`` / ``off`` / ``no`` — the naive path (the
   differential-testing oracle).
 
-Anything else — including the retired flags ``superblocks=…`` and
-``quiesce=…`` or a bare unknown word — raises :class:`ValueError`
+Anything else — including retired flags such as ``quiesce=…`` or a
+bare unknown word — raises :class:`ValueError`
 naming the valid forms, so a misspelt setting can never silently select
 an engine.
 """

@@ -233,10 +233,10 @@ class BTB:
         self._hash_cache = _shared_hash_cache(indexing) if shared_hashes \
             else {}
         #: Every ``(set, tag)`` currently holding an entry.  Mirror of
-        #: ``_sets`` maintained at all mutation points so the superblock
-        #: engine can test a block's key footprint against the live
-        #: population with one set intersection instead of re-scanning
-        #: each byte (see :meth:`block_keys`).
+        #: ``_sets`` maintained at all mutation points so the fast
+        #: engine can test an instruction's key footprint against the
+        #: live population with one set intersection instead of
+        #: re-scanning each byte (see :meth:`block_keys`).
         self.live_keys: set[tuple[int, int]] = set()
         self.evictions = 0
         self._m_installs = _metrics.counter("btb_installs")
@@ -354,7 +354,7 @@ class BTB:
         """The ``(set, tag)`` footprint of a code block's byte addresses.
 
         The footprint is a pure function of the address range and the
-        hash functions — independent of BTB contents — so the superblock
+        hash functions — independent of BTB contents — so the fast
         engine computes it once at compile time and later decides
         "would :meth:`scan_block` find anything?" by intersecting with
         :attr:`live_keys`.  Matching in key space rather than stored-pc

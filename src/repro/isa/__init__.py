@@ -4,9 +4,8 @@ from .assembler import Assembler, Image, Segment
 from .decoder import decode
 from .encoder import NOPL_SEQUENCES, encode, encode_with_length
 from .instructions import BranchKind, Cond, Instruction, Mnemonic, Reg
-from .semantics import (SUPERBLOCK_FUSIBLE, ArchState, ExecResult, Flags,
-                        compile_executor, condition_met, execute,
-                        superblock_fusible)
+from .semantics import (ArchState, ExecResult, Flags, compile_executor,
+                        condition_met, execute)
 from .uops import Uop, UopKind, crack, uop_count
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "Mnemonic",
     "NOPL_SEQUENCES",
     "Reg",
-    "SUPERBLOCK_FUSIBLE",
     "Segment",
     "Uop",
     "UopKind",
@@ -32,6 +30,5 @@ __all__ = [
     "encode",
     "encode_with_length",
     "execute",
-    "superblock_fusible",
     "uop_count",
 ]

@@ -3,12 +3,10 @@
 Each instruction's effect is written twice, on purpose:
 
 * :func:`execute` is the hand-written interpreter — the naive engine
-  and the oracle every fast layer is checked against;
+  and the oracle the fast path is checked against;
 * :data:`SEMANTICS` is one table of per-mnemonic statement templates
-  from which both fast forms are generated: :func:`compile_executor`
-  (one closure per decoded instruction) and
-  :func:`superblock_arch_lines` (source lines a fused superblock
-  inlines).
+  from which the fast form is generated: :func:`compile_executor`
+  (one closure per decoded instruction).
 
 Memory traffic is routed through caller-supplied load/store callables
 so the cache hierarchy observes every access.
@@ -95,8 +93,8 @@ def _set_sub_flags(flags: Flags, a: int, b: int, result: int) -> None:
 
 
 #: The 16 condition codes as expressions over ``flags`` (P/NP: parity
-#: is not modelled).  :func:`condition_met`, the executor thunks and the
-#: superblock code all evaluate these strings.
+#: is not modelled).  :func:`condition_met` and the executor thunks
+#: both evaluate these strings.
 COND_EXPR: dict[Cond, str] = {
     Cond.O: "flags.of",
     Cond.NO: "not flags.of",
@@ -346,7 +344,7 @@ def execute(instr: Instruction, pc: int, state: ArchState,
 
 
 # ---------------------------------------------------------------------------
-# the fast path: one semantics table, two code generators
+# the fast path: one semantics table, one code generator
 # ---------------------------------------------------------------------------
 
 #: ``thunk(state, load, store, rdtsc) -> ExecResult``
@@ -362,7 +360,7 @@ class Semantics(NamedTuple):
 
     ``body`` holds statements over the locals ``regs``, ``flags``,
     ``load``, ``store`` and ``rdtsc`` and the globals of
-    :data:`SUPERBLOCK_HELPERS`.  Fields ``{d} {s} {b} {disp} {imm}``
+    ``_EXECUTOR_NAMESPACE``.  Fields ``{d} {s} {b} {disp} {imm}``
     are the operands, ``{cond}`` is the :data:`COND_EXPR` of a
     JCC/CMOV, and ``_``-prefixed names are per-instruction temporaries.
     Register writes keep :func:`execute`'s order relative to loads and
@@ -408,8 +406,8 @@ def _sub(src: str, write: bool = True) -> tuple[str, ...]:
 _S = Semantics
 
 #: The fast path's instruction semantics, one entry per mnemonic.
-#: :func:`compile_executor` and :func:`superblock_arch_lines` are both
-#: generated from it; :func:`execute` is written independently.
+#: :func:`compile_executor` is generated from it; :func:`execute` is
+#: written independently.
 SEMANTICS: dict[Mnemonic, Semantics] = {
     Mnemonic.NOP: _S(),
     Mnemonic.NOPL: _S(),
@@ -480,28 +478,9 @@ SEMANTICS: dict[Mnemonic, Semantics] = {
 #: Mnemonics whose execution raises a trap.
 TRAP_MNEMONICS = frozenset(m for m, sem in SEMANTICS.items() if sem.trap)
 
-#: Mnemonics a superblock may fuse: straight-line architectural effects
-#: only.  Branches terminate blocks (they resolve/train the BPU), traps
-#: and serializing fences end them (they leave the straight-line world),
-#: and RDTSC is excluded because it observes ``cycles`` mid-block while
-#: the block batches its cycle accounting.
-SUPERBLOCK_FUSIBLE = frozenset(
-    m for m, sem in SEMANTICS.items()
-    if sem.exit is None and sem.trap is None
-    and not any("rdtsc" in line for line in sem.body)
-    and m not in (Mnemonic.LFENCE, Mnemonic.MFENCE))
-
-
-def superblock_fusible(instr: Instruction) -> bool:
-    """True when *instr* can be fused into the body of a superblock."""
-    return instr.mnemonic in SUPERBLOCK_FUSIBLE
-
-
-#: Names the generated fast-path code expects in its globals — callers
-#: weaving :func:`superblock_arch_lines` into their own generated
-#: functions (the CPU's superblock engine) must merge these into the
-#: exec namespace.  Shared read-only by every generated function.
-SUPERBLOCK_HELPERS = {
+#: Names the generated executor code expects in its globals, shared
+#: read-only by every generated function.
+_EXECUTOR_NAMESPACE = {
     "MASK64": MASK64,
     "canonical": canonical,
     "_af": _set_add_flags,
@@ -536,7 +515,7 @@ def _executor_factory(m: Mnemonic, cc: Cond | None) -> Callable:
     src += [f"        return ExecResult({', '.join(args)})",
             "    return thunk"]
     name = m.name if cc is None else f"{m.name}.{cc.name}"
-    namespace = dict(SUPERBLOCK_HELPERS, ExecResult=ExecResult)
+    namespace = dict(_EXECUTOR_NAMESPACE, ExecResult=ExecResult)
     return _generate("\n".join(src), f"executor:{name}", namespace)["factory"]
 
 
@@ -569,25 +548,3 @@ def compile_executor(instr: Instruction, pc: int) -> ExecutorFn:
                    instr.disp, None if imm is None else imm & MASK64,
                    fall, (fall + instr.disp) & MASK64)
 
-
-def superblock_arch_lines(instr: Instruction) -> list[str]:
-    """Source lines for the architectural effect of one fused instruction.
-
-    The :data:`SEMANTICS` body of *instr* with operands and condition
-    filled in as literals.  The lines assume local names ``regs``,
-    ``flags``, ``load`` and ``store`` and the globals of
-    :data:`SUPERBLOCK_HELPERS`.  Register writes keep
-    :func:`execute`'s order relative to loads and stores, so a fault
-    mid-instruction leaves identical architectural state.
-    """
-    m = instr.mnemonic
-    if m not in SUPERBLOCK_FUSIBLE:
-        raise AssertionError(f"mnemonic {m} is not superblock-fusible")
-    dest, src, base, imm = instr.dest, instr.src, instr.base, instr.imm
-    fields = dict(
-        _FIXED, disp=instr.disp, cond=COND_EXPR.get(instr.cc, ""),
-        d=None if dest is None else int(dest),
-        s=None if src is None else int(src),
-        b=None if base is None else int(base),
-        imm=None if imm is None else f"{imm & MASK64:#x}")
-    return [line.format_map(fields) for line in SEMANTICS[m].body]

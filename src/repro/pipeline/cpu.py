@@ -36,36 +36,31 @@ results (cycles, PMCs, episodes — pinned by the differential tests):
 
 * the **naive path** (``_step_slow``) interprets every step from
   scratch: µop-cache probe, decode-cache lookup, ``execute()``'s
-  mnemonic dispatch.  It is the oracle every fast layer is checked
+  mnemonic dispatch.  It is the oracle the fast path is checked
   against;
-* the **fast path** keeps one compiled-code cache per privilege level.
-  A pc's first visit runs ``_step_slow``, which decodes it; the
-  dispatch that finds the pc already decoded (its second visit)
-  compiles it into an entry ``(n, fn)``.  A straight-line run of at
-  least ``_SB_MIN_INSTRS`` fusible instructions (no branches, traps,
-  fences or rdtsc) becomes a **superblock**: one generated function
-  whose single entry guard is a pure BTB probe of the block's (set,
-  tag) footprint against the live predictor keys.  Anything else
-  becomes a **step closure** holding the decoded instruction, a
-  specialised executor thunk
-  (:func:`~repro.isa.semantics.compile_executor`) and pre-resolved PMC
-  counter slots.  ``fn()`` returns the instructions it retired, or 0
-  when a superblock's probe hits; then, and whenever there is no entry,
-  ``n`` exceeds the budget or a trace sink is attached,
-  dispatch runs one ``_step_slow`` — so phantom episodes replay
-  exactly.  Executor thunks and superblock code are both generated from
-  one per-mnemonic table (:data:`~repro.isa.semantics.SEMANTICS`),
-  while ``execute`` stays hand-written.  Stateful shared models (µop
-  cache, BPU, cache hierarchy) are still consulted per step — only
-  Python-level dispatch, allocation and attribute traffic is removed,
-  which is what keeps the fast path architecturally invisible.
+* the **fast path** keeps one compiled-code cache per privilege level,
+  mapping a pc to its **step closure**.  A pc's first visit runs
+  ``_step_slow``, which decodes it; the dispatch that finds the pc
+  already decoded (its second visit) compiles the closure, which holds
+  the decoded instruction, a specialised executor thunk
+  (:func:`~repro.isa.semantics.compile_executor`, generated from the
+  per-mnemonic table :data:`~repro.isa.semantics.SEMANTICS` while
+  ``execute`` stays hand-written) and pre-resolved PMC counter slots.
+  A pure BTB probe of the instruction's (set, tag) footprint against
+  the live predictor keys skips the prediction query when it cannot
+  hit; when it can, the closure makes the same ``predict_in_block``
+  call as the naive path, so phantom episodes replay exactly.  While a
+  trace sink is attached, dispatch runs ``_step_slow`` instead.
+  Stateful shared models (µop cache, BPU, cache hierarchy) are still
+  consulted per step — only Python-level dispatch, allocation and
+  attribute traffic is removed, which is what keeps the fast path
+  architecturally invisible.
 
-Entries hold only decode-cache instructions, address-pure BTB keys and
-live callbacks, so they stay valid exactly as long as the decode cache
-both engines step from: :meth:`CPU.invalidate_code` drops them (whole
-blocks, via the interior-pc index) and nothing else does.  Privilege is
-part of the cache key, so kernel and user executions of the same bytes
-never share an entry.
+Step closures hold only decode-cache instructions, address-pure BTB
+keys and live callbacks, so they stay valid exactly as long as the
+decode cache both engines step from: :meth:`CPU.invalidate_code` drops
+them and nothing else does.  Privilege is part of the cache key, so
+kernel and user executions of the same bytes never share a closure.
 
 Speculative windows (``_transient_run``) have one fast layer of their
 own: a per-µop transient decode cache of executor thunks, BTB key
@@ -82,17 +77,15 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from types import CodeType
 from typing import Callable
 
 from ..errors import (DecodeError, HaltRequested, PageFault, ReproError,
                       SimulationLimit, TruncatedError)
 from ..fastpath import fastpath_enabled
 from ..frontend import BPU, Prediction, UopCache
-from ..isa import (SUPERBLOCK_FUSIBLE, ArchState, BranchKind, Instruction,
-                   compile_executor, decode, execute, uop_count)
-from ..isa.semantics import (SUPERBLOCK_HELPERS, TRAP_MNEMONICS,
-                             superblock_arch_lines)
+from ..isa import (ArchState, BranchKind, Instruction, compile_executor,
+                   decode, execute, uop_count)
+from ..isa.semantics import TRAP_MNEMONICS
 from ..memory import MemorySystem
 from ..params import MASK64, PAGE_SHIFT, PAGE_SIZE, canonical
 from ..telemetry import metrics as _metrics
@@ -134,39 +127,6 @@ _SLS_KINDS = frozenset((BranchKind.DIRECT, BranchKind.CALL_DIRECT,
 #: Transient-cache miss sentinel (``None`` is a valid cached value
 #: there: "bytes at this pc do not decode").
 _UNCOMPILED = object()
-
-#: Superblock sizing: fusion needs enough instructions to amortize the
-#: entry probe; the cap bounds generated-code size and the span one
-#: invalidation can retire.
-_SB_MIN_INSTRS = 3
-_SB_MAX_INSTRS = 64
-
-#: Bound on the process-wide memo of compiled block code, in distinct
-#: sources.  The worlds of a contract-fuzz pair share at most ~30
-#: distinct blocks, so this holds a few pairs' blocks; the memo is
-#: dropped wholesale when full.
-CODE_MEMO_SIZE = 128
-
-_code_memo: dict[tuple[str, str], CodeType] = {}
-
-
-def _block_code(source: str, filename: str) -> CodeType:
-    """``compile(source, filename, "exec")``, memoized process-wide.
-
-    Generated block source names every per-CPU object (CPU, state,
-    caches, key footprint) as a free variable, bound by the fresh
-    namespace each ``exec`` runs the code in — so one code object
-    serves every CPU whose block has the same source.
-    """
-    key = (source, filename)
-    code = _code_memo.get(key)
-    if code is None:
-        code = compile(source, filename, "exec")
-        if len(_code_memo) >= CODE_MEMO_SIZE:
-            _code_memo.clear()
-        _code_memo[key] = code
-    return code
-
 
 class Reach(enum.IntEnum):
     """How far a transient episode advanced in the pipeline."""
@@ -305,16 +265,10 @@ class CPU:
         #: when its service latency reached L2.
         self._l1_miss_threshold = mem.hier.params.l2_latency
         self._counts = self.pmc.counts
-        #: Compiled code: head pc -> (instructions, fn), split per
-        #: privilege level.  A step closure has n = 1, a superblock
-        #: n >= _SB_MIN_INSTRS; ``fn()`` returns the instructions it
-        #: retired, or 0 on a probe bail.
-        self._code_user: dict[int, tuple[int, Callable[[], int]]] = {}
-        self._code_kernel: dict[int, tuple[int, Callable[[], int]]] = {}
-        #: pc -> {(kernel_mode, head_pc)} of every entry covering that
-        #: pc, so invalidate_code retires whole blocks from writes that
-        #: land mid-block (the split/retire contract).
-        self._block_index: dict[int, set[tuple[bool, int]]] = {}
+        #: Compiled code: pc -> step closure, split per privilege
+        #: level.  Calling the closure retires the instruction at pc.
+        self._code_user: dict[int, Callable[[], None]] = {}
+        self._code_kernel: dict[int, Callable[[], None]] = {}
         #: Transient-path decode cache: pc -> the tuple described in
         #: ``_transient_entry``, or None for undecodable bytes.  Valid
         #: only for the page-table generation it was filled under.
@@ -323,15 +277,11 @@ class CPU:
         #: Page -> pcs with any cached artifact on that page, so
         #: invalidate_code touches only the affected pages.
         self._code_pages: dict[int, set[int]] = {}
-        #: Superblock statistics (fused blocks only, not step
-        #: closures).  Plain attributes, *not* metrics counters: only
-        #: the fast engine compiles, and engine manifests must stay
-        #: fingerprint-identical.
+        #: Always 0; profilers sum them across CPUs.  The ``sb_*``
+        #: trio counted superblocks, a retired compiled layer.
         self.sb_compiled = 0
-        self.sb_fused_instructions = 0
         self.sb_invalidated = 0
         self.sb_probe_bails = 0
-        #: Always 0; profilers sum them across CPUs.
         self.tb_compiled = 0
         self.cycles_skipped = 0
         self._m_phantom = _metrics.counter("speculation_episodes",
@@ -352,10 +302,8 @@ class CPU:
         — µops cracked from the old bytes must not serve hits after a
         code rewrite.  Cached pcs are indexed by page, so the walk
         touches only the pages the write spans instead of scanning every
-        cached decode.  A write landing mid-superblock retires the whole
-        owning block (looked up through ``_block_index``); the next
-        dispatch at its head recompiles over whatever decodes survive,
-        which is how blocks split around rewritten bytes.
+        cached decode.  A step closure covers only its own pc, so it
+        goes with that pc's decode.
         """
         if hi <= lo:
             return
@@ -363,7 +311,6 @@ class CPU:
         transient = self._transient_cache
         code_user = self._code_user
         code_kernel = self._code_kernel
-        block_index = self._block_index
         code_pages = self._code_pages
         lo_reach = lo - _MAX_INSTR_BYTES
         for page in range((lo_reach + 1) >> PAGE_SHIFT,
@@ -376,11 +323,8 @@ class CPU:
                 pcs.discard(pc)
                 decode_cache.pop(pc, None)
                 transient.pop(pc, None)
-                for kernel, head in block_index.pop(pc, ()):
-                    target = code_kernel if kernel else code_user
-                    entry = target.pop(head, None)
-                    if entry is not None and entry[0] > 1:
-                        self.sb_invalidated += 1
+                code_user.pop(pc, None)
+                code_kernel.pop(pc, None)
             if not pcs:
                 del code_pages[page]
         self.uopcache.invalidate_range(lo_reach + 1, hi)
@@ -482,12 +426,10 @@ class CPU:
     def _run_compiled(self, max_instructions: int) -> None:
         """The fast engine's run loop.
 
-        Per iteration: look up the compiled entry for the current
+        Per instruction: look up the step closure for the current
         ``(pc, privilege)``, compiling one when the pc is already
-        decoded (its second visit), and call it when its instruction
-        count fits the remaining budget.  Otherwise, or when a
-        superblock's probe bails, run exactly one ``_step_slow``.  The
-        budget is decremented by real instructions retired, so the
+        decoded (its second visit), and call it; otherwise run one
+        ``_step_slow``.  Either way one instruction retires, so the
         "limit" outcome fires after precisely *max_instructions* steps,
         as on the naive engine.  Compiled code is skipped while the
         trace collector has a sink: ``retire`` events observe
@@ -497,24 +439,20 @@ class CPU:
         kernel_cache = self._code_kernel
         decoded = self._decode_cache
         step_slow = self._step_slow
-        remaining = max_instructions
-        while remaining > 0:
+        for _ in range(max_instructions):
             if not _TRACE.enabled:
                 kernel_mode = self.kernel_mode
                 cache = kernel_cache if kernel_mode else user_cache
                 pc = self.pc
-                entry = cache.get(pc)
-                if entry is None and pc in decoded:
-                    entry = self._compile_at(pc, cache, kernel_mode)
-                if entry is not None:
-                    n, fn = entry
-                    if n <= remaining:
-                        done = fn()
-                        if done:
-                            remaining -= done
-                            continue
+                step = cache.get(pc)
+                if step is None and pc in decoded:
+                    with _SPANS.span("fastpath:compile", pc=hex(pc)):
+                        step = cache[pc] = self._compile_step(
+                            pc, decoded[pc], kernel_mode)
+                if step is not None:
+                    step()
+                    continue
             step_slow()
-            remaining -= 1
 
     def _step_slow(self) -> None:
         """The naive engine: interpret one step from scratch."""
@@ -562,58 +500,8 @@ class CPU:
     # compilation
     # ------------------------------------------------------------------
 
-    def _compile_at(self, head: int, cache: dict,
-                    kernel_mode: bool) -> tuple[int, Callable[[], int]]:
-        """Compile the decoded pc *head* into its cache entry.
-
-        The run extends while instructions are decoded, fusible and
-        *start* on the head's page (the final instruction's bytes may
-        straddle into the next page — ``invalidate_code``'s reach-back
-        covers that overhang), up to ``_SB_MAX_INSTRS``.  A run of at
-        least ``_SB_MIN_INSTRS`` becomes a superblock; anything shorter
-        a step closure for *head* alone.  Every covered pc is indexed
-        in ``_block_index``.
-
-        Compilation is bracketed by a ``fastpath:compile`` span but is
-        deliberately *not* a metrics counter: only the fast engine
-        compiles, and engine manifests must stay fingerprint-identical.
-        """
-        decode_cache = self._decode_cache
-        instr = decode_cache[head]
-        run: list[tuple[int, Instruction]] = [(head, instr)]
-        if instr.mnemonic in SUPERBLOCK_FUSIBLE:
-            page = head >> PAGE_SHIFT
-            pc = head
-            while len(run) < _SB_MAX_INSTRS:
-                pc = canonical((pc + instr.length) & MASK64)
-                instr = decode_cache.get(pc)
-                if (pc >> PAGE_SHIFT != page or instr is None
-                        or instr.mnemonic not in SUPERBLOCK_FUSIBLE):
-                    break
-                run.append((pc, instr))
-        if len(run) < _SB_MIN_INSTRS:
-            del run[1:]
-        with _SPANS.span("fastpath:compile", pc=hex(head),
-                         instructions=len(run)):
-            if len(run) == 1:
-                entry = (1, self._compile_step(head, run[0][1],
-                                               kernel_mode))
-            else:
-                entry = self._fuse_superblock(head, run, kernel_mode)
-                self.sb_compiled += 1
-                self.sb_fused_instructions += len(run)
-        cache[head] = entry
-        block_index = self._block_index
-        key = (kernel_mode, head)
-        for pc, _ in run:
-            owners = block_index.get(pc)
-            if owners is None:
-                owners = block_index[pc] = set()
-            owners.add(key)
-        return entry
-
     def _compile_step(self, pc: int, instr: Instruction,
-                      kernel_mode: bool) -> Callable[[], int]:
+                      kernel_mode: bool) -> Callable[[], None]:
         """Fuse one steady-state step of *instr* at *pc* into a closure.
 
         Everything derivable from the decoded instruction is resolved
@@ -623,6 +511,11 @@ class CPU:
         be byte-identical to ``_step_slow`` on a decode-cache hit.  It
         never runs while the trace collector has a sink (the dispatch
         loop steps slowly then), so it emits no ``retire`` events.
+
+        The dispatch loop brackets compilation by a ``fastpath:compile``
+        span, but it is deliberately *not* a metrics counter: only the
+        fast engine compiles, and engine manifests must stay
+        fingerprint-identical.
         """
         cpu = self
         counts = self._counts
@@ -643,17 +536,20 @@ class CPU:
         is_branch = kind is not BranchKind.NONE
         sls_candidate = kind in _SLS_KINDS
         can_trap = instr.mnemonic in TRAP_MNEMONICS
-        # Pure pre-probe (same argument as _fuse_superblock): the
-        # instruction's (set, tag) footprint is a static function of its
-        # address range, and predict_in_block on a full miss returns
-        # None with zero side effects.  Intersecting the footprint with
-        # the BTB's live key set — re-read every step, so training and
-        # eviction are seen immediately — skips the per-byte scan for
-        # the overwhelmingly common untrained pc.
+        # Pure pre-probe: the instruction's (set, tag) footprint —
+        # every byte address it spans, hashed exactly as scan_block
+        # would — is a static function of its address range, and
+        # predict_in_block on a full miss returns None with zero side
+        # effects.  The probe is in key space, not stored-pc space, so
+        # an aliasing trainer at an unrelated address still meets it.
+        # Intersecting the footprint with the BTB's live key set —
+        # re-read every step, so training and eviction are seen
+        # immediately — skips the per-byte scan for the overwhelmingly
+        # common untrained pc.
         keys = self.bpu.btb.block_keys(pc, length, kernel_mode=kernel_mode)
         live = self.bpu.btb.live_keys
 
-        def step() -> int:
+        def step() -> None:
             if uop_access(pc):
                 counts[_IDX_OP_HIT] += 1
                 cpu.cycles += 1
@@ -679,94 +575,10 @@ class CPU:
                 resolve(pc, instr, result, prediction)
             if can_trap and result.trap is not None:
                 cpu._handle_trap(result.trap, instr, result)
-                return 1
+                return
             cpu.pc = canonical(result.next_pc)
-            return 1
 
         return step
-
-    def _fuse_superblock(self, head: int, run: list,
-                         kernel_mode: bool) -> tuple:
-        """Generate the fused dispatch function for one superblock.
-
-        The function's entry guard is a pure BTB probe: the block's
-        ``(set, tag)`` footprint — every byte address it spans, hashed
-        exactly as ``scan_block`` would — against the BTB's live keys.
-        Any intersection means ``predict_in_block`` *could* return a
-        prediction somewhere inside the block (aliasing included: the
-        probe is in key space, not stored-pc space, so a trainer at an
-        unrelated address still hits), and the block bails to one
-        ``_step_slow``, which reproduces phantom episodes exactly.  A
-        disjoint footprint proves every fused instruction's prediction
-        query would return None with zero side effects, and non-branch
-        instructions do nothing in ``_sequential_speculation``, so
-        skipping both calls is exact.  The BTB cannot change mid-block:
-        only retired branches train it, and the block contains none.
-
-        Per instruction the generated code replays the steady-state
-        step: µop-cache probe with hit/miss/decoder-µop accounting, the
-        inlined architectural effect
-        (:func:`~repro.isa.semantics.superblock_arch_lines`, generated
-        from the same table as the executor thunks), retire counting —
-        all accumulated in locals and flushed once per dispatch.  A fault
-        mid-block flushes the partial accounting and rewinds ``pc`` to
-        the faulting instruction, leaving state byte-identical to the
-        naive engine's (pinned by tests/pipeline/test_superblocks.py).
-        """
-        btb = self.bpu.btb
-        last_pc, last = run[-1]
-        end = canonical((last_pc + last.length) & MASK64)
-        span = last_pc + last.length - head
-        keys = btb.block_keys(head, span, kernel_mode=kernel_mode)
-        consts: dict = dict(SUPERBLOCK_HELPERS)
-        consts.update(
-            _cpu=self, _state=self.state, _counts=self._counts,
-            _ua=self.uopcache.access, _load=self._load,
-            _store=self._store, _msr=self.msr, _keys=keys,
-            _live=btb.live_keys, _pcs=tuple(pc for pc, _ in run),
-            _IH=_IDX_OP_HIT, _IM=_IDX_OP_MISS, _ID=_IDX_DE_DIS,
-            _II=_IDX_INSTRUCTIONS,
-        )
-        suppress = self.uarch.supports_suppress_bp_on_non_br
-        n = len(run)
-        src = [
-            "def _sb():",
-            "    if not _keys.isdisjoint(_live):",
-            "        _cpu.sb_probe_bails += 1",
-            "        return 0",
-            "    regs = _state.regs",
-            "    flags = _state.flags",
-            "    load = _load",
-            "    store = _store",
-            "    h = m = dd = r = cyc = 0",
-            "    try:",
-        ]
-        for pc, instr in run:
-            src.append(f"        if _ua({pc:#x}):")
-            src.append("            h += 1; cyc += 1")
-            src.append("        else:")
-            src.append(f"            m += 1; dd += {uop_count(instr)}")
-            if suppress:
-                src.append("            if _msr.suppress_bp_on_non_br:")
-                src.append("                cyc += 2")
-            for line in superblock_arch_lines(instr):
-                src.append("        " + line)
-            src.append("        r += 1; cyc += 1")
-        src += [
-            "    except BaseException:",
-            "        _counts[_IH] += h; _counts[_IM] += m",
-            "        _counts[_ID] += dd; _counts[_II] += r",
-            "        _cpu.cycles += cyc",
-            "        _cpu.pc = _pcs[r]",
-            "        raise",
-            "    _counts[_IH] += h; _counts[_IM] += m",
-            "    _counts[_ID] += dd; _counts[_II] += r",
-            "    _cpu.cycles += cyc",
-            f"    _cpu.pc = {end:#x}",
-            f"    return {n}",
-        ]
-        exec(_block_code("\n".join(src), f"<superblock@{head:#x}>"), consts)
-        return (n, consts["_sb"])
 
     # ------------------------------------------------------------------
     # frontend (pre-decode) prediction handling
@@ -1022,7 +834,7 @@ class CPU:
         lookup must reproduce the naive path's break-on-DecodeError
         without re-reading physical memory every µop.  The key
         footprint lets ``_transient_run`` answer the nested prediction
-        query with one set intersection (see ``_fuse_superblock`` for
+        query with one set intersection (see ``_compile_step`` for
         the soundness argument).  The entry privilege tags both the
         footprint (Intel mixes privilege into the BTB tag) and the
         memoized translation (permission checks differ by mode); a

@@ -84,18 +84,13 @@ def test_unindexed_cache_entry_is_detected():
 def test_unindexed_compiled_entry_is_detected():
     world = run_fast_world(0)
     cpu = world.cpu
-    # Step closures are indexed like superblocks: drop one's key.
-    head = next(pc for pc, (n, _) in cpu._code_user.items() if n == 1)
-    cpu._block_index[head].discard((False, head))
+    # A step closure whose pc left the page index would survive
+    # invalidate_code and serve stale bytes.
+    pc = next(iter(cpu._code_user))
+    cpu._code_pages[pc >> PAGE_SHIFT].discard(pc)
     violations = check_cache_coherence(world)
-    assert any(f"compiled entry at {head:#x}" in v.detail
-               and "block-index" in v.detail for v in violations)
-    # An entry whose pc left the page index is caught as well.
-    cpu._decode_cache.pop(head)
-    cpu._code_pages[head >> PAGE_SHIFT].discard(head)
-    violations = check_cache_coherence(world)
-    assert any(f"compiled-user cache holds pc {head:#x}" in v.detail
-               for v in violations)
+    assert any(v.detail == f"compiled-user cache holds pc {pc:#x} not "
+               f"indexed for invalidation" for v in violations)
 
 
 def test_pmc_monotone_hook_catches_a_decrease():

@@ -270,7 +270,7 @@ def test_branch_heavy_spans_bracket_phases_not_instructions(tmp_path):
     run = _program(_branch_heavy, _SIZES["branch_heavy"], fastpath=True)
     SPANS.start(tmp_path, name="bench")
     try:
-        instructions, _ = run()
+        instructions = run()
     finally:
         SPANS.finish()
     spans = read_spans(tmp_path)

@@ -1,12 +1,11 @@
-"""The bench harness: paired rounds, document shape, comparison,
-superblock stats.
+"""The bench harness: paired rounds, document shape, comparison.
 
 The actual throughput numbers are host-dependent and untestable; what
 is pinned here is everything around them — the paired-rounds order and
-statistics, engines retiring identical instruction counts, superblock
-statistics landing in the document, regression comparison logic, and
-the summarize/diff text paths the ``repro stats`` command uses for
-``phantom.bench/1`` documents.
+statistics, engines retiring identical instruction counts, the
+document shape, regression comparison logic, and the summarize/diff
+text paths the ``repro stats`` command uses for ``phantom.bench/1``
+documents, older ones included.
 """
 
 import copy
@@ -22,18 +21,17 @@ from repro.bench import (BENCH_SCHEMA, ROUNDS, WORKLOADS, Rounds,
 from repro.cli import main
 
 #: A ``phantom.bench/1`` document written before the paired-rounds
-#: protocol: full-size workloads, ``quick: false``, and the retired
-#: ``transient_compiled``/``cycles_skipped`` superblock keys.
+#: protocol: full-size workloads, ``quick: false``, and a per-workload
+#: ``superblocks`` stat block (with the ``transient_compiled`` and
+#: ``cycles_skipped`` keys retired even before the block was).
 OLD_DOCUMENT = Path(__file__).resolve().parent / "data" \
     / "bench-with-retired-keys.json"
 
 
-def make_result(name="branch_heavy", speedup=10.0, stats=None,
-                iterations=100):
+def make_result(name="branch_heavy", speedup=10.0, iterations=100):
     return WorkloadResult(name=name, iterations=iterations,
                           instructions=1000, slow_seconds=speedup,
-                          fast_seconds=1.0, speedup=speedup,
-                          superblocks=stats)
+                          fast_seconds=1.0, speedup=speedup)
 
 
 class TestPairedRounds:
@@ -84,11 +82,6 @@ class TestWorkloadResult:
         assert r.slow_ips == 125.0
         assert r.to_dict()["speedup_iqr"] == 0.0
 
-    def test_to_dict_includes_superblocks_when_present(self):
-        stats = {"compiled": 3, "fused_instructions": 30}
-        assert make_result(stats=stats).to_dict()["superblocks"] == stats
-        assert "superblocks" not in make_result().to_dict()
-
 
 class TestDocument:
     def test_schema_and_detection(self):
@@ -136,22 +129,16 @@ class TestDocument:
             assert info.value.code == 2
             assert flag[0] in capsys.readouterr().err
 
-    def test_summarize_mentions_superblock_stats(self):
-        stats = {"compiled": 4, "mean_length": 12.0, "cycles_skipped": 77}
-        text = summarize_bench(document([make_result(stats=stats)]))
+    def test_summarize_lists_speedup_and_iqr(self):
+        text = summarize_bench(document([make_result(speedup=8.0)]))
         assert "branch_heavy" in text
-        assert "compiled=4" in text
-        assert "cycles_skipped=77" in text
+        assert "8.00x (IQR 0.00)" in text
 
-    def test_diff_reports_speedup_delta_and_stat_changes(self):
-        a = document([make_result(speedup=10.0,
-                                  stats={"compiled": 4, "probe_bails": 0})])
-        b = document([make_result(speedup=12.0,
-                                  stats={"compiled": 4, "probe_bails": 9})])
+    def test_diff_reports_speedup_delta(self):
+        a = document([make_result(speedup=10.0)])
+        b = document([make_result(speedup=12.0)])
         text = diff_bench(a, b)
         assert "+2.00x" in text
-        assert "probe_bails 0 -> 9" in text
-        assert "compiled" not in text   # unchanged stats stay silent
 
     def test_diff_notes_missing_workloads(self):
         a = document([make_result(name="syscall")])
@@ -161,19 +148,14 @@ class TestDocument:
 
 
 class TestRunners:
-    def test_program_runner_returns_superblock_stats(self):
-        instrs, stats = _program(_straight_line, 50, True)()
-        assert instrs > 0
-        assert stats["compiled"] >= 1
-        assert stats["fused_instructions"] >= 3 * stats["compiled"]
-        assert stats["mean_length"] > 0
+    def test_program_runner_returns_instructions(self):
+        fast = _program(_straight_line, 20, True)()
+        assert fast == _program(_straight_line, 20, False)() > 20 * 50
 
     def test_fresh_stats_omit_retired_keys(self):
-        _, stats = _program(_straight_line, 20, True)()
-        doc = document([make_result(stats=stats)])
-        written = doc["workloads"][0]["superblocks"]
-        assert "transient_compiled" not in written
-        assert "cycles_skipped" not in written
+        written = document([make_result()])["workloads"][0]
+        assert "superblocks" not in written
+        assert "quick" not in document([make_result()])
 
     def test_workload_registry_matches_sizes(self):
         from repro.bench import _SIZES
@@ -181,31 +163,31 @@ class TestRunners:
 
 
 class TestCommittedBaseline:
-    """A document that predates the retired stat keys and the
-    paired-rounds protocol must still summarise and diff through
-    ``repro stats``."""
+    """A document that predates the paired-rounds protocol and carries
+    retired keys must still summarise and diff through ``repro
+    stats``; the retired keys are not rendered."""
 
     BASELINE = OLD_DOCUMENT
 
-    def test_summary_renders_retired_keys(self, capsys):
+    def test_summary_renders_an_older_document(self, capsys):
         assert main(["stats", str(self.BASELINE)]) == 0
         out = capsys.readouterr().out
-        assert "branch_heavy" in out
-        assert "transient_compiled=" in out
-        assert "cycles_skipped=0" in out
+        assert all(f"{name:16s}" in out for name in WORKLOADS)
+        assert "6.61x" in out                    # straight_line's speedup
+        assert "superblocks" not in out and "compiled" not in out
 
     def test_diff_against_fresh_document(self, capsys, tmp_path):
         baseline = load_document(str(self.BASELINE))
         fresh = copy.deepcopy(baseline)
         for entry in fresh["workloads"]:
-            stats = entry["superblocks"]
-            del stats["transient_compiled"], stats["cycles_skipped"]
+            del entry["superblocks"]
+            entry["speedup"] += 1.0
         path = tmp_path / "fresh.json"
         path.write_text(json.dumps(fresh))
         assert main(["stats", str(self.BASELINE), str(path)]) == 0
         out = capsys.readouterr().out
-        assert "branch_heavy" in out
-        assert "transient_compiled" not in out   # one-sided keys skip
+        assert "branch_heavy" in out and "+1.00x" in out
+        assert "superblocks" not in out
 
     def test_diff_against_the_committed_baseline(self, capsys):
         """Old and paired-rounds documents diff even though their
