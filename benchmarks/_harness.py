@@ -1,15 +1,23 @@
 """Shared helpers for the reproduction benchmarks.
 
-Each benchmark regenerates one table or figure of the paper and prints
-it in the paper's layout (run pytest with ``-s`` to see the tables).
-``REPRO_FULL=1`` switches to the paper's full experiment scale; the
-default scale is reduced so the whole bench suite stays in CI budgets.
+Each benchmark regenerates one table or figure of the paper as a
+result record — a JSON object whose rows are the experiment results'
+``to_dict()`` plus the summary numbers the paper reports — and
+:func:`emit` archives it as ``results/<name>.json``.  The table in
+``results/<name>.txt`` (printed with pytest's ``-s``) is rendered from
+that record as read back from its JSON, and the benchmark's asserts
+read the same record, so every number is worked out once.
+Campaign-driven benchmarks build their run manifest through
+:class:`repro.runner.run.ExperimentRun`, the core the CLI commands
+use, and archive it beside the record.  ``REPRO_FULL=1`` switches to
+the paper's full experiment scale; the default scale is reduced so
+the whole bench suite stays in CI budgets.
 """
 
 from __future__ import annotations
 
+import json
 import os
-from contextlib import contextmanager
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -22,8 +30,12 @@ def scale(default, full):
     return full if FULL else default
 
 
-def emit(name: str, lines: list[str], manifest=None) -> None:
-    """Print a result table and persist it under benchmarks/results/.
+def emit(name: str, record: dict, render, manifest=None) -> dict:
+    """Archive *record* and its table; returns the record as archived.
+
+    The record is written to ``results/<name>.json``; ``render(record)``
+    — called on the record read back from that JSON — gives the lines
+    of ``results/<name>.txt``, which are also printed.
 
     When a :class:`repro.telemetry.RunManifest` — or a plain manifest
     document (dict), e.g. a merged campaign manifest from
@@ -35,16 +47,17 @@ def emit(name: str, lines: list[str], manifest=None) -> None:
     times, so a rerun that simulated the same work leaves the file
     byte-identical and a changed cycle count shows up in ``git diff``.
     """
-    import json
-
     from repro.runner import manifest_fingerprint
 
-    text = "\n".join(lines)
-    print(f"\n{text}\n")
     RESULTS_DIR.mkdir(exist_ok=True)
+    record_text = json.dumps(record, indent=2) + "\n"
+    (RESULTS_DIR / f"{name}.json").write_text(record_text)
+    record = json.loads(record_text)
+    text = "\n".join(render(record))
+    print(f"\n{text}\n")
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     if manifest is None:
-        return
+        return record
     doc = manifest if isinstance(manifest, dict) else manifest.to_dict()
     new_text = json.dumps(doc, indent=2) + "\n"
     path = RESULTS_DIR / f"{name}.manifest.json"
@@ -54,36 +67,7 @@ def emit(name: str, lines: list[str], manifest=None) -> None:
         old = None
     if old != manifest_fingerprint(json.loads(new_text)):
         path.write_text(new_text)
-
-
-@contextmanager
-def telemetry_run(command: str, **config):
-    """Metrics-enabled manifest for one benchmark experiment."""
-    from repro.telemetry import REGISTRY, RunManifest
-
-    REGISTRY.reset()
-    REGISTRY.enable()
-    try:
-        yield RunManifest.begin(command, config)
-    finally:
-        REGISTRY.disable()
-
-
-def finish_with_campaigns(manifest, status, campaigns, **outcome):
-    """Seal a bench manifest and fold campaign manifests into it.
-
-    The campaigns' jobs already carried their own metrics scopes (the
-    last one is still sitting in the process registry), so the registry
-    is reset before the final snapshot — the job metrics enter exactly
-    once, through :meth:`RunManifest.absorb`.
-    """
-    from repro.telemetry import REGISTRY
-
-    REGISTRY.reset()
-    manifest.finish(status, **outcome)
-    for campaign in campaigns:
-        manifest.absorb(campaign.manifest)
-    return manifest
+    return record
 
 
 def run_once(benchmark, fn):

@@ -18,28 +18,28 @@ from _harness import emit, run_once
 SWEEP = range(2, 11)
 
 
+def render(record):
+    sweep = record["reach"]
+    return [f"Ablation — reach vs frontend resteer latency "
+            f"(issue latency = {record['issue_latency']})",
+            "resteer latency : " + "  ".join(f"{int(l):2d}" for l in sweep),
+            "observed reach  : " + "  ".join(f"{reach[:2]}"
+                                             for reach in sweep.values())]
+
+
 def test_ablation_resteer_latency_race(benchmark):
     def experiment():
-        results = {}
-        for latency in SWEEP:
-            uarch = replace(ZEN2, frontend_resteer_latency=latency)
-            cell = measure_cell(uarch, TrainKind.INDIRECT,
-                                VictimKind.NON_BRANCH)
-            results[latency] = cell.reach
-        return results
+        return {latency: measure_cell(
+            replace(ZEN2, frontend_resteer_latency=latency),
+            TrainKind.INDIRECT, VictimKind.NON_BRANCH).reach.name
+            for latency in SWEEP}
 
-    results = run_once(benchmark, experiment)
+    record = emit("ablation_resteer", {
+        "issue_latency": ZEN2.issue_latency,
+        "reach": run_once(benchmark, experiment)}, render)
 
-    issue = ZEN2.issue_latency
-    lines = [f"Ablation — reach vs frontend resteer latency "
-             f"(issue latency = {issue})",
-             "resteer latency : " + "  ".join(f"{l:2d}" for l in SWEEP),
-             "observed reach  : " + "  ".join(f"{results[l].name[:2]}"
-                                              for l in SWEEP)]
-    emit("ablation_resteer", lines)
-
-    for latency, reach in results.items():
-        if latency <= issue:
-            assert reach is Reach.DECODE, latency
+    for latency, reach in record["reach"].items():
+        if int(latency) <= record["issue_latency"]:
+            assert reach == Reach.DECODE.name, latency
         else:
-            assert reach is Reach.EXECUTE, latency
+            assert reach == Reach.EXECUTE.name, latency

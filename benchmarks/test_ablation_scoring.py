@@ -28,6 +28,15 @@ def accuracy(**kwargs) -> float:
     return ok / RUNS
 
 
+def render(record):
+    lines = [f"Ablation — §7.3 scoring under heavy syscall noise "
+             f"({record['noise']} evictions/syscall), {record['runs']} runs "
+             f"each"]
+    for name, acc in record["accuracy"].items():
+        lines.append(f"  {name:36s} accuracy {acc * 100:6.1f}%")
+    return lines
+
+
 def test_ablation_scoring(benchmark):
     def experiment():
         return {
@@ -37,15 +46,11 @@ def test_ablation_scoring(benchmark):
             "single set, single repeat": accuracy(sets=(44,), repeats=1),
         }
 
-    results = run_once(benchmark, experiment)
+    record = emit("ablation_scoring", {
+        "runs": RUNS, "noise": NOISE,
+        "accuracy": run_once(benchmark, experiment)}, render)
 
-    lines = [f"Ablation — §7.3 scoring under heavy syscall noise "
-             f"({NOISE} evictions/syscall), {RUNS} runs each"]
-    for name, acc in results.items():
-        lines.append(f"  {name:36s} accuracy {acc * 100:6.1f}%")
-    emit("ablation_scoring", lines)
-
-    full = results["full (2 sets, 3 repeats, amplified)"]
-    weakest = results["single set, single repeat"]
+    full = record["accuracy"]["full (2 sets, 3 repeats, amplified)"]
+    weakest = record["accuracy"]["single set, single repeat"]
     assert full >= weakest
     assert full >= 2 / 3   # the full machinery stays reliable

@@ -21,8 +21,9 @@ from typing import ClassVar
 from repro.bench import ROUNDS, paired_rounds
 from repro.resilience import load_checkpoint
 from repro.runner import JobSpec, derive_seed, run_campaign
+from repro.runner.run import ExperimentRun
 
-from _harness import emit, run_once, scale, telemetry_run
+from _harness import emit, run_once, scale
 
 JOBS = scale(200, 2_000)
 
@@ -57,6 +58,17 @@ def _campaign(**kwargs):
     return run
 
 
+def render(record):
+    return [f"checkpoint journal overhead, {record['jobs']:,} jobs, "
+            f"median of {record['rounds']} rotating rounds, CPU time",
+            f"{'variant':22s} {'us/job':>8s}",
+            f"{'no journal':22s} {record['bare_us_per_job']:8.1f}",
+            f"{'journal every job':22s} "
+            f"{record['journaled_us_per_job']:8.1f}",
+            f"{'resume (all skipped)':22s} "
+            f"{record['resume_us_per_job']:8.1f}"]
+
+
 def test_checkpoint_journal_overhead(benchmark, tmp_path):
     full_journal = tmp_path / "full.jsonl"
     _campaign(checkpoint=full_journal)()
@@ -68,27 +80,18 @@ def test_checkpoint_journal_overhead(benchmark, tmp_path):
     }
 
     def measure():
-        with telemetry_run("bench-checkpoint-overhead", jobs=JOBS,
-                           rounds=ROUNDS) as manifest:
+        with ExperimentRun("bench-checkpoint-overhead",
+                           {"jobs": JOBS, "rounds": ROUNDS}) as run:
             rounds = paired_rounds(variants)
-            medians = {name: rounds.median(name) for name in variants}
-            manifest.finish(
-                "success",
-                bare_us_per_job=medians["bare"] / JOBS * 1e6,
-                journaled_us_per_job=medians["journaled"] / JOBS * 1e6,
-                resume_us_per_job=medians["resume"] / JOBS * 1e6)
-        return (medians["bare"], medians["journaled"], medians["resume"],
-                manifest)
+            numbers = {f"{name}_us_per_job": rounds.median(name) / JOBS * 1e6
+                       for name in variants}
+            run.finish("success", **numbers)
+        return numbers, run.manifest
 
-    bare_s, per_job_s, resume_s, manifest = run_once(benchmark, measure)
-
-    lines = [f"checkpoint journal overhead, {JOBS:,} jobs, "
-             f"median of {ROUNDS} rotating rounds, CPU time",
-             f"{'variant':22s} {'us/job':>8s}",
-             f"{'no journal':22s} {bare_s / JOBS * 1e6:8.1f}",
-             f"{'journal every job':22s} {per_job_s / JOBS * 1e6:8.1f}",
-             f"{'resume (all skipped)':22s} {resume_s / JOBS * 1e6:8.1f}"]
-    emit("checkpoint_overhead", lines, manifest=manifest)
+    numbers, manifest = run_once(benchmark, measure)
+    record = emit("checkpoint_overhead",
+                  {"jobs": JOBS, "rounds": ROUNDS, **numbers}, render,
+                  manifest=manifest)
 
     # Every journal captured every job.
     for r in range(ROUNDS):
@@ -96,4 +99,4 @@ def test_checkpoint_journal_overhead(benchmark, tmp_path):
     # Durability must stay cheap: journaling is file appends, not
     # simulation, so it may cost at most 5x the bare campaign (20 runs
     # read 2.7-3.3x on a shared 2-vCPU host).
-    assert per_job_s < bare_s * 5
+    assert record["journaled_us_per_job"] < record["bare_us_per_job"] * 5

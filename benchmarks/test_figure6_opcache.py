@@ -53,26 +53,30 @@ def measure_misses(uarch, c_offset: int) -> int:
     return sample["op_cache_miss"]
 
 
+def render(record):
+    lines = ["Figure 6 — µop-cache misses vs page offset of C "
+             f"(series at {record['series_offset']:#x})",
+             "offset    " + "".join(f"{off:>6x}" for off in record["offsets"])]
+    for uarch, misses in record["misses"].items():
+        lines.append(f"{uarch:8s}  " + "".join(f"{m:6d}" for m in misses))
+    return lines
+
+
 def test_figure6_speculative_decode_sweep(benchmark):
     def experiment():
-        return {uarch: [measure_misses(uarch, off) for off in SWEEP]
+        return {uarch.name: [measure_misses(uarch, off) for off in SWEEP]
                 for uarch in (ZEN2, ZEN4)}
 
-    series = run_once(benchmark, experiment)
-
-    lines = ["Figure 6 — µop-cache misses vs page offset of C "
-             "(series at 0xac0)",
-             "offset    " + "".join(f"{off:>6x}" for off in SWEEP)]
-    for uarch, misses in series.items():
-        lines.append(f"{uarch.name:8s}  "
-                     + "".join(f"{m:6d}" for m in misses))
-    emit("figure6", lines)
+    record = emit("figure6", {"series_offset": SERIES_OFFSET,
+                              "offsets": SWEEP,
+                              "misses": run_once(benchmark, experiment)},
+                  render)
 
     matching_index = SWEEP.index(SERIES_OFFSET)
-    for uarch, misses in series.items():
+    for uarch, misses in record["misses"].items():
         # The spike sits exactly at the matching offset...
-        assert misses[matching_index] > 0, uarch.name
+        assert misses[matching_index] > 0, uarch
         # ...and nowhere else.
         for i, m in enumerate(misses):
             if i != matching_index:
-                assert m == 0, (uarch.name, hex(SWEEP[i]))
+                assert m == 0, (uarch, hex(SWEEP[i]))

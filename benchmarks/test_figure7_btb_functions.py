@@ -32,6 +32,19 @@ def btb_oracle(a: int, b: int) -> bool:
     return btb.lookup(b, kernel_mode=False) is not None
 
 
+def render(record):
+    lines = ["Figure 7 — recovered cross-privilege BTB functions (Zen 3)",
+             f"brute force: {record['brute_force_tested']} patterns tested, "
+             f"{len(record['brute_force_collisions'])} collisions "
+             f"(expected 0)"]
+    lines += [f"  {line}" for line in record["functions"]]
+    lines.append(f"solved alias pattern: {record['alias']:#018x}")
+    for row in record["published"]:
+        lines.append(f"published mask {row['mask']:#018x} collides: "
+                     f"{row['collides']}")
+    return lines
+
+
 def test_figure7_btb_function_recovery(benchmark):
     def experiment():
         brute = brute_force_patterns(btb_oracle, KERNEL_ADDR, max_bits=3)
@@ -42,28 +55,28 @@ def test_figure7_btb_function_recovery(benchmark):
         return brute, recovered
 
     brute, recovered = run_once(benchmark, experiment)
-
-    lines = ["Figure 7 — recovered cross-privilege BTB functions (Zen 3)",
-             f"brute force: {brute.tested} patterns tested, "
-             f"{len(brute.patterns)} collisions (expected 0)"]
-    lines += [f"  {line}" for line in recovered.formatted()]
-    alias = solve_alias_pattern(recovered.masks)
-    lines.append(f"solved alias pattern: {alias:#018x}")
-    for pattern in ZEN3_ALIAS_PATTERNS:
-        ok = btb_oracle(KERNEL_ADDR, KERNEL_ADDR ^ (pattern & (1 << 48) - 1))
-        lines.append(f"published mask {pattern:#018x} collides: {ok}")
-    emit("figure7", lines)
+    record = emit("figure7", {
+        "brute_force_tested": brute.tested,
+        "brute_force_collisions": brute.patterns,
+        "masks": recovered.masks,
+        "functions": recovered.formatted(),
+        "alias": solve_alias_pattern(recovered.masks),
+        "published": [{"mask": pattern, "collides": btb_oracle(
+            KERNEL_ADDR, KERNEL_ADDR ^ (pattern & (1 << 48) - 1))}
+            for pattern in ZEN3_ALIAS_PATTERNS]}, render)
+    masks, alias = record["masks"], record["alias"]
 
     # Negative result: small flips around bit 47 never collide.
-    assert brute.patterns == []
+    assert record["brute_force_collisions"] == []
     # Full recovery: the function space equals the modelled BTB's.
-    assert gf2.row_reduce(recovered.masks) \
-        == gf2.row_reduce(ZEN3_BTB_FUNCTIONS)
+    assert gf2.row_reduce(masks) == gf2.row_reduce(ZEN3_BTB_FUNCTIONS)
     # Every published Figure 7 function is recovered (span membership).
     for fn in ZEN3_TAG_FUNCTIONS:
-        assert gf2.in_span(fn, recovered.masks)
+        assert gf2.in_span(fn, masks)
     # All functions at the paper's n=4 coefficient bound.
-    assert all(gf2.popcount(m) <= 4 for m in recovered.masks)
-    # The solved alias works and crosses the privilege boundary.
+    assert all(gf2.popcount(m) <= 4 for m in masks)
+    # Both published masks collide, and the solved alias works and
+    # crosses the privilege boundary.
+    assert all(row["collides"] for row in record["published"])
     assert alias >> 47 & 1
     assert btb_oracle(KERNEL_ADDR, KERNEL_ADDR ^ alias)

@@ -20,39 +20,53 @@ from _harness import emit, run_once, scale
 TOTAL_FUNCTIONS = scale(400, 2422)   # full scale: Kasper's corpus size
 
 
+CENSUS = ("spectre_v1", "mds_single_load", "phantom_exploitable",
+          "amplification")
+
+
+def render(record):
+    census, hardened = record["census"], record["hardened"]
+    return [
+        f"§9.3 — gadget census over {record['functions']} synthetic "
+        f"kernel functions",
+        f"conventional Spectre gadgets (double load): "
+        f"{census['spectre_v1']}",
+        f"MDS-style gadgets (single load):            "
+        f"{census['mds_single_load']}",
+        f"exploitable with Phantom P3:                "
+        f"{census['phantom_exploitable']}",
+        f"amplification: {census['amplification']:.2f}x "
+        f"(paper, from Kasper: 722/183 = 3.95x)",
+        f"lfence-hardened build: {hardened['spectre_v1']} v1, "
+        f"{hardened['mds_single_load']} single-load gadgets",
+    ]
+
+
 def test_gadget_census_amplification(benchmark):
     def experiment():
-        corpus = generate_corpus(total=TOTAL_FUNCTIONS, seed=42)
-        summary = scan_corpus(corpus.image, corpus.entries)
-        hardened = generate_corpus(total=TOTAL_FUNCTIONS, seed=42,
-                                   hardened=True)
-        hardened_summary = scan_corpus(hardened.image, hardened.entries)
-        return corpus, summary, hardened_summary
+        record = {"functions": TOTAL_FUNCTIONS}
+        for key, hardened in (("census", False), ("hardened", True)):
+            corpus = generate_corpus(total=TOTAL_FUNCTIONS, seed=42,
+                                     hardened=hardened)
+            summary = scan_corpus(corpus.image, corpus.entries)
+            record[key] = {name: getattr(summary, name) for name in CENSUS}
+            if not hardened:
+                record["implanted"] = {
+                    kind: corpus.count(kind)
+                    for kind in ("v1_double_load", "mds_single_load")}
+        return record
 
-    corpus, summary, hardened_summary = run_once(benchmark, experiment)
-
-    emit("gadget_census", [
-        f"§9.3 — gadget census over {TOTAL_FUNCTIONS} synthetic kernel "
-        f"functions",
-        f"conventional Spectre gadgets (double load): "
-        f"{summary.spectre_v1}",
-        f"MDS-style gadgets (single load):            "
-        f"{summary.mds_single_load}",
-        f"exploitable with Phantom P3:                "
-        f"{summary.phantom_exploitable}",
-        f"amplification: {summary.amplification:.2f}x "
-        f"(paper, from Kasper: 722/183 = 3.95x)",
-        f"lfence-hardened build: {hardened_summary.spectre_v1} v1, "
-        f"{hardened_summary.mds_single_load} single-load gadgets",
-    ])
+    record = emit("gadget_census", run_once(benchmark, experiment), render)
+    census = record["census"]
 
     # Scanner recovers the implanted ground truth exactly.
-    assert summary.spectre_v1 == corpus.count("v1_double_load")
-    assert summary.mds_single_load == corpus.count("mds_single_load")
+    assert census["spectre_v1"] == record["implanted"]["v1_double_load"]
+    assert census["mds_single_load"] \
+        == record["implanted"]["mds_single_load"]
     # The paper's shape: ~4x more gadgets once P3 counts.  The ratio is
     # a binomial estimate: at reduced corpus size its sampling noise is
     # wider, at paper scale it concentrates near Kasper's 3.95.
     low, high = (3.4, 4.6) if TOTAL_FUNCTIONS >= 2000 else (2.5, 6.0)
-    assert low < summary.amplification < high
+    assert low < census["amplification"] < high
     # The §8.2 mitigation wipes the census.
-    assert hardened_summary.phantom_exploitable == 0
+    assert record["hardened"]["phantom_exploitable"] == 0

@@ -19,35 +19,43 @@ RUNS = scale(3, 10)
 N_BYTES = scale(256, 4096)
 
 
-def test_mds_gadget_kernel_leak(benchmark):
-    def experiment():
-        outcomes = []
-        for run in range(RUNS):
-            machine = Machine(ZEN2, kaslr_seed=4000 + run, rng_seed=run)
-            result = leak_kernel_memory(machine, machine.kaslr.image_base,
-                                        machine.kaslr.physmap_base,
-                                        n_bytes=N_BYTES)
-            outcomes.append(result)
-        return outcomes
-
-    outcomes = run_once(benchmark, experiment)
-
-    signalling = [r for r in outcomes if r.signal]
-    lines = [f"§7.4 — MDS-gadget leak of {N_BYTES} bytes, {RUNS} runs "
-             f"(fresh boot each)",
-             f"runs with signal: {len(signalling)}/{RUNS} "
+def render(record):
+    signalling = [row for row in record["rows"] if row["signal"]]
+    lines = [f"§7.4 — MDS-gadget leak of {record['n_bytes']} bytes, "
+             f"{len(record['rows'])} runs (fresh boot each)",
+             f"runs with signal: {len(signalling)}/{len(record['rows'])} "
              f"(paper: 8/10)"]
-    for i, result in enumerate(outcomes):
-        lines.append(f"  run {i}: accuracy {result.accuracy * 100:6.2f}%  "
-                     f"bandwidth {result.bytes_per_second:10.1f} B/s "
+    for i, row in enumerate(record["rows"]):
+        lines.append(f"  run {i}: accuracy {row['accuracy'] * 100:6.2f}%  "
+                     f"bandwidth {row['bytes_per_second']:10.1f} B/s "
                      f"(simulated)  no-signal bytes: "
-                     f"{result.no_signal_bytes}")
+                     f"{row['no_signal_bytes']}")
     if signalling:
         lines.append(f"median bandwidth over signalling runs: "
-                     f"{median(r.bytes_per_second for r in signalling):.1f}"
+                     f"{record['median_bytes_per_second']:.1f}"
                      f" B/s (paper: 84 B/s on hardware)")
-    emit("mds_leak", lines)
+    return lines
 
+
+def test_mds_gadget_kernel_leak(benchmark):
+    def experiment():
+        rows = []
+        for attempt in range(RUNS):
+            machine = Machine(ZEN2, kaslr_seed=4000 + attempt,
+                              rng_seed=attempt)
+            rows.append(leak_kernel_memory(
+                machine, machine.kaslr.image_base,
+                machine.kaslr.physmap_base, n_bytes=N_BYTES).to_dict())
+        return rows
+
+    rows = run_once(benchmark, experiment)
+    rates = [row["bytes_per_second"] for row in rows if row["signal"]]
+    record = emit("mds_leak", {
+        "n_bytes": N_BYTES, "rows": rows,
+        "median_bytes_per_second": median(rates) if rates else None},
+        render)
+
+    signalling = [row for row in record["rows"] if row["signal"]]
     assert signalling, "no run produced any signal"
-    for result in signalling:
-        assert result.accuracy == 1.0   # paper: perfect accuracy
+    for row in signalling:
+        assert row["accuracy"] == 1.0   # paper: perfect accuracy

@@ -12,8 +12,9 @@ it across revisions.
 
 from repro.bench import ROUNDS, paired_rounds
 from repro.pipeline.pmc import EVENTS, PMC
+from repro.runner.run import ExperimentRun
 
-from _harness import emit, run_once, scale, telemetry_run
+from _harness import emit, run_once, scale
 
 CALLS = scale(50_000, 500_000)
 #: The worst-case event under the old tuple-membership check: last in
@@ -44,36 +45,42 @@ def _calls(add):
     return run
 
 
+def render(record):
+    return [f"PMC.add per-call cost, {record['calls']:,} calls "
+            f"(event {record['event']!r}, median of {record['rounds']} "
+            f"paired rounds)",
+            f"{'variant':14s} {'ns/call':>10s}",
+            f"{'interned':14s} {record['interned_ns_per_call']:10.1f}",
+            f"{'dict':14s} {record['dict_ns_per_call']:10.1f}",
+            f"speedup: {record['speedup']:.2f}x "
+            f"(IQR {record['speedup_iqr']:.2f}x)"]
+
+
 def test_pmc_add_interned_counters(benchmark):
     pmc = PMC()
     legacy = DictPMC()
 
     def measure():
-        with telemetry_run("bench-pmc-overhead", calls=CALLS,
-                           rounds=ROUNDS) as manifest:
+        with ExperimentRun("bench-pmc-overhead", calls=CALLS,
+                           rounds=ROUNDS) as run:
             rounds = paired_rounds({"interned": lambda: _calls(pmc.add),
                                     "dict": lambda: _calls(legacy.add)})
             speedup, iqr = rounds.ratio("dict", "interned")
-            manifest.finish(
-                "success",
-                interned_ns_per_call=rounds.median("interned") / CALLS * 1e9,
-                dict_ns_per_call=rounds.median("dict") / CALLS * 1e9,
-                speedup=speedup, speedup_iqr=iqr)
-        return rounds, speedup, iqr, manifest
+            numbers = {
+                "interned_ns_per_call":
+                    rounds.median("interned") / CALLS * 1e9,
+                "dict_ns_per_call": rounds.median("dict") / CALLS * 1e9,
+                "speedup": speedup, "speedup_iqr": iqr}
+            run.finish("success", **numbers)
+        return numbers, run.manifest
 
-    rounds, speedup, iqr, manifest = run_once(benchmark, measure)
-    interned_s, dict_s = rounds.median("interned"), rounds.median("dict")
-
-    lines = [f"PMC.add per-call cost, {CALLS:,} calls "
-             f"(event {LAST_EVENT!r}, median of {ROUNDS} paired rounds)",
-             f"{'variant':14s} {'ns/call':>10s}",
-             f"{'interned':14s} {interned_s / CALLS * 1e9:10.1f}",
-             f"{'dict':14s} {dict_s / CALLS * 1e9:10.1f}",
-             f"speedup: {speedup:.2f}x (IQR {iqr:.2f}x)"]
-    emit("pmc_overhead", lines, manifest=manifest)
+    numbers, manifest = run_once(benchmark, measure)
+    record = emit("pmc_overhead", {"calls": CALLS, "event": LAST_EVENT,
+                                   "rounds": ROUNDS, **numbers},
+                  render, manifest=manifest)
 
     # Both implementations must count identically.
     assert pmc.read(LAST_EVENT) == legacy.read(LAST_EVENT) == ROUNDS * CALLS
     # Interning must beat the dict variant it replaced (20 runs read
     # dict/interned 1.3-1.6x on a shared 2-vCPU host).
-    assert interned_s < dict_s
+    assert record["interned_ns_per_call"] < record["dict_ns_per_call"]

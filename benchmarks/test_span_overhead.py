@@ -42,6 +42,17 @@ def _traced(span_dirs):
     return setup
 
 
+def render(record):
+    return [f"span capture overhead, branch_heavy x {record['iters']:,} "
+            f"(median of {record['rounds']} paired rounds, CPU time)",
+            f"{'variant':14s} {'seconds':>9s}",
+            f"{'spans off':14s} {record['spans_off_s']:9.4f}",
+            f"{'spans on':14s} {record['spans_on_s']:9.4f}",
+            f"overhead: {record['overhead'] * 100:+.2f}% "
+            f"(IQR {record['overhead_iqr'] * 100:.2f} pp, tolerance "
+            f"{TOLERANCE * 100:.0f}%)"]
+
+
 def test_span_capture_overhead_is_bounded(benchmark, tmp_path):
     span_dirs = (tmp_path / f"round{r}" for r in itertools.count())
 
@@ -51,18 +62,13 @@ def test_span_capture_overhead_is_bounded(benchmark, tmp_path):
 
     rounds = run_once(benchmark, measure)
     ratio, iqr = rounds.ratio("spans on", "spans off")
-    overhead = ratio - 1.0
-
-    lines = [f"span capture overhead, branch_heavy x {ITERS:,} "
-             f"(median of {ROUNDS} paired rounds, CPU time)",
-             f"{'variant':14s} {'seconds':>9s}",
-             f"{'spans off':14s} {rounds.median('spans off'):9.4f}",
-             f"{'spans on':14s} {rounds.median('spans on'):9.4f}",
-             f"overhead: {overhead * 100:+.2f}% "
-             f"(IQR {iqr * 100:.2f} pp, tolerance {TOLERANCE * 100:.0f}%)"]
-    emit("span_overhead", lines)
+    record = emit("span_overhead", {
+        "iters": ITERS, "rounds": ROUNDS,
+        "spans_off_s": rounds.median("spans off"),
+        "spans_on_s": rounds.median("spans on"),
+        "overhead": ratio - 1.0, "overhead_iqr": iqr}, render)
 
     assert not SPANS.enabled          # benchmark left no recorder behind
-    assert overhead < TOLERANCE, (
-        f"span capture cost {overhead * 100:.2f}% on branch_heavy, "
-        f"over the {TOLERANCE * 100:.0f}% budget")
+    assert record["overhead"] < TOLERANCE, (
+        f"span capture cost {record['overhead'] * 100:.2f}% on "
+        f"branch_heavy, over the {TOLERANCE * 100:.0f}% budget")

@@ -9,52 +9,54 @@ case, deterministic here).
 """
 
 import os
+from collections import Counter
 
 from repro.core import TrainKind, VictimKind
 from repro.core.matrix import MatrixExperiment, format_matrix
 from repro.pipeline import (ALL_MICROARCHES, AMD_MICROARCHES,
                             INTEL_MICROARCHES, Reach, ZEN1, ZEN2)
-from repro.runner import run_campaign
+from repro.runner.run import ExperimentRun
 
-from _harness import emit, finish_with_campaigns, run_once, telemetry_run
+from _harness import emit, run_once
+
+UARCHES = [u.name for u in ALL_MICROARCHES]
+
+
+def render(record):
+    return format_matrix(record["rows"]).splitlines()
 
 
 def test_table1_speculation_matrix(benchmark):
-    experiment = MatrixExperiment(
-        uarches=tuple(u.name for u in ALL_MICROARCHES))
-    with telemetry_run("bench-table1",
-                       uarches=[u.name for u in ALL_MICROARCHES]) as manifest:
-        campaign = run_once(
-            benchmark,
-            lambda: run_campaign(experiment, jobs=os.cpu_count()))
-        results = campaign.raise_on_failure().value
-        reach_counts = {}
-        for r in results:
-            reach_counts[r.reach.name] = reach_counts.get(r.reach.name, 0) + 1
-        finish_with_campaigns(manifest, "success", [campaign],
-                              cells=len(results), reach=reach_counts,
-                              jobs=campaign.jobs)
-    emit("table1", format_matrix(results).splitlines(), manifest=manifest)
+    with ExperimentRun("bench-table1", jobs=os.cpu_count(),
+                       uarches=UARCHES) as run:
+        cells = run_once(benchmark, lambda: run.campaign(
+            None, MatrixExperiment(uarches=tuple(UARCHES))))
+        rows = [cell.to_dict() for cell in cells]
+        run.finish("success", cells=len(rows),
+                   reach=dict(Counter(row["reach"] for row in rows)),
+                   jobs=run.workers)
+    record = emit("table1", {"uarches": UARCHES, "rows": rows}, render,
+                  manifest=run.manifest)
 
-    by_key = {(r.uarch, r.train, r.victim): r.reach for r in results}
+    intel = {u.name for u in INTEL_MICROARCHES}
+    reach = {(r["uarch"], TrainKind(r["train"]), VictimKind(r["victim"])):
+             Reach[r["reach"]] for r in record["rows"]}
 
     # O1/O2: fetch and decode everywhere (except the Intel jmp* quirk).
-    for r in results:
-        if r.uarch in {u.name for u in INTEL_MICROARCHES} \
-                and r.victim is VictimKind.INDIRECT:
+    for (uarch, train, victim), got in reach.items():
+        if uarch in intel and victim is VictimKind.INDIRECT:
             continue
-        assert r.reach >= Reach.DECODE, \
-            f"{r.uarch} {r.train.value}x{r.victim.value}: {r.reach}"
+        assert got >= Reach.DECODE, \
+            f"{uarch} {train.value}x{victim.value}: {got}"
 
     # O3: transient execute exactly on Zen 1/2 (plus the jcc-SLS case).
-    for r in results:
-        is_zen12 = r.uarch in (ZEN1.name, ZEN2.name)
-        jcc_sls = (r.train is TrainKind.NON_BRANCH
-                   and r.victim is VictimKind.CONDITIONAL)
-        if is_zen12:
-            assert r.reach is Reach.EXECUTE
+    for (uarch, train, victim), got in reach.items():
+        jcc_sls = (train is TrainKind.NON_BRANCH
+                   and victim is VictimKind.CONDITIONAL)
+        if uarch in (ZEN1.name, ZEN2.name):
+            assert got is Reach.EXECUTE
         elif not jcc_sls:
-            assert r.reach < Reach.EXECUTE
+            assert got < Reach.EXECUTE
 
     # Intel: no phantom *pipeline* signal for indirect-branch victims
     # — never ID; parts with BPU-assisted prefetch (9th/11th gen here)
@@ -62,12 +64,12 @@ def test_table1_speculation_matrix(benchmark):
     # even IF" (§6).
     for uarch in INTEL_MICROARCHES:
         for train in TrainKind:
-            reach = by_key.get((uarch.name, train, VictimKind.INDIRECT))
-            if reach is None:
+            got = reach.get((uarch.name, train, VictimKind.INDIRECT))
+            if got is None:
                 continue
-            assert reach < Reach.DECODE
+            assert got < Reach.DECODE
             if not uarch.bpu_prefetch:
-                assert reach is Reach.NONE
+                assert got is Reach.NONE
 
     # AMD reuses user predictions at kernel-aliased sources; Intel does
     # not (checked structurally via the indexing).

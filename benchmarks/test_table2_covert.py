@@ -13,56 +13,53 @@ import os
 from repro.core import CovertExperiment
 from repro.kernel import MachineSpec
 from repro.pipeline import ZEN1, ZEN2, ZEN3, ZEN4
-from repro.runner import run_campaign
+from repro.runner.run import ExperimentRun
 
-from _harness import emit, finish_with_campaigns, run_once, scale, \
-    telemetry_run
+from _harness import emit, run_once, scale
 
 N_BITS = scale(512, 4096)
+#: (channel, µarch, machine) per row, in the paper's order.
+ROWS = ([("fetch", u, MachineSpec(uarch=u.name, kaslr_seed=11,
+                                  sibling_load=True))
+         for u in (ZEN1, ZEN2, ZEN3, ZEN4)]
+        + [("execute", u, MachineSpec(uarch=u.name, kaslr_seed=12))
+           for u in (ZEN1, ZEN2)])
 
 
-def test_table2_covert_channels(benchmark):
-    def experiment():
-        rows = []
-        for uarch in (ZEN1, ZEN2, ZEN3, ZEN4):
-            spec = MachineSpec(uarch=uarch.name, kaslr_seed=11,
-                               sibling_load=True)
-            campaign = run_campaign(
-                CovertExperiment(machine=spec, channel="fetch",
-                                 n_bits=N_BITS, seed=1),
-                jobs=os.cpu_count())
-            rows.append(("fetch", uarch, campaign))
-        for uarch in (ZEN1, ZEN2):
-            spec = MachineSpec(uarch=uarch.name, kaslr_seed=12)
-            campaign = run_campaign(
-                CovertExperiment(machine=spec, channel="execute",
-                                 n_bits=N_BITS, seed=2),
-                jobs=os.cpu_count())
-            rows.append(("execute", uarch, campaign))
-        return [(channel, uarch, c.raise_on_failure().value, c)
-                for channel, uarch, c in rows]
-
-    with telemetry_run("bench-table2", n_bits=N_BITS) as manifest:
-        full_rows = run_once(benchmark, experiment)
-        rows = [(ch, u, r) for ch, u, r, _ in full_rows]
-        finish_with_campaigns(
-            manifest, "success", [c for *_, c in full_rows],
-            accuracy={f"{ch}/{u.name}": r.accuracy for ch, u, r in rows})
-
-    lines = [f"Table 2 — covert channel, {N_BITS} random bits "
+def render(record):
+    lines = [f"Table 2 — covert channel, {record['n_bits']} random bits "
              f"(median of 1 run)",
              f"{'channel':9s} {'uarch':7s} {'model':20s} "
              f"{'accuracy':>9s} {'rate':>16s}"]
-    for channel, uarch, result in rows:
-        lines.append(f"{channel:9s} {uarch.name:7s} {uarch.model:20s} "
-                     f"{result.accuracy * 100:8.2f}% "
-                     f"{result.bits_per_second:12,.0f} b/s")
-    emit("table2", lines, manifest=manifest)
+    for row in record["rows"]:
+        lines.append(f"{row['channel']:9s} {row['uarch']:7s} "
+                     f"{row['model']:20s} {row['accuracy'] * 100:8.2f}% "
+                     f"{row['bits_per_second']:12,.0f} b/s")
+    return lines
 
-    for channel, uarch, result in rows:
-        assert result.accuracy >= 0.90, (channel, uarch.name)
 
-    fetch_rates = {u.name: r.bits_per_second
-                   for ch, u, r in rows if ch == "fetch"}
+def test_table2_covert_channels(benchmark):
+    with ExperimentRun("bench-table2", jobs=os.cpu_count(),
+                       n_bits=N_BITS) as run:
+        def experiment():
+            return [{"channel": channel, "uarch": uarch.name,
+                     "model": uarch.model, **run.campaign(
+                         None, CovertExperiment(
+                             machine=spec, channel=channel, n_bits=N_BITS,
+                             seed=1 if channel == "fetch" else 2)).to_dict()}
+                    for channel, uarch, spec in ROWS]
+
+        rows = run_once(benchmark, experiment)
+        run.finish("success", accuracy={
+            f"{row['channel']}/{row['uarch']}": row["accuracy"]
+            for row in rows})
+    record = emit("table2", {"n_bits": N_BITS, "rows": rows}, render,
+                  manifest=run.manifest)
+
+    for row in record["rows"]:
+        assert row["accuracy"] >= 0.90, (row["channel"], row["uarch"])
+
+    fetch_rates = {row["uarch"]: row["bits_per_second"]
+                   for row in record["rows"] if row["channel"] == "fetch"}
     # Paper ordering: rate grows with clock (Zen 4 fastest).
     assert fetch_rates["Zen 4"] > fetch_rates["Zen 1"]

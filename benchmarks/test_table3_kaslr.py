@@ -13,57 +13,57 @@ from statistics import median
 from repro.core import KaslrImageExperiment
 from repro.kernel import Kaslr, MachineSpec
 from repro.pipeline import ZEN2, ZEN3, ZEN4
-from repro.runner import run_campaign
+from repro.runner.run import ExperimentRun
 
-from _harness import emit, finish_with_campaigns, run_once, scale, \
-    telemetry_run
+from _harness import emit, run_once, scale
 
 RUNS = scale(3, 10)
+UARCHES = (ZEN2, ZEN3, ZEN4)
 
 
-def test_table3_kernel_image_kaslr(benchmark):
-    with telemetry_run("bench-table3", runs=RUNS,
-                       uarches=[u.name for u in (ZEN2, ZEN3, ZEN4)]) \
-            as manifest:
-        campaigns = []
-
-        def experiment():
-            rows = []
-            for uarch in (ZEN2, ZEN3, ZEN4):
-                outcomes = []
-                for run in range(RUNS):
-                    seed = 1000 + run
-                    spec = MachineSpec(uarch=uarch.name, kaslr_seed=seed,
-                                       rng_seed=run)
-                    campaign = run_campaign(
-                        KaslrImageExperiment(machine=spec),
-                        jobs=os.cpu_count())
-                    campaigns.append(campaign)
-                    result = campaign.raise_on_failure().value
-                    outcomes.append(
-                        (result.correct(Kaslr.randomize(seed)),
-                         result.seconds))
-                rows.append((uarch, outcomes))
-            return rows
-
-        rows = run_once(benchmark, experiment)
-        finish_with_campaigns(manifest, "success", campaigns, accuracy={
-            u.name: sum(ok for ok, _ in o) / len(o) for u, o in rows})
-
-    lines = [f"Table 3 — kernel image KASLR via P1, {RUNS} runs "
+def render(record):
+    lines = [f"Table 3 — kernel image KASLR via P1, {record['runs']} runs "
              f"(fresh KASLR each)",
              f"{'uarch':7s} {'model':20s} {'accuracy':>9s} "
              f"{'median simulated time':>22s}"]
-    for uarch, outcomes in rows:
-        accuracy = sum(ok for ok, _ in outcomes) / len(outcomes)
-        med = median(seconds for _, seconds in outcomes)
-        lines.append(f"{uarch.name:7s} {uarch.model:20s} "
-                     f"{accuracy * 100:8.1f}% {med * 1000:18.3f} ms")
-    emit("table3", lines, manifest=manifest)
+    for row in record["rows"]:
+        lines.append(f"{row['uarch']:7s} {row['model']:20s} "
+                     f"{row['accuracy'] * 100:8.1f}% "
+                     f"{row['median_ms']:18.3f} ms")
+    return lines
 
-    accuracies = {u.name: sum(ok for ok, _ in o) / len(o)
-                  for u, o in rows}
-    times = {u.name: median(s for _, s in o) for u, o in rows}
-    for name, accuracy in accuracies.items():
-        assert accuracy >= 0.9, name        # paper: 95-100 %
-    assert times["Zen 2"] > times["Zen 4"]  # paper: 4.09 s vs 1.23 s
+
+def test_table3_kernel_image_kaslr(benchmark):
+    with ExperimentRun("bench-table3", jobs=os.cpu_count(), runs=RUNS,
+                       uarches=[u.name for u in UARCHES]) as run:
+        def experiment():
+            rows = []
+            for uarch in UARCHES:
+                results, runs = [], []
+                for attempt in range(RUNS):
+                    seed = 1000 + attempt
+                    result = run.campaign(None, KaslrImageExperiment(
+                        machine=MachineSpec(uarch=uarch.name,
+                                            kaslr_seed=seed,
+                                            rng_seed=attempt)))
+                    results.append(result)
+                    runs.append({"kaslr_seed": seed, **result.to_dict(),
+                                 "correct": result.correct(
+                                     Kaslr.randomize(seed))})
+                rows.append({
+                    "uarch": uarch.name, "model": uarch.model,
+                    "accuracy": sum(r["correct"] for r in runs) / RUNS,
+                    "median_ms": median(r.seconds for r in results) * 1000,
+                    "runs": runs})
+            return rows
+
+        rows = run_once(benchmark, experiment)
+        run.finish("success", accuracy={row["uarch"]: row["accuracy"]
+                                        for row in rows})
+    record = emit("table3", {"runs": RUNS, "rows": rows}, render,
+                  manifest=run.manifest)
+
+    ms = {row["uarch"]: row["median_ms"] for row in record["rows"]}
+    for row in record["rows"]:
+        assert row["accuracy"] >= 0.9, row["uarch"]   # paper: 95-100 %
+    assert ms["Zen 2"] > ms["Zen 4"]                  # paper: 4.09 s vs 1.23 s

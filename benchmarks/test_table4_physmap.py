@@ -21,44 +21,48 @@ PHYS_MEM = {ZEN1: scale(1 << 30, 8 << 30),
             ZEN2: scale(1 << 30, 64 << 30)}
 
 
+def render(record):
+    lines = [f"Table 4 — physmap KASLR via P2, {record['runs']} runs",
+             f"{'uarch':7s} {'model':20s} {'accuracy':>9s} "
+             f"{'median simulated time':>22s} {'median scanned':>15s}"]
+    for row in record["rows"]:
+        lines.append(f"{row['uarch']:7s} {row['model']:20s} "
+                     f"{row['accuracy'] * 100:8.1f}% "
+                     f"{row['median_ms']:18.3f} ms "
+                     f"{row['median_scanned']:15.0f}")
+    return lines
+
+
 def test_table4_physmap_kaslr(benchmark):
     def experiment():
         rows = []
         for uarch in (ZEN1, ZEN2):
-            outcomes = []
-            for run in range(RUNS):
-                machine = Machine(uarch, kaslr_seed=2000 + run,
-                                  rng_seed=run,
+            results, runs = [], []
+            for attempt in range(RUNS):
+                machine = Machine(uarch, kaslr_seed=2000 + attempt,
+                                  rng_seed=attempt,
                                   phys_mem=PHYS_MEM[uarch])
                 image = break_kernel_image_kaslr(machine)
                 result = break_physmap_kaslr(machine, image.guessed_base)
-                outcomes.append({
-                    "correct": result.correct(machine.kaslr),
-                    "seconds": result.seconds,
-                    "scanned": result.candidates_scanned,
-                    "true_slot": machine.kaslr.physmap_slot,
-                })
-            rows.append((uarch, outcomes))
+                results.append(result)
+                runs.append({**result.to_dict(),
+                             "correct": result.correct(machine.kaslr),
+                             "true_slot": machine.kaslr.physmap_slot})
+            rows.append({
+                "uarch": uarch.name, "model": uarch.model,
+                "accuracy": sum(r["correct"] for r in runs) / RUNS,
+                "median_ms": median(r.seconds for r in results) * 1000,
+                "median_scanned": median(r["candidates_scanned"]
+                                         for r in runs),
+                "runs": runs})
         return rows
 
     rows = run_once(benchmark, experiment)
+    record = emit("table4", {"runs": RUNS, "rows": rows}, render)
 
-    lines = [f"Table 4 — physmap KASLR via P2, {RUNS} runs",
-             f"{'uarch':7s} {'model':20s} {'accuracy':>9s} "
-             f"{'median simulated time':>22s} {'median scanned':>15s}"]
-    for uarch, outcomes in rows:
-        accuracy = sum(o["correct"] for o in outcomes) / len(outcomes)
-        med = median(o["seconds"] for o in outcomes)
-        med_scanned = median(o["scanned"] for o in outcomes)
-        lines.append(f"{uarch.name:7s} {uarch.model:20s} "
-                     f"{accuracy * 100:8.1f}% {med * 1000:18.3f} ms "
-                     f"{med_scanned:15.0f}")
-    emit("table4", lines)
-
-    for uarch, outcomes in rows:
-        accuracy = sum(o["correct"] for o in outcomes) / len(outcomes)
-        assert accuracy >= 0.9, uarch.name   # paper: 100 % / 90 %
-        for o in outcomes:
+    for row in record["rows"]:
+        assert row["accuracy"] >= 0.9, row["uarch"]   # paper: 100 % / 90 %
+        for run in row["runs"]:
             # The ascending scan stops exactly at the true slot: the
             # expected search cost scales with the 25 600-slot space.
-            assert o["scanned"] == o["true_slot"] + 1
+            assert run["candidates_scanned"] == run["true_slot"] + 1

@@ -22,15 +22,28 @@ PHYS_MEM = {ZEN1: scale(2 << 30, 8 << 30),
 BUFFER_VA = 0x0000_0000_7A00_0000
 
 
+def render(record):
+    lines = [f"Table 5 — physical address of a huge page, "
+             f"{record['runs']} runs",
+             f"{'uarch':7s} {'model':20s} {'memory':>8s} {'accuracy':>9s} "
+             f"{'median simulated time':>22s}"]
+    for row in record["rows"]:
+        lines.append(f"{row['uarch']:7s} {row['model']:20s} "
+                     f"{row['memory_gb']:6d}GB "
+                     f"{row['accuracy'] * 100:8.1f}% "
+                     f"{row['median_ms']:18.3f} ms")
+    return lines
+
+
 def test_table5_physical_address(benchmark):
     def experiment():
         rows = []
         rng = random.Random(3)
         for uarch in (ZEN1, ZEN2):
-            outcomes = []
-            for run in range(RUNS):
-                machine = Machine(uarch, kaslr_seed=3000 + run,
-                                  rng_seed=run,
+            results, runs = [], []
+            for attempt in range(RUNS):
+                machine = Machine(uarch, kaslr_seed=3000 + attempt,
+                                  rng_seed=attempt,
                                   phys_mem=PHYS_MEM[uarch])
                 # Re-randomize the buffer's physical address (paper:
                 # "we allocate a random number of huge pages before
@@ -44,27 +57,22 @@ def test_table5_physical_address(benchmark):
                 result = find_physical_address(
                     machine, machine.kaslr.image_base,
                     machine.kaslr.physmap_base, BUFFER_VA)
-                outcomes.append((result.correct(machine, BUFFER_VA),
-                                 result.seconds))
-            rows.append((uarch, outcomes))
+                results.append(result)
+                runs.append({**result.to_dict(),
+                             "correct": result.correct(machine, BUFFER_VA)})
+            rows.append({
+                "uarch": uarch.name, "model": uarch.model,
+                "memory_gb": PHYS_MEM[uarch] >> 30,
+                "accuracy": sum(r["correct"] for r in runs) / RUNS,
+                "median_ms": median(r.seconds for r in results) * 1000,
+                "runs": runs})
         return rows
 
     rows = run_once(benchmark, experiment)
+    record = emit("table5", {"runs": RUNS, "rows": rows}, render)
 
-    lines = [f"Table 5 — physical address of a huge page, {RUNS} runs",
-             f"{'uarch':7s} {'model':20s} {'memory':>8s} {'accuracy':>9s} "
-             f"{'median simulated time':>22s}"]
-    for uarch, outcomes in rows:
-        accuracy = sum(ok for ok, _ in outcomes) / len(outcomes)
-        med = median(s for _, s in outcomes)
-        lines.append(f"{uarch.name:7s} {uarch.model:20s} "
-                     f"{PHYS_MEM[uarch] >> 30:6d}GB "
-                     f"{accuracy * 100:8.1f}% {med * 1000:18.3f} ms")
-    emit("table5", lines)
-
-    for uarch, outcomes in rows:
-        accuracy = sum(ok for ok, _ in outcomes) / len(outcomes)
-        assert accuracy >= 0.9, uarch.name
+    ms = {row["uarch"]: row["median_ms"] for row in record["rows"]}
+    for row in record["rows"]:
+        assert row["accuracy"] >= 0.9, row["uarch"]
     # More memory -> more candidates -> more time (paper: 1 s vs 16 s).
-    med = {u.name: median(s for _, s in o) for u, o in rows}
-    assert med["Zen 2"] > med["Zen 1"]
+    assert ms["Zen 2"] > ms["Zen 1"]

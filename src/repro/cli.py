@@ -1,24 +1,15 @@
 """Command-line interface: ``python -m repro <command>``.
 
 Every command drives the public API; nothing here adds behaviour.
-
-Commands
---------
-
-* ``matrix``    — Table 1's speculation matrix (choose µarchs)
-* ``kaslr``     — §7.1 kernel-image derandomization
-* ``physmap``   — §7.2 physmap derandomization (Zen 1/2)
-* ``leak``      — the full §7 chain ending in a kernel-memory leak
-* ``covert``    — §6.4 covert-channel capacity
-* ``rev-btb``   — §6.2 BTB function recovery (Figure 7)
-* ``gadgets``   — §9.3 gadget census over a synthetic corpus
-* ``trace``     — run a syscall under the execution tracer; the
-  ``summarize`` / ``export`` subcommands inspect a ``--spans`` capture
-  (critical path, Perfetto JSON, OpenMetrics)
-* ``fuzz``      — differential fuzz the dual-engine simulator
-* ``stats``     — summarize one run manifest, or diff two
-* ``bench``     — simulator throughput: fast path vs naive interpreter
-* ``uarches``   — list the modelled microarchitectures
+``repro --help`` lists the commands.  Each experiment command is an
+entry of :func:`build_parser`'s table (its arguments) and a ``cmd_*``
+function: its experiment(s), each run as a campaign by
+:meth:`~repro.runner.run.ExperimentRun.campaign`, then an outcome
+record — the result's ``to_dict()`` plus what the command adds — that
+seals the manifest and from which the text lines are written
+(:meth:`_Run.report`).  An unknown ``--uarch`` is a usage error (exit
+2), as is ``physmap`` or ``leak`` on a µarch whose phantom window does
+not reach execute.
 
 Every experiment command accepts ``--json`` (print a
 ``phantom.run-manifest/1`` document instead of text), ``--trace-out
@@ -26,14 +17,12 @@ FILE`` (stream a ``phantom.trace/1`` JSON-lines event trace), and
 ``--results-dir DIR`` (archive the manifest).  Campaign commands
 (``matrix``, ``kaslr``, ``physmap``, ``leak``, ``covert``, ``fuzz``)
 also take ``--jobs N`` to shard their jobs across worker processes
-(0 = one per available CPU; results are identical at any worker
-count), and — with ``--results-dir`` — journal every finished job to
-``DIR/<command>-checkpoint.jsonl`` (flushed as each job finishes);
-``--resume CHECKPOINT`` skips the jobs already journaled there (see
+(0 = one per available CPU; results and manifests are identical at
+any worker count), and — with ``--results-dir`` — journal every
+finished job to ``DIR/<command>-checkpoint.jsonl``; ``--resume
+CHECKPOINT`` skips the jobs already journaled there (see
 ``docs/resilience.md``).  ``--trace-out`` needs a single worker: with
-``--jobs`` resolving to more it is a usage error (exit 2).  Every
-``fuzz`` run, serial or not, is one such campaign, so its manifest is
-the same at any ``--jobs``.  Ctrl-C
+``--jobs`` resolving to more it is a usage error (exit 2).  Ctrl-C
 with a checkpoint active exits 130 after printing the resume command; a
 worker process that dies does the same but exits 1.
 
@@ -50,190 +39,138 @@ import argparse
 import os
 import random
 import sys
+from collections import Counter
+from contextlib import ExitStack, closing
 
 from .pipeline import ALL_MICROARCHES, AMD_MICROARCHES, by_name
 from .runner import CampaignOptions
-from .telemetry import (JsonLinesSink, ProgressReporter, REGISTRY,
-                        RunManifest, SPANS, TRACE, diff_manifests,
-                        stitch_to_file, summarize_manifest)
+from .runner.run import ExperimentRun
+from .telemetry import (JsonLinesSink, ProgressReporter, RunManifest, SPANS,
+                        TRACE, diff_manifests, stitch_to_file,
+                        summarize_manifest)
 
 
-def _add_uarch(parser, default="zen 2"):
-    parser.add_argument("--uarch", default=default,
-                        help="microarchitecture name (e.g. 'zen 3')")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="KASLR/RNG seed (a 'reboot')")
+def _uarch(*keywords: str):
+    """``--uarch``'s argparse type: a modelled µarch (any case or
+    separator) or one of *keywords*, returned as typed so manifest
+    configs do not move; anything else is a usage error (exit 2)."""
+    def parse(text: str) -> str:
+        if text not in keywords:
+            try:
+                by_name(text)
+            except KeyError:
+                known = ", ".join(keywords + tuple(u.name for u in
+                                                   ALL_MICROARCHES))
+                raise argparse.ArgumentTypeError(
+                    f"unknown µarch {text!r} (known: {known})") from None
+        return text
+    return parse
 
 
-def _add_telemetry(parser):
-    parser.add_argument("--json", action="store_true",
-                        help="print the run manifest as JSON "
-                             "(suppresses normal text output)")
-    parser.add_argument("--trace-out", metavar="FILE", default=None,
-                        help="write a phantom.trace/1 JSON-lines event "
-                             "trace to FILE (campaigns: with --jobs 1)")
-    parser.add_argument("--results-dir", metavar="DIR", default=None,
-                        help="archive the run manifest under DIR")
-    parser.add_argument("--spans", metavar="DIR", default=None,
-                        help="record phantom.span/1 distributed-trace "
-                             "spans under DIR and stitch them into "
-                             "DIR/trace.jsonl (inspect with "
-                             "'repro trace summarize/export')")
-    parser.add_argument("--progress", metavar="FILE", default=None,
-                        help="stream phantom.progress/1 job-completion "
-                             "events to FILE ('-' = stdout, a number = "
-                             "an inherited fd); a single-line progress "
-                             "bar additionally renders whenever stderr "
-                             "is a terminal")
+def _uarch_args(default: str) -> tuple:
+    return (("--uarch", dict(default=default, type=_uarch(),
+                             help="microarchitecture name (e.g. 'zen 3')")),
+            ("--seed", dict(type=int, default=0,
+                            help="KASLR/RNG seed (a 'reboot')")))
 
 
-def _progress_reporter(args) -> "ProgressReporter | None":
-    """The reporter implied by ``--progress`` and/or a TTY, or ``None``.
-
-    Returns ``None`` when there is nowhere to report to, so headless
-    runs construct nothing and stay byte-identical to pre-progress
-    behaviour.
-    """
-    stream = None
-    target = getattr(args, "progress", None)
-    if target == "-":
-        stream = sys.stdout
-    elif target and target.isdigit():
-        stream = os.fdopen(int(target), "w", encoding="utf-8")
-    elif target:
-        stream = open(target, "w", encoding="utf-8")
-    tty = sys.stderr if sys.stderr.isatty() else None
-    if stream is None and tty is None:
-        return None
-    return ProgressReporter(stream=stream, tty=tty)
-
-
-def _fuzz_shapes():
-    from .fuzz import SHAPES
-    return SHAPES
+#: The output flags every experiment command takes.
+_TELEMETRY = (
+    ("--json", dict(action="store_true", help="print the run manifest as "
+                    "JSON (suppresses normal text output)")),
+    ("--trace-out", dict(metavar="FILE", default=None, help="write a "
+                         "phantom.trace/1 JSON-lines event trace to FILE "
+                         "(campaigns: with --jobs 1)")),
+    ("--results-dir", dict(metavar="DIR", default=None,
+                           help="archive the run manifest under DIR")),
+    ("--spans", dict(metavar="DIR", default=None, help="record "
+                     "phantom.span/1 distributed-trace spans under DIR and "
+                     "stitch them into DIR/trace.jsonl (inspect with "
+                     "'repro trace summarize/export')")),
+    ("--progress", dict(metavar="FILE", default=None, help="stream "
+                        "phantom.progress/1 job-completion events to FILE "
+                        "('-' = stdout, a number = an inherited fd); a "
+                        "single-line progress bar additionally renders "
+                        "whenever stderr is a terminal")))
 
 
-def _fuzz_contracts():
-    from .fuzz import contract_names
-    return contract_names()
+class _Run(ExperimentRun):
+    """An :class:`~repro.runner.run.ExperimentRun` plus the CLI-only
+    sinks: the ``--trace-out`` event sink, the ``--spans`` root span,
+    the ``--progress`` reporter (also whenever stderr is a terminal),
+    and the text, ``--json`` and ``--results-dir`` outputs.  Text is
+    suppressed when ``--json`` asks for the manifest document only."""
 
-
-def _mitigation_names():
-    from .kernel import mitigation_names
-    return mitigation_names()
-
-
-class _Run:
-    """Telemetry harness shared by every experiment command.
-
-    Enables the process metrics registry for the duration of the run,
-    attaches the ``--trace-out`` sink, opens the ``--spans`` root span
-    and the ``--progress`` reporter, builds the run manifest, and
-    routes text output (suppressed when ``--json`` asks for the
-    manifest document only).
-    """
-
-    def __init__(self, args, command: str, machine=None,
-                 **extra_config) -> None:
-        self.args = args
-        self.command = command
-        self.machine = machine
-        self.extra_config = extra_config
+    def __init__(self, args, command: str, machine=None, **config) -> None:
         self.options = CampaignOptions.from_args(args)
+        super().__init__(command, machine=machine, jobs=self.options.jobs,
+                         **config)
+        self.args = args
         self.json_only = bool(getattr(args, "json", False))
-        self._sink = None
-        self._absorbed: list[dict] = []
-        self.manifest: RunManifest | None = None
-        self.progress: ProgressReporter | None = None
-        self._progress_stream = None
-        self._owns_spans = False
+        self._sinks = ExitStack()
 
     def __enter__(self) -> "_Run":
-        REGISTRY.reset()
-        if self.machine is not None:
-            REGISTRY.set_base_labels(uarch=self.machine.uarch.name)
-        REGISTRY.enable()
+        super().__enter__()
+        if self.options.spans:
+            SPANS.start(self.options.spans, name=self.command)
+            self._sinks.push(self._finish_spans)
+        progress = self._progress_reporter()
         trace_out = getattr(self.args, "trace_out", None)
         if trace_out:
-            self._sink = JsonLinesSink(trace_out)
-            TRACE.add_sink(self._sink)
-        spans_dir = getattr(self.args, "spans", None)
-        if spans_dir:
-            SPANS.start(spans_dir, name=self.command)
-            self._owns_spans = True
-        self.progress = _progress_reporter(self.args)
-        if self.progress is not None:
-            self._progress_stream = self.progress.stream
-        self.manifest = RunManifest.begin(self.command,
-                                          machine=self.machine,
-                                          **self.extra_config)
+            sink = self._sinks.enter_context(closing(JsonLinesSink(trace_out)))
+            TRACE.add_sink(sink)
+            self._sinks.callback(TRACE.remove_sink, sink)
+        # Multi-campaign commands share one kwargs dict: spec
+        # fingerprints keep their journal records apart.
+        self.campaign_kwargs = self.options.campaign_kwargs(
+            self.command, progress=progress)
         return self
 
-    def phase(self, name: str):
-        return self.manifest.phase(name, machine=self.machine)
+    def _progress_reporter(self) -> "ProgressReporter | None":
+        """The reporter for ``--progress`` ('-' = stdout, a number = an
+        inherited fd, else a file) and/or a TTY stderr.  Headless runs
+        without ``--progress`` construct nothing."""
+        target, stream = self.options.progress, None
+        if target == "-":
+            stream = sys.stdout
+        elif target:
+            stream = self._sinks.enter_context(
+                os.fdopen(int(target), "w", encoding="utf-8")
+                if target.isdigit() else open(target, "w", encoding="utf-8"))
+        tty = sys.stderr if sys.stderr.isatty() else None
+        if stream is None and tty is None:
+            return None
+        return self._sinks.enter_context(
+            closing(ProgressReporter(stream=stream, tty=tty)))
 
-    def campaign_kwargs(self, command: str | None = None) -> dict:
-        """This run's :class:`~repro.runner.CampaignOptions`, rendered
-        into ``run_campaign`` keywords (checkpoint journal under
-        ``--results-dir``, resume source, the live progress reporter).
-        Multi-campaign commands pass one dict to every campaign — spec
-        fingerprints keep their journal records apart."""
-        return self.options.campaign_kwargs(command or self.command,
-                                            progress=self.progress)
+    def _finish_spans(self, exc_type, exc, tb) -> None:
+        span_dir = SPANS.finish(status="ok" if exc_type is None else "error")
+        if span_dir is not None:
+            self.text(f"spans: {stitch_to_file(span_dir)}")
 
     def text(self, line: str = "") -> None:
         if not self.json_only:
             print(line)
 
-    def absorb(self, campaign) -> None:
-        """Fold a :class:`repro.runner.CampaignResult`'s merged manifest
-        into this run's manifest at finish time.  The jobs' metrics
-        live in the absorbed document, so the process registry is reset
-        to keep the final snapshot from counting the last job twice.
-        It is then re-enabled: an in-process (--jobs 1) campaign leaves
-        the registry disabled after its last job, and any post-campaign
-        work (violation replay, shrinking) must be metered identically
-        at every worker count."""
-        self._absorbed.append(campaign.manifest)
-        REGISTRY.reset()
-        REGISTRY.enable()
-
-    def finish(self, status: str, **outcome) -> None:
-        self.manifest.finish(status, machine=self.machine, **outcome)
-        while self._absorbed:
-            self.manifest.absorb(self._absorbed.pop(0))
+    def report(self, ok: bool, record: dict, lines) -> int:
+        """Seal the run with outcome *record*, print its text *lines*
+        and return the command's exit code."""
+        self.finish("success" if ok else "failure", **record)
+        for line in lines:
+            self.text(line)
+        return 0 if ok else 1
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         try:
+            super().__exit__(exc_type, exc, tb)
             if exc_type is None:
-                if self.manifest.outcome.get("status") == "unknown":
-                    self.finish("success")
                 if self.json_only:
                     print(self.manifest.to_json())
-                results_dir = getattr(self.args, "results_dir", None)
-                if results_dir:
-                    path = self.manifest.write(results_dir)
+                if self.options.results_dir:
+                    path = self.manifest.write(self.options.results_dir)
                     self.text(f"manifest: {path}")
         finally:
-            if self._sink is not None:
-                TRACE.remove_sink(self._sink)
-                self._sink.close()
-                self._sink = None
-            if self.progress is not None:
-                self.progress.close()
-                if self._progress_stream not in (None, sys.stdout):
-                    try:
-                        self._progress_stream.close()
-                    except OSError:
-                        pass
-                self.progress = None
-            if self._owns_spans:
-                span_dir = SPANS.finish(
-                    status="ok" if exc_type is None else "error")
-                self._owns_spans = False
-                if span_dir is not None:
-                    self.text(f"spans: {stitch_to_file(span_dir)}")
-            REGISTRY.disable()
+            self._sinks.__exit__(exc_type, exc, tb)
         return False
 
 
@@ -248,184 +185,134 @@ def cmd_uarches(args) -> int:
     return 0
 
 
+# -- experiment commands: arguments -> experiment(s) -> record -> text ------
+
+
 def cmd_matrix(args) -> int:
     from .core.matrix import MatrixExperiment, format_matrix
-    from .runner import run_campaign
 
-    if args.uarch == "all":
-        uarches = ALL_MICROARCHES
-    elif args.uarch == "amd":
-        uarches = AMD_MICROARCHES
-    else:
-        uarches = (by_name(args.uarch),)
-    with _Run(args, "matrix", uarch=args.uarch,
-              uarches=[u.name for u in uarches]) as run:
-        with run.phase("matrix"):
-            campaign = run_campaign(
-                MatrixExperiment(uarches=tuple(u.name for u in uarches)),
-                jobs=args.jobs, **run.campaign_kwargs())
-        run.absorb(campaign)
-        results = campaign.raise_on_failure().value
-        reach: dict[str, int] = {}
-        for cell in results:
-            reach[cell.reach.name] = reach.get(cell.reach.name, 0) + 1
-        run.finish("success", cells=len(results), reach=reach,
-                   jobs=campaign.jobs)
-        run.text(format_matrix(results))
-    return 0
+    uarches = {"all": ALL_MICROARCHES, "amd": AMD_MICROARCHES}.get(
+        args.uarch) or (by_name(args.uarch),)
+    names = [u.name for u in uarches]
+    with _Run(args, "matrix", uarch=args.uarch, uarches=names) as run:
+        rows = [cell.to_dict() for cell in run.campaign(
+            "matrix", MatrixExperiment(uarches=tuple(names)))]
+        record = {"cells": len(rows),
+                  "reach": dict(Counter(row["reach"] for row in rows)),
+                  "jobs": run.workers}
+        return run.report(True, record, format_matrix(rows).split("\n"))
 
 
 def cmd_kaslr(args) -> int:
     from .core import KaslrImageExperiment
     from .kernel import Kaslr, MachineSpec
-    from .runner import run_campaign
 
     spec = MachineSpec(uarch=args.uarch, kaslr_seed=args.seed)
     with _Run(args, "kaslr", **spec.describe()) as run:
-        with run.phase("break-image-kaslr"):
-            campaign = run_campaign(KaslrImageExperiment(machine=spec),
-                                    jobs=args.jobs,
-                                    **run.campaign_kwargs())
-        run.absorb(campaign)
-        result = campaign.raise_on_failure().value
+        result = run.campaign("break-image-kaslr",
+                              KaslrImageExperiment(machine=spec))
         kaslr = Kaslr.randomize(args.seed)
         ok = result.correct(kaslr)
-        run.finish("success" if ok else "failure", **result.to_dict(),
-                   actual_base=f"{kaslr.image_base:#x}",
-                   jobs=campaign.jobs)
-        run.text(f"guessed image base: {result.guessed_base:#x}")
-        run.text(f"actual image base:  {kaslr.image_base:#x}")
-        run.text(f"{'SUCCESS' if ok else 'FAILURE'} in "
-                 f"{result.seconds * 1000:.2f} simulated ms")
-    return 0 if ok else 1
+        record = {**result.to_dict(), "actual_base": f"{kaslr.image_base:#x}",
+                  "jobs": run.workers}
+        return run.report(ok, record, [
+            f"guessed image base: {record['guessed_base']}",
+            f"actual image base:  {record['actual_base']}",
+            f"{'SUCCESS' if ok else 'FAILURE'} in "
+            f"{record['simulated_ms']:.2f} simulated ms"])
+
+
+def _has_execute_window(args) -> bool:
+    """P2 and P3 need a phantom window that reaches execute (Zen 1/2);
+    on any other µarch say so on one stderr line, before any campaign."""
+    uarch = by_name(args.uarch)
+    if not uarch.phantom_reaches_execute:
+        print(f"{args.command}: the {uarch.name} phantom window does not "
+              f"reach execute; P2/P3 need Zen 1 or Zen 2", file=sys.stderr)
+    return uarch.phantom_reaches_execute
+
+
+def _break_kaslr(run, spec):
+    """§7.1 then §7.2: the kernel image base, then the physmap base."""
+    from .core import KaslrImageExperiment, PhysmapExperiment
+
+    image = run.campaign("break-image-kaslr",
+                         KaslrImageExperiment(machine=spec))
+    return image, run.campaign("break-physmap-kaslr", PhysmapExperiment(
+        machine=spec, image_base=image.guessed_base))
 
 
 def cmd_physmap(args) -> int:
-    from .core import KaslrImageExperiment, PhysmapExperiment
     from .kernel import Kaslr, MachineSpec
-    from .runner import run_campaign
 
+    if not _has_execute_window(args):
+        return 2
     spec = MachineSpec(uarch=args.uarch, kaslr_seed=args.seed)
     with _Run(args, "physmap", **spec.describe()) as run:
-        resilience = run.campaign_kwargs()
-        with run.phase("break-image-kaslr"):
-            image_campaign = run_campaign(
-                KaslrImageExperiment(machine=spec), jobs=args.jobs,
-                **resilience)
-        run.absorb(image_campaign)
-        image = image_campaign.raise_on_failure().value
-        with run.phase("break-physmap-kaslr"):
-            campaign = run_campaign(
-                PhysmapExperiment(machine=spec,
-                                  image_base=image.guessed_base),
-                jobs=args.jobs, **resilience)
-        run.absorb(campaign)
-        result = campaign.raise_on_failure().value
+        _, result = _break_kaslr(run, spec)
         kaslr = Kaslr.randomize(args.seed)
         ok = result.correct(kaslr)
-        run.finish("success" if ok else "failure", **result.to_dict(),
-                   actual_physmap=f"{kaslr.physmap_base:#x}",
-                   jobs=campaign.jobs)
-        run.text(f"guessed physmap: "
-                 f"{result.guessed_base and hex(result.guessed_base)}")
-        run.text(f"actual physmap:  {kaslr.physmap_base:#x}")
-        run.text(f"{'SUCCESS' if ok else 'FAILURE'} after "
-                 f"{result.candidates_scanned} candidates, "
-                 f"{result.seconds * 1000:.2f} simulated ms")
-    return 0 if ok else 1
+        record = {**result.to_dict(),
+                  "actual_physmap": f"{kaslr.physmap_base:#x}",
+                  "jobs": run.workers}
+        return run.report(ok, record, [
+            f"guessed physmap: {record['guessed_physmap']}",
+            f"actual physmap:  {record['actual_physmap']}",
+            f"{'SUCCESS' if ok else 'FAILURE'} after "
+            f"{record['candidates_scanned']} candidates, "
+            f"{record['simulated_ms']:.2f} simulated ms"])
 
 
 def cmd_leak(args) -> int:
-    from .core import (KaslrImageExperiment, MdsLeakExperiment,
-                       PhysAddrExperiment, PhysmapExperiment)
+    from .core import MdsLeakExperiment, PhysAddrExperiment
     from .kernel import MachineSpec
-    from .runner import run_campaign
 
+    if not _has_execute_window(args):
+        return 2
     spec = MachineSpec(uarch=args.uarch, kaslr_seed=args.seed,
                        phys_mem=1 << 30)
     with _Run(args, "leak", n_bytes=args.bytes, **spec.describe()) as run:
-        resilience = run.campaign_kwargs()
-        with run.phase("break-image-kaslr"):
-            image_campaign = run_campaign(
-                KaslrImageExperiment(machine=spec), jobs=args.jobs,
-                **resilience)
-        run.absorb(image_campaign)
-        image = image_campaign.raise_on_failure().value
-        with run.phase("break-physmap-kaslr"):
-            physmap_campaign = run_campaign(
-                PhysmapExperiment(machine=spec,
-                                  image_base=image.guessed_base),
-                jobs=args.jobs, **resilience)
-        run.absorb(physmap_campaign)
-        physmap = physmap_campaign.raise_on_failure().value
-        with run.phase("find-physical-address"):
-            buffer_va = 0x0000_0000_7A00_0000
-            physaddr_campaign = run_campaign(
-                PhysAddrExperiment(machine=spec,
-                                   image_base=image.guessed_base,
-                                   physmap_base=physmap.guessed_base,
-                                   buffer_va=buffer_va),
-                jobs=args.jobs, **resilience)
-        run.absorb(physaddr_campaign)
-        physaddr_campaign.raise_on_failure()
-        with run.phase("leak-kernel-memory"):
-            campaign = run_campaign(
-                MdsLeakExperiment(machine=spec,
-                                  image_base=image.guessed_base,
-                                  physmap_base=physmap.guessed_base,
-                                  n_bytes=args.bytes),
-                jobs=args.jobs, **resilience)
-        run.absorb(campaign)
-        result = campaign.raise_on_failure().value
-        ok = result.accuracy == 1.0
-        run.finish("success" if ok else "failure", **result.to_dict(),
-                   first_32_bytes=result.leaked[:32].hex(),
-                   jobs=campaign.jobs)
-        run.text(f"leaked {len(result.leaked)} bytes, accuracy "
-                 f"{result.accuracy * 100:.1f}%, "
-                 f"{result.bytes_per_second:,.0f} B/s simulated")
-        run.text(f"first 32 bytes: {result.leaked[:32].hex()}")
-    return 0 if ok else 1
+        image, physmap = _break_kaslr(run, spec)
+        bases = dict(machine=spec, image_base=image.guessed_base,
+                     physmap_base=physmap.guessed_base)
+        run.campaign("find-physical-address", PhysAddrExperiment(
+            **bases, buffer_va=0x0000_0000_7A00_0000))
+        result = run.campaign("leak-kernel-memory", MdsLeakExperiment(
+            **bases, n_bytes=args.bytes))
+        record = {**result.to_dict(),
+                  "first_32_bytes": result.leaked[:32].hex(),
+                  "jobs": run.workers}
+        return run.report(record["accuracy"] == 1.0, record, [
+            f"leaked {record['bytes']} bytes, accuracy "
+            f"{record['accuracy'] * 100:.1f}%, "
+            f"{record['bytes_per_second']:,.0f} B/s simulated",
+            f"first 32 bytes: {record['first_32_bytes']}"])
 
 
 def cmd_covert(args) -> int:
     from .core import CovertExperiment
     from .kernel import MachineSpec
-    from .runner import run_campaign
 
     spec = MachineSpec(uarch=args.uarch, kaslr_seed=args.seed,
                        sibling_load=True)
+    channels = [("fetch", spec, 1)]
+    if by_name(args.uarch).phantom_reaches_execute:
+        channels.append(("execute", spec.with_(sibling_load=False), 2))
     with _Run(args, "covert", n_bits=args.bits, **spec.describe()) as run:
-        resilience = run.campaign_kwargs()
-        outcome = {"jobs": None}
-        with run.phase("fetch-channel"):
-            campaign = run_campaign(
-                CovertExperiment(machine=spec, channel="fetch",
-                                 n_bits=args.bits, seed=1),
-                jobs=args.jobs, **resilience)
-        run.absorb(campaign)
-        outcome["jobs"] = campaign.jobs
-        result = campaign.raise_on_failure().value
-        outcome["fetch_accuracy"] = result.accuracy
-        outcome["fetch_bits_per_second"] = result.bits_per_second
-        run.text(f"fetch channel:   accuracy {result.accuracy * 100:6.2f}%  "
-                 f"{result.bits_per_second:,.0f} bits/s simulated")
-        if by_name(args.uarch).phantom_reaches_execute:
-            with run.phase("execute-channel"):
-                campaign = run_campaign(
-                    CovertExperiment(machine=spec.with_(sibling_load=False),
-                                     channel="execute",
-                                     n_bits=args.bits, seed=2),
-                    jobs=args.jobs, **resilience)
-            run.absorb(campaign)
-            result = campaign.raise_on_failure().value
-            outcome["execute_accuracy"] = result.accuracy
-            outcome["execute_bits_per_second"] = result.bits_per_second
-            run.text(f"execute channel: accuracy "
-                     f"{result.accuracy * 100:6.2f}%  "
-                     f"{result.bits_per_second:,.0f} bits/s simulated")
-        run.finish("success", **outcome)
-    return 0
+        record, lines = {"jobs": None}, []
+        for channel, machine, seed in channels:
+            result = run.campaign(f"{channel}-channel", CovertExperiment(
+                machine=machine, channel=channel, n_bits=args.bits,
+                seed=seed))
+            record["jobs"] = run.workers
+            record[f"{channel}_accuracy"] = result.accuracy
+            record[f"{channel}_bits_per_second"] = result.bits_per_second
+            lines.append(
+                f"{channel + ' channel:':17s}accuracy "
+                f"{record[f'{channel}_accuracy'] * 100:6.2f}%  "
+                f"{record[f'{channel}_bits_per_second']:,.0f} bits/s "
+                f"simulated")
+        return run.report(True, record, lines)
 
 
 def cmd_rev_btb(args) -> int:
@@ -450,12 +337,10 @@ def cmd_rev_btb(args) -> int:
                 rng=random.Random(args.seed))
         with run.phase("solve-alias-pattern"):
             alias = solve_alias_pattern(recovered.masks)
-        run.finish("success", alias_pattern=f"{alias:#018x}",
-                   masks=len(recovered.masks))
-        for line in recovered.formatted():
-            run.text(line)
-        run.text(f"alias pattern: K ^ {alias:#018x}")
-    return 0
+        record = {"alias_pattern": f"{alias:#018x}",
+                  "masks": len(recovered.masks)}
+        return run.report(True, record, recovered.formatted() + [
+            f"alias pattern: K ^ {record['alias_pattern']}"])
 
 
 def cmd_gadgets(args) -> int:
@@ -467,16 +352,15 @@ def cmd_gadgets(args) -> int:
             corpus = generate_corpus(total=args.functions, seed=args.seed)
         with run.phase("scan-corpus"):
             summary = scan_corpus(corpus.image, corpus.entries)
-        run.finish("success", spectre_v1=summary.spectre_v1,
-                   mds_single_load=summary.mds_single_load,
-                   phantom_exploitable=summary.phantom_exploitable,
-                   amplification=summary.amplification)
-        run.text(f"functions scanned:        {args.functions}")
-        run.text(f"conventional v1 gadgets:  {summary.spectre_v1}")
-        run.text(f"single-load MDS gadgets:  {summary.mds_single_load}")
-        run.text(f"Phantom-exploitable:      {summary.phantom_exploitable} "
-                 f"({summary.amplification:.2f}x)")
-    return 0
+        record = {name: getattr(summary, name) for name in (
+            "spectre_v1", "mds_single_load", "phantom_exploitable",
+            "amplification")}
+        return run.report(True, record, [
+            f"functions scanned:        {args.functions}",
+            f"conventional v1 gadgets:  {record['spectre_v1']}",
+            f"single-load MDS gadgets:  {record['mds_single_load']}",
+            f"Phantom-exploitable:      {record['phantom_exploitable']} "
+            f"({record['amplification']:.2f}x)"])
 
 
 def cmd_trace(args) -> int:
@@ -489,14 +373,12 @@ def cmd_trace(args) -> int:
         with run.phase("trace-syscall"):
             with Tracer(machine, limit=args.limit) as trace:
                 machine.syscall(args.nr, args.rdi, args.rsi)
-        run.finish("success",
-                   instructions=len(trace.entries),
-                   episodes=trace.episode_count(),
-                   truncated=trace.truncated,
-                   dropped_instructions=trace.dropped_instructions,
-                   orphan_episodes=len(trace.orphan_episodes))
-        run.text(trace.render())
-    return 0
+        record = {"instructions": len(trace.entries),
+                  "episodes": trace.episode_count(),
+                  "truncated": trace.truncated,
+                  "dropped_instructions": trace.dropped_instructions,
+                  "orphan_episodes": len(trace.orphan_episodes)}
+        return run.report(True, record, trace.render().split("\n"))
 
 
 def cmd_trace_summarize(args) -> int:
@@ -542,142 +424,102 @@ def cmd_trace_export(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    """Engine-differential or (``--contract``) relational fuzzing; both
+    modes replay, shrink and save findings through one loop."""
     import time
+    from functools import partial
 
-    from .fuzz import (DEFAULT_UARCHES, FuzzExperiment, generate, oracle,
-                       program_seed, save_counterexample, shrink)
-    from .runner import run_campaign
+    from . import fuzz
 
-    if args.contract:
-        return _cmd_fuzz_contract(args)
-    if args.mitigation:
+    if args.mitigation and not args.contract:
         print("fuzz: --mitigation requires --contract", file=sys.stderr)
         return 2
+    uarches = tuple(args.uarch) if args.uarch else fuzz.DEFAULT_UARCHES
+    config = dict(seed=args.seed, iters=args.iters, uarches=list(uarches),
+                  shape=args.shape)
+    on = ", ".join(uarches)
+    if args.contract:
+        from .kernel import mitigation_by_name
 
-    uarches = tuple(args.uarch) if args.uarch else DEFAULT_UARCHES
-    with _Run(args, "fuzz", seed=args.seed, iters=args.iters,
-              uarches=list(uarches), shape=args.shape) as run:
+        contract = fuzz.contract_by_name(args.contract)
+        override = mitigation_by_name(args.mitigation) \
+            if args.mitigation else None
+        effective = override if override is not None \
+            else contract.resolve_mitigation()
+        config.update(contract=contract.name, mitigation=effective.name)
+        experiment = fuzz.ContractExperiment(
+            seed=args.seed, count=args.iters, contract=contract.name,
+            shape=args.shape, uarches=uarches, mitigation=args.mitigation)
+        phase, keys, unit = ("contract-fuzz", ("pairs", "violations",
+                                               "violated_indices"), "pair")
+        generate = partial(fuzz.generate_pair, shape=args.shape)
+        seed_of = fuzz.pair_seed
+        check = partial(fuzz.check_pair, contract=contract, uarches=uarches,
+                        mitigation=override)
+        shrink = partial(fuzz.shrink_pair, uarches=uarches,
+                         mitigation=override)
+        save = fuzz.save_violation
+        heading = (f"CONTRACT VIOLATION at index {{}}: {{}} "
+                   f"[{contract.name} / {effective.name}]")
+        summary = (f"against '{contract.name}' (mitigation "
+                   f"{effective.name}) on {on}: {{}} violation(s)")
+    else:
+        experiment = fuzz.FuzzExperiment(seed=args.seed, count=args.iters,
+                                         shape=args.shape, uarches=uarches)
+        phase, keys, unit = ("fuzz", ("programs", "divergent",
+                                      "failed_indices"), "oracle")
+        generate = partial(fuzz.generate, shape=args.shape)
+        seed_of = fuzz.program_seed
+        check = partial(fuzz.oracle.check_program, uarches=uarches)
+        shrink = partial(fuzz.shrink, uarches=uarches)
+
+        def save(program, verdict, directory, shrink_checks):
+            return fuzz.save_counterexample(
+                program, [str(d) for d in verdict.divergences], directory,
+                shrink_checks=shrink_checks)
+
+        heading = "DIVERGENCE at index {}: {}"
+        summary = f"on {on}: {{}} divergence(s)"
+
+    with _Run(args, "fuzz", **config) as run:
         started = time.monotonic()
         # Fixed chunks, so the manifest is the same at any --jobs; long
         # sweeps checkpoint through --results-dir and pick up where
         # they left off with --resume.
-        with run.phase("fuzz"):
-            campaign = run_campaign(
-                FuzzExperiment(seed=args.seed, count=args.iters,
-                               shape=args.shape, uarches=uarches),
-                jobs=args.jobs, **run.campaign_kwargs())
-        run.absorb(campaign)
-        outcome = campaign.raise_on_failure().value
-        checked = outcome["programs"]
-        failures = []     # (index, program, verdict)
-        for index in outcome["failed_indices"]:
-            program = generate(program_seed(args.seed, index), args.shape)
-            failures.append((index, program,
-                             oracle.check_program(program, uarches)))
-
+        outcome = run.campaign(phase, experiment)
+        cases = [(index, generate(seed_of(args.seed, index)))
+                 for index in outcome[keys[2]]]
+        found = [(index, case, check(case)) for index, case in cases]
         artifacts = []
-        for index, program, verdict in failures:
-            run.text(f"DIVERGENCE at index {index}: {program.name}")
+        for index, case, verdict in found:
+            run.text(heading.format(index, case.name))
             for divergence in verdict.divergences[:8]:
                 run.text(f"  {divergence}")
             shrink_checks = 0
             if not args.no_shrink:
-                result = shrink(program, verdict, uarches=uarches)
+                result = shrink(case, verdict)
                 run.text(f"  shrunk {result.items_before} -> "
                          f"{result.items_after} items "
-                         f"({result.checks} oracle checks)")
-                program, shrink_checks = result.program, result.checks
-            path = save_counterexample(
-                program, [str(d) for d in verdict.divergences],
-                args.artifact_dir, shrink_checks=shrink_checks)
-            artifacts.append(str(path))
-            run.text(f"  wrote {path}")
-
+                         f"({result.checks} {unit} checks)")
+                shrink_checks = result.checks
+                if args.contract:
+                    # Re-verdict the shrunk pair so the shipped artifact's
+                    # divergences describe the program it contains.
+                    case = result.pair
+                    verdict = check(case)
+                else:
+                    case = result.program
+            artifacts.append(str(save(case, verdict, args.artifact_dir,
+                                      shrink_checks=shrink_checks)))
+            run.text(f"  wrote {artifacts[-1]}")
         elapsed = time.monotonic() - started
-        run.finish("success" if not failures else "failure",
-                   programs=checked, divergent=len(failures),
-                   failed_indices=[index for index, _, _ in failures],
-                   artifacts=artifacts, elapsed_seconds=round(elapsed, 3))
-        run.text(f"checked {checked}/{args.iters} programs on "
-                 f"{', '.join(uarches)}: {len(failures)} divergence(s) "
-                 f"in {elapsed:.1f}s")
-    return 1 if failures else 0
-
-
-def _cmd_fuzz_contract(args) -> int:
-    """Relational mode of ``repro fuzz``: generated pairs against one
-    leakage contract; violations shrink and ship as
-    ``phantom.contract-violation/1`` artifacts."""
-    import time
-
-    from .fuzz import (ContractExperiment, DEFAULT_UARCHES, check_pair,
-                       contract_by_name, generate_pair, pair_seed,
-                       save_violation, shrink_pair)
-    from .kernel import mitigation_by_name
-    from .runner import run_campaign
-
-    uarches = tuple(args.uarch) if args.uarch else DEFAULT_UARCHES
-    contract = contract_by_name(args.contract)
-    override = mitigation_by_name(args.mitigation) if args.mitigation \
-        else None
-    effective = override if override is not None \
-        else contract.resolve_mitigation()
-    with _Run(args, "fuzz", seed=args.seed, iters=args.iters,
-              uarches=list(uarches), shape=args.shape,
-              contract=contract.name, mitigation=effective.name) as run:
-        started = time.monotonic()
-        # Sharded exactly like the engine-differential campaign: fixed
-        # chunks, --jobs-independent manifests.
-        with run.phase("contract-fuzz"):
-            campaign = run_campaign(
-                ContractExperiment(seed=args.seed, count=args.iters,
-                                   contract=contract.name,
-                                   shape=args.shape, uarches=uarches,
-                                   mitigation=args.mitigation),
-                jobs=args.jobs, **run.campaign_kwargs())
-        run.absorb(campaign)
-        outcome = campaign.raise_on_failure().value
-        checked = outcome["pairs"]
-        violations = []   # (index, pair, verdict)
-        for index in outcome["violated_indices"]:
-            pair = generate_pair(pair_seed(args.seed, index), args.shape)
-            violations.append((index, pair,
-                               check_pair(pair, contract, uarches,
-                                          mitigation=override)))
-
-        artifacts = []
-        for index, pair, verdict in violations:
-            run.text(f"CONTRACT VIOLATION at index {index}: {pair.name} "
-                     f"[{contract.name} / {effective.name}]")
-            for divergence in verdict.divergences[:8]:
-                run.text(f"  {divergence}")
-            shrink_checks = 0
-            if not args.no_shrink:
-                result = shrink_pair(pair, verdict, uarches=uarches,
-                                     mitigation=override)
-                run.text(f"  shrunk {result.items_before} -> "
-                         f"{result.items_after} items "
-                         f"({result.checks} pair checks)")
-                pair, shrink_checks = result.pair, result.checks
-                # Re-verdict the shrunk pair so the shipped artifact's
-                # divergences describe the program it actually contains.
-                verdict = check_pair(pair, contract, uarches,
-                                     mitigation=override)
-            path = save_violation(pair, verdict, args.artifact_dir,
-                                  shrink_checks=shrink_checks)
-            artifacts.append(str(path))
-            run.text(f"  wrote {path}")
-
-        elapsed = time.monotonic() - started
-        run.finish("success" if not violations else "failure",
-                   pairs=checked, violations=len(violations),
-                   violated_indices=[index for index, _, _ in violations],
-                   artifacts=artifacts, elapsed_seconds=round(elapsed, 3))
-        run.text(f"checked {checked}/{args.iters} pairs against "
-                 f"'{contract.name}' (mitigation {effective.name}) on "
-                 f"{', '.join(uarches)}: {len(violations)} violation(s) "
-                 f"in {elapsed:.1f}s")
-    return 1 if violations else 0
+        record = {keys[0]: outcome[keys[0]], keys[1]: len(found),
+                  keys[2]: [index for index, _, _ in found],
+                  "artifacts": artifacts,
+                  "elapsed_seconds": round(elapsed, 3)}
+        return run.report(not found, record, [
+            f"checked {outcome[keys[0]]}/{args.iters} {keys[0]} "
+            f"{summary.format(len(found))} in {elapsed:.1f}s"])
 
 
 def cmd_contracts(args) -> int:
@@ -703,13 +545,7 @@ def cmd_bench(args) -> int:
     from .bench import (TOLERANCE, WORKLOADS, compare, document,
                         format_table, load_document, run_bench)
 
-    workloads = tuple(args.workloads) if args.workloads else WORKLOADS
-    for name in workloads:
-        if name not in WORKLOADS:
-            print(f"bench: unknown workload {name!r} "
-                  f"(choose from {', '.join(WORKLOADS)})", file=sys.stderr)
-            return 2
-    results = run_bench(workloads)
+    results = run_bench(tuple(args.workloads or WORKLOADS))
     print(format_table(results))
     doc = document(results)
     if args.out:
@@ -745,196 +581,159 @@ def cmd_stats(args) -> int:
               file=sys.stderr)
         return 2
     docs = []
-    bench = []
     for path in args.manifest:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
+                doc = json.load(fh)
+            if not is_bench_document(doc):
+                validate_manifest(doc)
         except OSError as exc:
             print(f"stats: cannot read {path}: {exc}", file=sys.stderr)
             return 2
         except json.JSONDecodeError as exc:
             print(f"stats: {path} is not JSON: {exc}", file=sys.stderr)
             return 2
-        if is_bench_document(raw):
-            bench.append(True)
-            docs.append(raw)
-            continue
-        bench.append(False)
-        try:
-            doc = RunManifest.load(path)
-            validate_manifest(doc)
-        except (json.JSONDecodeError, SchemaError) as exc:
+        except SchemaError as exc:
             reason = str(exc).splitlines()[0]
             print(f"stats: {path} is not a run manifest or bench "
                   f"document: {reason}", file=sys.stderr)
             return 2
         docs.append(doc)
-    if len(set(bench)) > 1:
+    kinds = {is_bench_document(doc) for doc in docs}
+    if len(kinds) > 1:
         print("stats: cannot diff a run manifest against a bench "
               "document", file=sys.stderr)
         return 2
-    if bench[0]:
-        if len(docs) == 1:
-            print(summarize_bench(docs[0]))
-        else:
-            print(diff_bench(docs[0], docs[1]))
-        return 0
-    if len(docs) == 1:
-        print("\n".join(summarize_manifest(docs[0])))
+    if kinds == {True}:
+        print(summarize_bench(*docs) if len(docs) == 1 else diff_bench(*docs))
     else:
-        print("\n".join(diff_manifests(docs[0], docs[1])))
+        print("\n".join(summarize_manifest(*docs) if len(docs) == 1
+                        else diff_manifests(*docs)))
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .bench import WORKLOADS
+    from .fuzz import SHAPES, contract_names
+    from .kernel import mitigation_names
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Phantom (MICRO'23) reproduction on a simulated "
                     "microarchitecture")
     sub = parser.add_subparsers(dest="command", required=True)
+    # name -> (help, command, --jobs default (None: not a campaign
+    # command), arguments, subcommands in the same layout).
+    commands = {
+        "uarches": ("list modelled CPUs", cmd_uarches, None, ()),
+        "matrix": ("Table 1 speculation matrix", cmd_matrix, 0, (
+            ("--uarch", dict(default="amd", type=_uarch("all", "amd"),
+                             help="'all', 'amd', or one name")),
+            *_TELEMETRY)),
+        "kaslr": ("break kernel-image KASLR (§7.1)", cmd_kaslr, 0,
+                  _uarch_args("zen 3") + _TELEMETRY),
+        "physmap": ("break physmap KASLR (§7.2)", cmd_physmap, 0,
+                    _uarch_args("zen 2") + _TELEMETRY),
+        "leak": ("full §7 chain: leak kernel memory", cmd_leak, 0, (
+            *_uarch_args("zen 2"), ("--bytes", dict(type=int, default=128)),
+            *_TELEMETRY)),
+        "covert": ("covert-channel capacity (§6.4)", cmd_covert, 0, (
+            *_uarch_args("zen 4"), ("--bits", dict(type=int, default=1024)),
+            *_TELEMETRY)),
+        "rev-btb": ("recover BTB functions (§6.2)", cmd_rev_btb, None, (
+            *_uarch_args("zen 3"),
+            ("--samples", dict(type=int, default=200_000)), *_TELEMETRY)),
+        "gadgets": ("gadget census (§9.3)", cmd_gadgets, None, (
+            ("--functions", dict(type=int, default=400)),
+            ("--seed", dict(type=int, default=0)), *_TELEMETRY)),
+        "trace": ("trace a syscall's speculation, or inspect a --spans "
+                  "capture (summarize/export)", cmd_trace, None, (
+            *_uarch_args("zen 2"),
+            ("--nr", dict(type=int, default=39, help="syscall number")),
+            ("--rdi", dict(type=int, default=0)),
+            ("--rsi", dict(type=int, default=0)),
+            ("--limit", dict(type=int, default=200)), *_TELEMETRY), {
+            "summarize": ("critical path + per-phase histogram table from "
+                          "a span capture", cmd_trace_summarize, None, (
+                ("spans", dict(help="span capture directory (--spans DIR "
+                               "of a previous run) or a single span .jsonl "
+                               "file")),)),
+            "export": ("export a span capture (Perfetto) or a run "
+                       "manifest's metrics (OpenMetrics)", cmd_trace_export,
+                       None, (
+                ("source", dict(help="span capture dir or .jsonl "
+                                "(perfetto), or a run manifest "
+                                "(openmetrics)")),
+                ("--format", dict(choices=("perfetto", "openmetrics"),
+                                  default="perfetto", help="output format "
+                                  "(default perfetto — Chrome trace-event "
+                                  "JSON for ui.perfetto.dev)")),
+                ("--out", dict(metavar="FILE", default=None,
+                               help="write to FILE instead of stdout"))))}),
+        "fuzz": ("differential fuzz the dual-engine simulator", cmd_fuzz, 1, (
+            ("--seed", dict(type=int, default=0, help="campaign seed "
+                            "(program i gets a seed derived from this and "
+                            "i only)")),
+            ("--iters", dict(type=int, default=200, help="number of "
+                             "generated programs (default 200)")),
+            ("--shape", dict(default=None, choices=SHAPES, help="restrict "
+                             "the generator to one program shape")),
+            ("--uarch", dict(action="append", default=None, metavar="NAME",
+                             type=_uarch(), help="µarch to include in the "
+                             "oracle matrix (repeatable; default: zen2 and "
+                             "zen3)")),
+            ("--artifact-dir", dict(default="fuzz-artifacts", metavar="DIR",
+                                    help="where minimized counterexamples "
+                                    "are written")),
+            ("--no-shrink", dict(action="store_true", help="write "
+                                 "counterexamples without minimizing them")),
+            ("--contract", dict(default=None, choices=contract_names(),
+                                metavar="NAME", help="relational mode: "
+                                "check public-equivalent secret-divergent "
+                                "input pairs against leakage contract NAME "
+                                "(see 'repro contracts')")),
+            ("--mitigation", dict(default=None, choices=mitigation_names(),
+                                  metavar="NAME", help="override the "
+                                  "contract's mitigation setting (requires "
+                                  "--contract)")),
+            *_TELEMETRY)),
+        "contracts": ("list leakage contracts and the mitigation registry",
+                      cmd_contracts, None, (), {
+                          "list": ("contract and mitigation tables",
+                                   cmd_contracts, None, ())}),
+        "bench": ("simulator throughput: fast vs naive engine", cmd_bench,
+                  None, (
+            ("--out", dict(metavar="FILE", default=None, help="write the "
+                           "phantom.bench/1 document to FILE")),
+            ("--baseline", dict(metavar="FILE", default=None, help="compare "
+                                "speedups against a committed "
+                                "phantom.bench/1 document; exit 1 on a "
+                                "speedup drop over 30%%")),
+            ("--workloads", dict(nargs="+", metavar="NAME", default=None,
+                                 choices=WORKLOADS, help="subset of "
+                                 "workloads to run (default: all)")))),
+        "stats": ("summarize one run manifest or bench document, or diff "
+                  "two", cmd_stats, None, (
+            ("manifest", dict(nargs="+", help="run manifest(s) written by "
+                              "--json/--results-dir, or phantom.bench/1 "
+                              "document(s) from `repro bench --out`")),)),
+    }
 
-    sub.add_parser("uarches", help="list modelled CPUs") \
-        .set_defaults(fn=cmd_uarches)
+    def add(subparsers, name, help_text, command, jobs, arguments,
+            children=None):
+        p = subparsers.add_parser(name, help=help_text)
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
+        if jobs is not None:
+            CampaignOptions.add_arguments(p, jobs_default=jobs)
+        p.set_defaults(fn=command)
+        if children:
+            nested = p.add_subparsers(dest=f"{name}_command")
+            for child, entry in children.items():
+                add(nested, child, *entry)
 
-    p = sub.add_parser("matrix", help="Table 1 speculation matrix")
-    p.add_argument("--uarch", default="amd",
-                   help="'all', 'amd', or one name")
-    CampaignOptions.add_arguments(p)
-    _add_telemetry(p)
-    p.set_defaults(fn=cmd_matrix)
-
-    p = sub.add_parser("kaslr", help="break kernel-image KASLR (§7.1)")
-    _add_uarch(p, default="zen 3")
-    CampaignOptions.add_arguments(p)
-    _add_telemetry(p)
-    p.set_defaults(fn=cmd_kaslr)
-
-    p = sub.add_parser("physmap", help="break physmap KASLR (§7.2)")
-    _add_uarch(p, default="zen 2")
-    CampaignOptions.add_arguments(p)
-    _add_telemetry(p)
-    p.set_defaults(fn=cmd_physmap)
-
-    p = sub.add_parser("leak", help="full §7 chain: leak kernel memory")
-    _add_uarch(p, default="zen 2")
-    p.add_argument("--bytes", type=int, default=128)
-    CampaignOptions.add_arguments(p)
-    _add_telemetry(p)
-    p.set_defaults(fn=cmd_leak)
-
-    p = sub.add_parser("covert", help="covert-channel capacity (§6.4)")
-    _add_uarch(p, default="zen 4")
-    p.add_argument("--bits", type=int, default=1024)
-    CampaignOptions.add_arguments(p)
-    _add_telemetry(p)
-    p.set_defaults(fn=cmd_covert)
-
-    p = sub.add_parser("rev-btb", help="recover BTB functions (§6.2)")
-    _add_uarch(p, default="zen 3")
-    p.add_argument("--samples", type=int, default=200_000)
-    _add_telemetry(p)
-    p.set_defaults(fn=cmd_rev_btb)
-
-    p = sub.add_parser("gadgets", help="gadget census (§9.3)")
-    p.add_argument("--functions", type=int, default=400)
-    p.add_argument("--seed", type=int, default=0)
-    _add_telemetry(p)
-    p.set_defaults(fn=cmd_gadgets)
-
-    p = sub.add_parser("trace",
-                       help="trace a syscall's speculation, or inspect "
-                            "a --spans capture (summarize/export)")
-    _add_uarch(p, default="zen 2")
-    p.add_argument("--nr", type=int, default=39, help="syscall number")
-    p.add_argument("--rdi", type=int, default=0)
-    p.add_argument("--rsi", type=int, default=0)
-    p.add_argument("--limit", type=int, default=200)
-    _add_telemetry(p)
-    p.set_defaults(fn=cmd_trace)
-    tsub = p.add_subparsers(dest="trace_command")
-    ps = tsub.add_parser("summarize",
-                         help="critical path + per-phase histogram "
-                              "table from a span capture")
-    ps.add_argument("spans",
-                    help="span capture directory (--spans DIR of a "
-                         "previous run) or a single span .jsonl file")
-    ps.set_defaults(fn=cmd_trace_summarize)
-    pe = tsub.add_parser("export",
-                         help="export a span capture (Perfetto) or a "
-                              "run manifest's metrics (OpenMetrics)")
-    pe.add_argument("source",
-                    help="span capture dir or .jsonl (perfetto), or a "
-                         "run manifest (openmetrics)")
-    pe.add_argument("--format", choices=("perfetto", "openmetrics"),
-                    default="perfetto",
-                    help="output format (default perfetto — Chrome "
-                         "trace-event JSON for ui.perfetto.dev)")
-    pe.add_argument("--out", metavar="FILE", default=None,
-                    help="write to FILE instead of stdout")
-    pe.set_defaults(fn=cmd_trace_export)
-
-    p = sub.add_parser("fuzz",
-                       help="differential fuzz the dual-engine simulator")
-    p.add_argument("--seed", type=int, default=0,
-                   help="campaign seed (program i gets a seed derived "
-                        "from this and i only)")
-    p.add_argument("--iters", type=int, default=200,
-                   help="number of generated programs (default 200)")
-    p.add_argument("--shape", default=None, choices=_fuzz_shapes(),
-                   help="restrict the generator to one program shape")
-    p.add_argument("--uarch", action="append", default=None,
-                   metavar="NAME",
-                   help="µarch to include in the oracle matrix "
-                        "(repeatable; default: zen2 and zen3)")
-    p.add_argument("--artifact-dir", default="fuzz-artifacts",
-                   metavar="DIR",
-                   help="where minimized counterexamples are written")
-    p.add_argument("--no-shrink", action="store_true",
-                   help="write counterexamples without minimizing them")
-    p.add_argument("--contract", default=None, choices=_fuzz_contracts(),
-                   metavar="NAME",
-                   help="relational mode: check public-equivalent "
-                        "secret-divergent input pairs against leakage "
-                        "contract NAME (see 'repro contracts')")
-    p.add_argument("--mitigation", default=None,
-                   choices=_mitigation_names(), metavar="NAME",
-                   help="override the contract's mitigation setting "
-                        "(requires --contract)")
-    CampaignOptions.add_arguments(p, jobs_default=1)
-    _add_telemetry(p)
-    p.set_defaults(fn=cmd_fuzz)
-
-    p = sub.add_parser("contracts",
-                       help="list leakage contracts and the mitigation "
-                            "registry")
-    csub = p.add_subparsers(dest="contracts_command")
-    pl = csub.add_parser("list", help="contract and mitigation tables")
-    pl.set_defaults(fn=cmd_contracts)
-    p.set_defaults(fn=cmd_contracts)
-
-    p = sub.add_parser("bench",
-                       help="simulator throughput: fast vs naive engine")
-    p.add_argument("--out", metavar="FILE", default=None,
-                   help="write the phantom.bench/1 document to FILE")
-    p.add_argument("--baseline", metavar="FILE", default=None,
-                   help="compare speedups against a committed "
-                        "phantom.bench/1 document; exit 1 on a "
-                        "speedup drop over 30%%")
-    p.add_argument("--workloads", nargs="+", metavar="NAME",
-                   default=None,
-                   help="subset of workloads to run (default: all)")
-    p.set_defaults(fn=cmd_bench)
-
-    p = sub.add_parser("stats",
-                       help="summarize one run manifest or bench "
-                            "document, or diff two")
-    p.add_argument("manifest", nargs="+",
-                   help="run manifest(s) written by --json/--results-dir, "
-                        "or phantom.bench/1 document(s) from `repro "
-                        "bench --out`")
-    p.set_defaults(fn=cmd_stats)
-
+    for name, entry in commands.items():
+        add(sub, name, *entry)
     return parser
 
 

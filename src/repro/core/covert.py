@@ -56,10 +56,6 @@ class CovertResult:
                 "bits_per_second": self.bits_per_second,
                 "simulated_seconds": self.seconds}
 
-    def summary(self) -> str:
-        return (f"{self.bits} bits, accuracy {self.accuracy * 100:.2f}%, "
-                f"{self.bits_per_second:,.0f} bits/s simulated")
-
 
 @dataclass(frozen=True)
 class CovertExperiment:

@@ -47,11 +47,6 @@ class KaslrImageResult:
                 "score_margin": score_margin(self.scores),
                 "simulated_ms": self.seconds * 1000}
 
-    def summary(self) -> str:
-        return (f"guessed image base {self.guessed_base:#x} from "
-                f"{len(self.scores)} candidates in "
-                f"{self.seconds * 1000:.2f} simulated ms")
-
 
 def _probe_set_difference(p1: P1MappedExecutable, injector: PhantomInjector,
                           machine, candidate: int, offsets: dict,

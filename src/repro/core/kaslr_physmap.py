@@ -50,13 +50,6 @@ class PhysmapResult:
                 "candidates_scanned": self.candidates_scanned,
                 "simulated_ms": self.seconds * 1000}
 
-    def summary(self) -> str:
-        guess = (f"{self.guessed_base:#x}" if self.guessed_base is not None
-                 else "none")
-        return (f"guessed physmap {guess} after "
-                f"{self.candidates_scanned} candidates, "
-                f"{self.seconds * 1000:.2f} simulated ms")
-
 
 def break_physmap_kaslr(machine, image_base: int, *,
                         verify_rounds: int = 3, min_hits: int = 2,

@@ -77,10 +77,6 @@ class CellResult:
                 "decode": self.result.decode,
                 "execute": self.result.execute, "reach": self.reach.name}
 
-    def summary(self) -> str:
-        return (f"{self.uarch}: {self.train.value} x {self.victim.value} "
-                f"-> {self.reach.name}")
-
 
 @dataclass(frozen=True)
 class MatrixExperiment:
@@ -160,33 +156,23 @@ def run_matrix(uarches, *, combos=ASYMMETRIC_COMBOS, seed: int = 0,
     return run_campaign(experiment, jobs=jobs).raise_on_failure().value
 
 
-_REACH_GLYPH = {
-    Reach.NONE: "-",
-    Reach.FETCH: "IF",
-    Reach.DECODE: "ID",
-    Reach.EXECUTE: "EX",
-}
+_REACH_GLYPH = {"NONE": "-", "FETCH": "IF", "DECODE": "ID", "EXECUTE": "EX"}
 
 
-def format_matrix(results: list[CellResult]) -> str:
-    """Render the matrix the way Table 1 does, one block per µarch."""
+def format_matrix(rows: list[dict]) -> str:
+    """Render ``CellResult.to_dict()`` rows the way Table 1 does, one
+    block per µarch."""
     lines = []
-    uarches = sorted({r.uarch for r in results})
-    trains = list(TrainKind)
-    victims = list(VictimKind)
-    for uarch in uarches:
-        cells = {(r.train, r.victim): r.reach
-                 for r in results if r.uarch == uarch}
+    for uarch in sorted({row["uarch"] for row in rows}):
+        cells = {(row["train"], row["victim"]): row["reach"]
+                 for row in rows if row["uarch"] == uarch}
         lines.append(f"=== {uarch} ===")
-        header = "train \\ victim".ljust(16) + "".join(
-            v.value.ljust(12) for v in victims)
-        lines.append(header)
-        for train in trains:
-            row = [train.value.ljust(16)]
-            for victim in victims:
-                reach = cells.get((train, victim))
-                row.append(("." if reach is None
-                            else _REACH_GLYPH[reach]).ljust(12))
-            lines.append("".join(row))
+        lines.append("train \\ victim".ljust(16) + "".join(
+            victim.value.ljust(12) for victim in VictimKind))
+        for train in TrainKind:
+            lines.append(train.value.ljust(16) + "".join(
+                _REACH_GLYPH.get(cells.get((train.value, victim.value)),
+                                 ".").ljust(12)
+                for victim in VictimKind))
         lines.append("")
     return "\n".join(lines)

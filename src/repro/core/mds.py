@@ -60,11 +60,6 @@ class MdsLeakResult:
                 "signal": self.signal,
                 "simulated_seconds": self.seconds}
 
-    def summary(self) -> str:
-        return (f"leaked {len(self.leaked)} bytes, accuracy "
-                f"{self.accuracy * 100:.2f}%, "
-                f"{self.bytes_per_second:,.0f} bytes/s simulated")
-
 
 def leak_kernel_memory(machine, image_base: int, physmap_base: int, *,
                        n_bytes: int = 4096, start_offset: int = 0,

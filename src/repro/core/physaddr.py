@@ -44,13 +44,6 @@ class PhysAddrResult:
                 "candidates_scanned": self.candidates_scanned,
                 "simulated_ms": self.seconds * 1000}
 
-    def summary(self) -> str:
-        guess = (f"{self.guessed_pa:#x}" if self.guessed_pa is not None
-                 else "none")
-        return (f"guessed physical address {guess} after "
-                f"{self.candidates_scanned} candidates, "
-                f"{self.seconds * 1000:.2f} simulated ms")
-
 
 def find_physical_address(machine, image_base: int, physmap_base: int,
                           buffer_va: int, *, verify_rounds: int = 3,

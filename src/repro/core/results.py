@@ -8,13 +8,13 @@ Each experiment's result dataclass (:class:`~repro.core.matrix.CellResult`,
 :class:`~repro.core.mds.MdsLeakResult`) provides:
 
 * ``to_dict()`` — a flat, JSON-safe dict of the result's headline
-  numbers.  This is the *single* serialization consumed by run
-  manifests (the CLI ``--json`` path), ``repro stats`` summaries, and
-  campaign reducers — experiment-specific serialization code does not
-  belong anywhere else.  Addresses render as hex strings; raw payloads
-  (leaked bytes, per-candidate scores) are summarized, not dumped.
-* ``summary()`` — one human line with the same numbers, for CLI text
-  output and logs.
+  numbers.  This is the *single* serialization: run manifests (the CLI
+  ``--json`` path), ``repro stats`` summaries, campaign reducers and
+  the benchmarks' result records all read it, and the CLI's text and
+  the benchmark tables are written from those records —
+  experiment-specific serialization code does not belong anywhere
+  else.  Addresses render as hex strings; raw payloads (leaked bytes,
+  per-candidate scores) are summarized, not dumped.
 
 :func:`hexaddr` is the one formatting rule shared by all of them.
 """
@@ -30,10 +30,6 @@ class Result(Protocol):
 
     def to_dict(self) -> dict:
         """Flat, JSON-serializable view of the result."""
-        ...   # pragma: no cover
-
-    def summary(self) -> str:
-        """One human-readable line."""
         ...   # pragma: no cover
 
 

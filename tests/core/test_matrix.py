@@ -49,7 +49,7 @@ def test_run_matrix_subset_and_format():
               (TrainKind.RETURN, VictimKind.DIRECT)]
     results = run_matrix([ZEN3], combos=combos)
     assert len(results) == 2
-    table = format_matrix(results)
+    table = format_matrix([cell.to_dict() for cell in results])
     assert "Zen 3" in table
     assert "ID" in table
 
@@ -71,5 +71,5 @@ def test_full_matrix_matches_committed_table1():
     committed Table 1 (benchmarks/test_table1_matrix.py's output)."""
     results = run_matrix([u.name for u in ALL_MICROARCHES], jobs=1)
     assert len(results) == 8 * 22
-    assert (format_matrix(results).splitlines()
+    assert (format_matrix([cell.to_dict() for cell in results]).splitlines()
             == TABLE1.read_text().splitlines())

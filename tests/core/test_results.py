@@ -1,8 +1,9 @@
-"""The shared Result surface: every result serializes and summarizes.
+"""The shared Result surface: every result serializes one way.
 
-The CLI and the campaign reducer rely on ``to_dict()`` being
-JSON-serializable and ``summary()`` being one human-readable line for
-every experiment outcome — no per-type serialization anywhere else.
+Run manifests, the campaign reducer and the benchmarks' result records
+rely on ``to_dict()`` being JSON-serializable for every experiment
+outcome — no per-type serialization anywhere else.  (The CLI's text
+and the benchmark tables are written from those records.)
 """
 
 import json
@@ -44,14 +45,6 @@ RESULTS = [
 def test_to_dict_is_json_serializable(result):
     doc = result.to_dict()
     assert doc == json.loads(json.dumps(doc))
-
-
-@pytest.mark.parametrize("result", RESULTS,
-                         ids=lambda r: type(r).__name__)
-def test_summary_is_one_line(result):
-    line = result.summary()
-    assert line
-    assert "\n" not in line
 
 
 @pytest.mark.parametrize("result", RESULTS,

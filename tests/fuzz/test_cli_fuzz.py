@@ -1,5 +1,6 @@
 """The ``repro fuzz`` command: clean runs, --jobs independence,
-artifacts."""
+artifacts.  One engine-differential and one contract run are golden
+pins (``tests/cli_pins.py``)."""
 
 import importlib
 import json
@@ -10,6 +11,7 @@ from repro.cli import main
 from repro.fuzz import Divergence, Verdict, load_program
 from repro.runner import manifest_fingerprint
 from repro.telemetry import validate_manifest
+from tests.cli_pins import check_pin
 
 oracle_module = importlib.import_module("repro.fuzz.oracle")
 shrink_module = importlib.import_module("repro.fuzz.shrink")
@@ -20,10 +22,8 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
-def test_fuzz_clean_run(capsys, tmp_path):
-    code, out = run(capsys, "fuzz", "--iters", "3",
-                    "--artifact-dir", str(tmp_path / "artifacts"))
-    assert code == 0
+def test_fuzz_clean_run(tmp_path):
+    out = check_pin("fuzz", tmp_path)
     assert "checked 3/3 programs" in out
     assert "0 divergence(s)" in out
     assert not (tmp_path / "artifacts").exists()
@@ -127,6 +127,20 @@ def test_contract_clean_run(capsys, tmp_path):
     assert code == 0
     assert "retbleed-safe" in out and "0 violation(s)" in out
     assert not (tmp_path / "artifacts").exists()
+
+
+def test_contract_violations_shrink_and_ship(tmp_path):
+    """Two no-if-leak violations in four pairs go through the replay,
+    shrink and save loop; text and manifest match the recorded pin."""
+    from repro.telemetry import validate_violation
+
+    out = check_pin("fuzz-contract", tmp_path)
+    assert out.count("CONTRACT VIOLATION") == 2
+    assert out.count("pair checks)") == 2
+    artifacts = sorted((tmp_path / "artifacts").glob("violation-*.json"))
+    assert len(artifacts) == 2
+    for path in artifacts:
+        validate_violation(json.loads(path.read_text()))
 
 
 def test_contract_violation_ships_valid_artifact(capsys, tmp_path):

@@ -1,6 +1,7 @@
-"""``benchmarks/_harness.py::emit`` keeps an archived manifest that
-differs from the new one only in timestamps and host wall times, and
-rewrites it when the simulated work changed."""
+"""``benchmarks/_harness.py::emit`` writes a result record and the
+table rendered from it, keeps an archived manifest that differs from
+the new one only in timestamps and host wall times, and rewrites it
+when the simulated work changed."""
 
 import copy
 import importlib.util
@@ -32,8 +33,24 @@ def harness(tmp_path, monkeypatch):
 
 
 def rerun(harness, doc) -> str:
-    harness.emit("t", ["table"], manifest=doc)
+    harness.emit("t", {}, lambda record: ["table"], manifest=doc)
     return (harness.RESULTS_DIR / "t.manifest.json").read_text()
+
+
+def test_table_is_rendered_from_the_archived_record(harness):
+    """The renderer sees the record as read back from its JSON (tuple
+    -> list, int keys -> str), and the asserts get the same object."""
+    seen = []
+
+    def render(record):
+        seen.append(record)
+        return [f"{key}: {value}" for key, value in record["rows"].items()]
+
+    record = harness.emit("t", {"rows": {1: (0.5, 2)}}, render)
+    assert seen == [record] == [{"rows": {"1": [0.5, 2]}}]
+    assert json.loads((harness.RESULTS_DIR / "t.json").read_text()) == record
+    assert (harness.RESULTS_DIR / "t.txt").read_text() == "1: [0.5, 2]\n"
+    assert not (harness.RESULTS_DIR / "t.manifest.json").exists()
 
 
 def test_host_timing_alone_keeps_the_archived_manifest(harness):

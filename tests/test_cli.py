@@ -1,10 +1,15 @@
-"""CLI: every command runs through the public API and exits cleanly."""
+"""CLI: every command runs through the public API and exits cleanly.
+
+The experiment commands' runs are golden pins (``tests/cli_pins.py``):
+their text and manifest fingerprint must equal the recorded ones.
+"""
 
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from tests.cli_pins import check_pin
 
 
 def run(capsys, *argv):
@@ -19,55 +24,79 @@ def test_uarches(capsys):
     assert "fetch+decode" in out and "uops" in out
 
 
-def test_matrix_single_uarch(capsys):
-    code, out = run(capsys, "matrix", "--uarch", "zen 1")
-    assert code == 0
+def test_matrix_single_uarch(tmp_path):
+    out = check_pin("matrix-zen1", tmp_path)
     assert "Zen 1" in out
     assert "EX" in out
 
 
-def test_kaslr(capsys):
-    code, out = run(capsys, "kaslr", "--uarch", "zen 3", "--seed", "5")
-    assert code == 0
-    assert "SUCCESS" in out
+def test_kaslr(tmp_path):
+    assert "SUCCESS" in check_pin("kaslr-zen3-seed5", tmp_path)
 
 
-def test_covert(capsys):
-    code, out = run(capsys, "covert", "--uarch", "zen 4", "--bits", "64")
-    assert code == 0
+def test_covert(tmp_path):
+    out = check_pin("covert-zen4", tmp_path)
     assert "fetch channel" in out
     assert "execute channel" not in out   # Zen 4 has no execute window
 
 
-def test_covert_zen2_has_execute(capsys):
-    code, out = run(capsys, "covert", "--uarch", "zen 2", "--bits", "64")
-    assert code == 0
-    assert "execute channel" in out
+def test_covert_zen2_has_execute(tmp_path):
+    assert "execute channel" in check_pin("covert-zen2", tmp_path)
 
 
-def test_gadgets(capsys):
-    code, out = run(capsys, "gadgets", "--functions", "120", "--seed", "1")
-    assert code == 0
-    assert "Phantom-exploitable" in out
+def test_gadgets(tmp_path):
+    assert "Phantom-exploitable" in check_pin("gadgets", tmp_path)
 
 
-def test_rev_btb(capsys):
-    code, out = run(capsys, "rev-btb", "--samples", "120000")
-    assert code == 0
+def test_rev_btb(tmp_path):
+    out = check_pin("rev-btb", tmp_path)
     assert "b47" in out
     assert "alias pattern" in out
 
 
-def test_trace(capsys):
-    code, out = run(capsys, "trace", "--nr", "39", "--limit", "40")
-    assert code == 0
+def test_trace(tmp_path):
+    out = check_pin("trace", tmp_path)
     assert "syscall" in out
     assert " K " in out   # kernel-mode instructions traced
 
 
 def test_unknown_uarch_errors(capsys):
-    with pytest.raises(KeyError):
-        main(["kaslr", "--uarch", "zen 9"])
+    """An unknown --uarch is a usage error naming the known µarchs,
+    raised before anything runs."""
+    for argv in (["kaslr", "--uarch", "zen 9"],
+                 ["matrix", "--uarch", "intel"],
+                 ["fuzz", "--uarch", "zen2", "--uarch", "zen9"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown µarch" in err and "Zen 2" in err, argv
+
+
+def test_uarch_keywords_and_spellings_parse_unchanged():
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    for name in ("all", "amd", "zen-1", "Zen 4"):
+        assert parser.parse_args(["matrix", "--uarch", name]).uarch == name
+    assert parser.parse_args(
+        ["fuzz", "--uarch", "zen2", "--uarch", "Zen 3"]).uarch \
+        == ["zen2", "Zen 3"]
+
+
+@pytest.mark.parametrize("command", ["physmap", "leak"])
+def test_execute_window_required_before_any_campaign(capsys, tmp_path,
+                                                     command):
+    """P2/P3 need a phantom window that reaches execute: on Zen 3 the
+    command exits 2 with one stderr line and writes nothing."""
+    code = main([command, "--uarch", "zen3", "--results-dir",
+                 str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "Zen 3" in captured.err and "execute" in captured.err
+    assert not list(tmp_path.iterdir())
 
 
 def test_missing_command_rejected(capsys):
