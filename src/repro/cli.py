@@ -13,7 +13,7 @@ not reach execute.
 
 Every experiment command accepts ``--json`` (print a
 ``phantom.run-manifest/1`` document instead of text), ``--trace-out
-FILE`` (stream a ``phantom.trace/1`` JSON-lines event trace), and
+FILE`` (write the run's ``phantom.trace/1`` events as JSON lines), and
 ``--results-dir DIR`` (archive the manifest).  Campaign commands
 (``matrix``, ``kaslr``, ``physmap``, ``leak``, ``covert``, ``fuzz``)
 also take ``--jobs N`` to shard their jobs across worker processes
@@ -21,33 +21,34 @@ also take ``--jobs N`` to shard their jobs across worker processes
 any worker count), and — with ``--results-dir`` — journal every
 finished job to ``DIR/<command>-checkpoint.jsonl``; ``--resume
 CHECKPOINT`` skips the jobs already journaled there (see
-``docs/resilience.md``).  ``--trace-out`` needs a single worker: with
-``--jobs`` resolving to more it is a usage error (exit 2).  Ctrl-C
-with a checkpoint active exits 130 after printing the resume command; a
-worker process that dies does the same but exits 1.
+``docs/resilience.md``).  Ctrl-C with a checkpoint active exits 130
+after printing the resume command; a worker process that dies does the
+same but exits 1.
 
-Observability (see ``docs/observability.md``): ``--spans DIR`` records
-``phantom.span/1`` distributed-trace spans across every worker and
-stitches them into ``DIR/trace.jsonl``; ``--progress FILE`` streams
-``phantom.progress/1`` job-completion events (plus a live progress bar
-whenever stderr is a terminal).
+Observability (see ``docs/observability.md``) is one event stream on
+two clocks: ``--spans DIR`` records ``phantom.span/1`` host-timed spans
+across every worker and stitches them into ``DIR/trace.jsonl``;
+``--trace-out FILE`` has the same per-process files carry the
+cycle-stamped events too (in ``--spans DIR`` or a temporary
+directory) and writes them, stitched, to FILE at any ``--jobs``.  A
+single-line progress bar renders whenever stderr is a terminal.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
+import tempfile
 from collections import Counter
-from contextlib import ExitStack, closing
+from contextlib import ExitStack
 
 from .pipeline import ALL_MICROARCHES, AMD_MICROARCHES, by_name
 from .runner import CampaignOptions
 from .runner.run import ExperimentRun
-from .telemetry import (JsonLinesSink, ProgressReporter, RunManifest, SPANS,
-                        TRACE, diff_manifests, stitch_to_file,
-                        summarize_manifest)
+from .telemetry import (ProgressReporter, RunManifest, SPANS, diff_manifests,
+                        stitch_events, stitch_to_file, summarize_manifest,
+                        write_jsonl)
 
 
 def _uarch(*keywords: str):
@@ -78,28 +79,23 @@ def _uarch_args(default: str) -> tuple:
 _TELEMETRY = (
     ("--json", dict(action="store_true", help="print the run manifest as "
                     "JSON (suppresses normal text output)")),
-    ("--trace-out", dict(metavar="FILE", default=None, help="write a "
-                         "phantom.trace/1 JSON-lines event trace to FILE "
-                         "(campaigns: with --jobs 1)")),
+    ("--trace-out", dict(metavar="FILE", default=None, help="write the "
+                         "run's phantom.trace/1 events to FILE as JSON "
+                         "lines, each with its enclosing span id")),
     ("--results-dir", dict(metavar="DIR", default=None,
                            help="archive the run manifest under DIR")),
     ("--spans", dict(metavar="DIR", default=None, help="record "
                      "phantom.span/1 distributed-trace spans under DIR and "
                      "stitch them into DIR/trace.jsonl (inspect with "
-                     "'repro trace summarize/export')")),
-    ("--progress", dict(metavar="FILE", default=None, help="stream "
-                        "phantom.progress/1 job-completion events to FILE "
-                        "('-' = stdout, a number = an inherited fd); a "
-                        "single-line progress bar additionally renders "
-                        "whenever stderr is a terminal")))
+                     "'repro trace summarize/export')")))
 
 
 class _Run(ExperimentRun):
     """An :class:`~repro.runner.run.ExperimentRun` plus the CLI-only
-    sinks: the ``--trace-out`` event sink, the ``--spans`` root span,
-    the ``--progress`` reporter (also whenever stderr is a terminal),
-    and the text, ``--json`` and ``--results-dir`` outputs.  Text is
-    suppressed when ``--json`` asks for the manifest document only."""
+    sinks: the span capture behind ``--spans`` and ``--trace-out``, the
+    progress line (whenever stderr is a terminal), and the text,
+    ``--json`` and ``--results-dir`` outputs.  Text is suppressed when
+    ``--json`` asks for the manifest document only."""
 
     def __init__(self, args, command: str, machine=None, **config) -> None:
         self.options = CampaignOptions.from_args(args)
@@ -107,45 +103,41 @@ class _Run(ExperimentRun):
                          **config)
         self.args = args
         self.json_only = bool(getattr(args, "json", False))
+        self.trace_out = getattr(args, "trace_out", None)
+        self.progress = ProgressReporter(sys.stderr) \
+            if sys.stderr.isatty() else None
         self._sinks = ExitStack()
 
     def __enter__(self) -> "_Run":
         super().__enter__()
-        if self.options.spans:
-            SPANS.start(self.options.spans, name=self.command)
+        if self.options.spans or self.trace_out:
+            span_dir = self.options.spans or self._sinks.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-trace-"))
+            SPANS.start(span_dir, name=self.command,
+                        events=bool(self.trace_out))
             self._sinks.push(self._finish_spans)
-        progress = self._progress_reporter()
-        trace_out = getattr(self.args, "trace_out", None)
-        if trace_out:
-            sink = self._sinks.enter_context(closing(JsonLinesSink(trace_out)))
-            TRACE.add_sink(sink)
-            self._sinks.callback(TRACE.remove_sink, sink)
         # Multi-campaign commands share one kwargs dict: spec
         # fingerprints keep their journal records apart.
         self.campaign_kwargs = self.options.campaign_kwargs(
-            self.command, progress=progress)
+            self.command, on_job_done=None if self.progress is None
+            else self.progress.on_job_done)
         return self
 
-    def _progress_reporter(self) -> "ProgressReporter | None":
-        """The reporter for ``--progress`` ('-' = stdout, a number = an
-        inherited fd, else a file) and/or a TTY stderr.  Headless runs
-        without ``--progress`` construct nothing."""
-        target, stream = self.options.progress, None
-        if target == "-":
-            stream = sys.stdout
-        elif target:
-            stream = self._sinks.enter_context(
-                os.fdopen(int(target), "w", encoding="utf-8")
-                if target.isdigit() else open(target, "w", encoding="utf-8"))
-        tty = sys.stderr if sys.stderr.isatty() else None
-        if stream is None and tty is None:
-            return None
-        return self._sinks.enter_context(
-            closing(ProgressReporter(stream=stream, tty=tty)))
+    def campaign(self, phase, experiment):
+        if self.progress is None:
+            return super().campaign(phase, experiment)
+        self.progress.begin(campaign=experiment.name,
+                            total=len(list(experiment.job_specs())))
+        try:
+            return super().campaign(phase, experiment)
+        finally:
+            self.progress.end()
 
     def _finish_spans(self, exc_type, exc, tb) -> None:
         span_dir = SPANS.finish(status="ok" if exc_type is None else "error")
-        if span_dir is not None:
+        if self.trace_out:
+            write_jsonl(self.trace_out, stitch_events(span_dir))
+        if self.options.spans:
             self.text(f"spans: {stitch_to_file(span_dir)}")
 
     def text(self, line: str = "") -> None:
@@ -738,18 +730,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from .runner import CampaignInterrupted, resolve_jobs
+    from .runner import CampaignInterrupted
 
     args = build_parser().parse_args(argv)
-    if getattr(args, "trace_out", None) and hasattr(args, "jobs"):
-        # Forked workers would inherit the open trace file and write
-        # into it concurrently; the event stream is one process's.
-        workers = resolve_jobs(args.jobs)
-        if workers > 1:
-            print(f"repro: --trace-out records one process's events but "
-                  f"--jobs resolves to {workers} workers; rerun with "
-                  f"--jobs 1", file=sys.stderr)
-            return 2
     try:
         return args.fn(args)
     except BrokenPipeError:   # e.g. `repro stats ... | head`

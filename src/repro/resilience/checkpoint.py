@@ -46,7 +46,6 @@ from ..runner.executor import JobResult
 from ..runner.spec import JobSpec
 from ..telemetry import metrics as _metrics
 from ..telemetry.spans import SPANS
-from ..telemetry.trace import TRACE
 
 CHECKPOINT_SCHEMA = "phantom.checkpoint/1"
 
@@ -160,8 +159,6 @@ class CheckpointWriter:
             self.write_errors += 1
             _metrics.REGISTRY.counter(
                 "resilience.checkpoint_write_errors").inc()
-            TRACE.emit("checkpoint_write_error", 0, job=record.label,
-                       error=str(exc))
             SPANS.event("checkpoint:write_error", status="error",
                         job=record.label, error=str(exc))
             if not self._warned:

@@ -257,9 +257,12 @@ def execute_job(experiment, spec: JobSpec, *,
     try:
         # seq=0: each job label is unique within its campaign, so the
         # span id is the same whichever worker runs the job.
-        with SPANS.span(spec.label, parent_id=job_parent, seq=0):
-            with _JobAlarm(timeout_s):
-                value = experiment.run_one(spec, ctx)
+        with SPANS.span(spec.label, parent_id=job_parent, seq=0) as span:
+            try:
+                with _JobAlarm(timeout_s):
+                    value = experiment.run_one(spec, ctx)
+            finally:   # the job's cost on the simulated clock
+                span.set(cycles=ctx.cycles)
     except JobTimeout as exc:
         kind, message = "timeout", str(exc)
     except Exception as exc:   # noqa: BLE001 — capture, don't abort
@@ -286,8 +289,7 @@ def _broken_pool_error() -> type:
 def run_campaign(experiment, *, jobs: int | None = None,
                  timeout_s: float | None = None,
                  config: dict | None = None, checkpoint=None,
-                 resume=None, on_job_done=None,
-                 progress=None) -> CampaignResult:
+                 resume=None, on_job_done=None) -> CampaignResult:
     """Execute every job of *experiment* and reduce the results.
 
     ``jobs=None``/``0`` uses one worker per available CPU; ``jobs=1``
@@ -304,18 +306,17 @@ def run_campaign(experiment, *, jobs: int | None = None,
     * ``resume`` — a checkpoint path whose journaled jobs are skipped;
       their recorded results merge into the manifest exactly as if
       they had just run.
-    * ``on_job_done`` — callback invoked with each recorded
-      :class:`JobResult`.
+    * ``on_job_done`` — the one completion callback, invoked with each
+      recorded :class:`JobResult` (the CLI's TTY progress line is
+      one).
 
     Observability (see ``docs/observability.md``): when the process
     span recorder is active, the campaign runs under a
     ``campaign:<name>`` span whose :class:`TraceContext` is stamped
-    into every dispatched spec (workers parent their job spans on it);
-    ``progress`` — an optional
-    :class:`repro.telemetry.ProgressReporter` fed from the same
-    completion stream as ``on_job_done``.  Both are strictly
-    observational: manifests and results are byte-identical with them
-    on or off.
+    into every dispatched spec (workers parent their job spans on it,
+    and record trace events when the context asks for them).  This is
+    strictly observational: manifests and results are byte-identical
+    with it on or off.
     """
     # Imported here: the resilience package imports the runner.
     from ..resilience.checkpoint import (CheckpointWriter, load_checkpoint,
@@ -365,16 +366,11 @@ def run_campaign(experiment, *, jobs: int | None = None,
 
         todo = [index for index in range(len(specs))
                 if slots[index] is None]
-        if progress is not None:
-            progress.begin(campaign=name, total=len(specs),
-                           done=len(specs) - len(todo))
 
         def record(index: int, result: JobResult) -> None:
             slots[index] = result
             if writer is not None:
                 writer.append(specs[index], result)
-            if progress is not None:
-                progress.on_job_done(result)
             if on_job_done is not None:
                 on_job_done(result)
 
@@ -389,8 +385,6 @@ def run_campaign(experiment, *, jobs: int | None = None,
                 run_pool(experiment, specs, todo, record,
                          n_workers=n_workers, timeout_s=timeout_s)
         except (KeyboardInterrupt, _broken_pool_error()) as exc:
-            if progress is not None:
-                progress.end("interrupted")
             if writer is None:
                 raise
             done = sum(result is not None for result in slots)
@@ -418,8 +412,6 @@ def run_campaign(experiment, *, jobs: int | None = None,
                 wall_time_s=time.perf_counter() - wall_start)
         if resume_info is not None:
             manifest["outcome"]["resume"] = resume_info
-        if progress is not None:
-            progress.end(manifest["outcome"]["status"])
         return CampaignResult(experiment=name, jobs=n_workers,
                               results=results, value=value,
                               manifest=manifest)

@@ -2,7 +2,7 @@
 
 Six CLI subcommands (``matrix``, ``kaslr``, ``physmap``, ``leak``,
 ``covert``, ``fuzz``) take the same execution knobs — worker count,
-checkpoint/resume, span capture, progress streaming, result archiving —
+checkpoint/resume, span capture, result archiving —
 and until this module each re-declared and re-plumbed them by hand.
 :class:`CampaignOptions` is the single source of truth: the CLI builds
 one from parsed arguments and hands it to
@@ -12,7 +12,7 @@ one from parsed arguments and hands it to
 from __future__ import annotations
 
 import argparse
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 
@@ -39,8 +39,8 @@ class CampaignOptions:
     ``jobs=0`` means one worker per available CPU (the
     :func:`repro.runner.resolve_jobs` convention); results are
     identical at any value.  ``resume`` drives the resilience journal
-    (see ``docs/resilience.md``); ``spans``/``progress`` the
-    observability layer (``docs/observability.md``); ``results_dir``
+    (see ``docs/resilience.md``); ``spans`` the observability layer
+    (``docs/observability.md``); ``results_dir``
     both archives the run manifest and hosts the per-command checkpoint
     journal.
     """
@@ -48,7 +48,6 @@ class CampaignOptions:
     jobs: int = 0
     resume: str | None = None
     spans: str | None = None
-    progress: str | None = None
     results_dir: str | None = None
 
     # -- argparse plumbing -------------------------------------------------
@@ -56,7 +55,7 @@ class CampaignOptions:
     @staticmethod
     def add_arguments(parser, *, jobs_default: int = 0) -> None:
         """Register ``--jobs``/``--resume`` on *parser* (the telemetry
-        flags — ``--spans``, ``--progress``, ``--results-dir`` — are
+        flags — ``--spans``, ``--results-dir`` — are
         registered with the output flags, which non-campaign commands
         also take).  ``jobs_default`` lets a
         command keep a serial default (``fuzz`` uses 1) without
@@ -77,7 +76,7 @@ class CampaignOptions:
 
     @classmethod
     def from_args(cls, args) -> "CampaignOptions":
-        """Collect whichever of the five options *args* carries."""
+        """Collect whichever of the four options *args* carries."""
         values = {}
         for spec in fields(cls):
             if hasattr(args, spec.name):
@@ -101,8 +100,8 @@ class CampaignOptions:
             return Path(self.resume)
         return None
 
-    def campaign_kwargs(self, command: str, *, progress=None) -> dict:
-        """The checkpoint/resume/progress keyword arguments for one
+    def campaign_kwargs(self, command: str, *, on_job_done=None) -> dict:
+        """The checkpoint/resume/on_job_done keyword arguments for one
         :func:`repro.runner.run_campaign` call.  Multi-campaign
         commands (``physmap``, ``leak``) reuse one kwargs dict — spec
         fingerprints keep their journal records apart."""
@@ -112,10 +111,6 @@ class CampaignOptions:
             kwargs["checkpoint"] = checkpoint
         if self.resume:
             kwargs["resume"] = self.resume
-        if progress is not None:
-            kwargs["progress"] = progress
+        if on_job_done is not None:
+            kwargs["on_job_done"] = on_job_done
         return kwargs
-
-    def describe(self) -> dict:
-        """Full field dump (manifest/config use — includes defaults)."""
-        return asdict(self)

@@ -112,8 +112,7 @@ def manifest_fingerprint(doc: dict) -> dict:
     out.pop("created_at", None)
     out.get("config", {}).pop("jobs", None)
     outcome = out.get("outcome", {})
-    for execution_detail in ("jobs", "resume", "spans", "progress",
-                             "elapsed_seconds"):
+    for execution_detail in ("jobs", "resume", "elapsed_seconds"):
         outcome.pop(execution_detail, None)
     out.get("totals", {}).pop("wall_time_s", None)
     for phase in out.get("phases", ()):

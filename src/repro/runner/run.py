@@ -34,7 +34,8 @@ class ExperimentRun:
         self.command = command
         self.machine = machine
         self.jobs = jobs
-        #: Extra ``run_campaign`` keywords (checkpoint, resume, progress).
+        #: Extra ``run_campaign`` keywords (checkpoint, resume,
+        #: on_job_done).
         self.campaign_kwargs: dict = {}
         self.config = {**(config or {}), **extra_config}
         self.workers: int | None = None   # the last campaign's pool size

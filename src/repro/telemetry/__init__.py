@@ -1,20 +1,22 @@
 """Unified telemetry: metrics registry, structured traces, run manifests.
 
-Three cooperating pieces (see ``docs/observability.md``):
+Four views over one event stream on two clocks (see
+``docs/observability.md``):
 
 * :mod:`.metrics` — a process-wide registry of labelled counters the
   simulator layers emit into (no-op when disabled);
 * :mod:`.trace`   — typed, cycle-stamped events (retire, episode,
-  resteer, syscall, probe round) fanned out to JSON-lines or in-memory
-  sinks;
+  resteer, syscall, probe round) fanned out to sinks;
 * :mod:`.manifest` — one JSON document per experiment run: config,
   phase profile, metric/PMC snapshots, outcome.  Summarize or diff
   manifests with :mod:`.stats` (``repro stats`` on the CLI);
 * :mod:`.spans`   — campaign-wide distributed tracing
   (``phantom.span/1`` wall-clock spans with cross-process context
-  propagation, stitched into one causally-ordered trace);
-* :mod:`.progress` — live ``phantom.progress/1`` job-completion events
-  plus a ``repro top``-style single-line TTY renderer;
+  propagation, stitched into one causally-ordered trace), whose
+  per-process files also carry the trace events of a capture that
+  asks for them;
+* :mod:`.progress` — a ``repro top``-style single-line TTY renderer of
+  job completions;
 * :mod:`.exporters` — Chrome trace-event JSON (Perfetto) from span
   records, OpenMetrics text from counter and PMC snapshots.
 
@@ -30,13 +32,14 @@ from .manifest import MANIFEST_SCHEMA, PhaseProfile, RunManifest, \
     machine_config
 from .merge import merge_metric_snapshots, merge_pmc
 from .metrics import Counter, MetricsRegistry, REGISTRY, counter
-from .progress import PROGRESS_SCHEMA, ProgressReporter
+from .progress import ProgressReporter
 from .schema import CONTRACT_VIOLATION_JSON_SCHEMA, \
     MANIFEST_JSON_SCHEMA, SchemaError, validate, validate_manifest, \
     validate_violation
 from .spans import SPAN_JSON_SCHEMA, SPAN_SCHEMA, SPANS, Span, \
     SpanRecorder, StitchedTrace, TraceContext, critical_path, read_spans, \
-    stitch, stitch_to_file, summarize_trace, trace_structure, validate_span
+    stitch, stitch_events, stitch_to_file, summarize_trace, trace_structure, \
+    validate_span, write_jsonl
 from .stats import diff_manifests, summarize_manifest
 from .trace import JsonLinesSink, MemorySink, TRACE, TRACE_SCHEMA, \
     TraceCollector, TraceEvent, read_jsonl
@@ -49,7 +52,6 @@ __all__ = [
     "MANIFEST_SCHEMA",
     "MemorySink",
     "MetricsRegistry",
-    "PROGRESS_SCHEMA",
     "PhaseProfile",
     "ProgressReporter",
     "REGISTRY",
@@ -78,6 +80,7 @@ __all__ = [
     "read_jsonl",
     "read_spans",
     "stitch",
+    "stitch_events",
     "stitch_to_file",
     "summarize_manifest",
     "summarize_trace",
@@ -88,6 +91,7 @@ __all__ = [
     "validate_manifest",
     "validate_span",
     "validate_violation",
+    "write_jsonl",
 ]
 
 

@@ -112,8 +112,8 @@ class RunManifest:
         """Fold another manifest document (typically a merged campaign
         manifest from :mod:`repro.runner`) into this one: its phases are
         appended, metrics and PMC snapshots merged, its simulated
-        totals added, and its recovery/observability lineage (resume /
-        spans / progress) lifted into this outcome.  Wall time stays this manifest's own."""
+        totals added, and its resume lineage lifted into this outcome.
+        Wall time stays this manifest's own."""
         for phase in doc.get("phases", ()):
             self.phases.append(PhaseProfile(**phase))
         self.metrics = merge_metric_snapshots(self.metrics,
@@ -123,9 +123,8 @@ class RunManifest:
         self.totals["cycles"] += totals.get("cycles", 0)
         self.totals["simulated_seconds"] += totals.get(
             "simulated_seconds", 0.0)
-        for lineage in ("resume", "spans", "progress"):
-            if lineage in doc.get("outcome", {}):
-                self.outcome.setdefault(lineage, doc["outcome"][lineage])
+        if "resume" in doc.get("outcome", {}):
+            self.outcome.setdefault("resume", doc["outcome"]["resume"])
         return self
 
     # -- export / import ---------------------------------------------------

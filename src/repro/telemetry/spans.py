@@ -13,6 +13,12 @@ checkpoint flush — recorded as one JSON line:
      "parent_id": "…16 hex…", "start_s": 1723000000.0, "duration_s": 0.12,
      "status": "ok", "pid": 4242, "attrs": {}}
 
+The same files carry the cycle clock: while a capture asks for
+events, the recorder is a sink on :data:`~repro.telemetry.trace.TRACE`
+and writes each ``phantom.trace/1`` event unchanged plus the id of its
+innermost open span (``"span_id"``), so one event stream runs on two
+clocks and :func:`stitch_events` orders it at any ``--jobs``.
+
 Three rules make the layer fit the repo's telemetry contract:
 
 * **Disabled tracing is a no-op branch.**  The process-wide
@@ -20,10 +26,12 @@ Three rules make the layer fit the repo's telemetry contract:
   ``SPANS.enabled`` (or goes through :meth:`SpanRecorder.span`, which
   yields a shared null span when disabled).  Enabling it never touches
   simulated state, so observables are bit-identical with spans on or
-  off.
+  off; without events it leaves ``TRACE`` off, so the fast engine
+  keeps its compiled dispatch.
 * **Context propagates through job specs.**  The parent opens a
   campaign root span and stamps a :class:`TraceContext` (trace id,
-  parent span id, capture directory) into each
+  parent span id, capture directory, whether to record events) into
+  each
   :class:`~repro.runner.JobSpec`; workers :meth:`~SpanRecorder.adopt`
   the context and append their spans to a per-worker
   ``worker-<pid>.jsonl`` file in the same directory.  The stitcher
@@ -46,14 +54,18 @@ OpenMetrics text for metrics snapshots); ``repro trace summarize`` and
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
 import os
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from .trace import TRACE, TRACE_SCHEMA
 
 SPAN_SCHEMA = "phantom.span/1"
 
@@ -117,12 +129,14 @@ class TraceContext:
     :func:`~repro.runner.execute_job` hands it to
     :meth:`SpanRecorder.adopt` inside the worker.  It deliberately
     carries no file handles or clocks — only the coordinates a worker
-    needs to keep emitting into the same trace.
+    needs to keep emitting into the same trace, and whether its
+    ``TRACE`` events go there too.
     """
 
     trace_id: str
     parent_span_id: str
     span_dir: str
+    events: bool = False
 
 
 class Span:
@@ -181,14 +195,16 @@ class SpanRecorder:
     span and a ``parent-<pid>.jsonl`` file) and eventually
     :meth:`finish`; *workers* call :meth:`adopt` with the propagated
     :class:`TraceContext` (idempotent per process — pool workers are
-    reused across jobs).  Every record is flushed as it is written, so
-    a SIGKILLed worker loses at most its currently-open spans, never
+    reused across jobs).  Every span record is flushed as it is
+    written, and with it the events before it, so a SIGKILLed worker
+    loses at most its currently-open spans and their events, never
     previously completed ones, and a forked child never replays the
     parent's buffer.
     """
 
     def __init__(self) -> None:
         self.enabled = False
+        self.events = False
         self.trace_id: str | None = None
         self._dir: Path | None = None
         self._fh = None
@@ -200,7 +216,8 @@ class SpanRecorder:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _configure(self, span_dir, trace_id: str, role: str) -> None:
+    def _configure(self, span_dir, trace_id: str, role: str,
+                   events: bool) -> None:
         path = Path(span_dir)
         path.mkdir(parents=True, exist_ok=True)
         self._dir = path
@@ -212,12 +229,20 @@ class SpanRecorder:
         self._seq = {}
         self._root = None
         self.enabled = True
+        self.events = events
+        if events:
+            TRACE.add_sink(self)
+        else:   # a reused worker may have been a sink for a past trace
+            TRACE.remove_sink(self)
 
-    def start(self, span_dir, *, name: str,
-              trace_id: str | None = None) -> Span:
+    def start(self, span_dir, *, name: str, trace_id: str | None = None,
+              events: bool = False) -> Span:
         """Parent-side: configure capture under *span_dir* and open the
-        trace's root span, named ``run:<name>``."""
-        self._configure(span_dir, trace_id or new_trace_id(), "parent")
+        trace's root span, named ``run:<name>``; with *events*, this
+        process's and every adopting worker's ``TRACE`` events are
+        captured too."""
+        self._configure(span_dir, trace_id or new_trace_id(), "parent",
+                        events)
         self._root = self._open(f"run:{name}", parent_id=None)
         return self._root
 
@@ -227,13 +252,14 @@ class SpanRecorder:
         Re-configures only when the context is new to this process —
         a reused pool worker keeps its file; a freshly forked child
         (same context, different pid) gets its own, so two processes
-        never interleave writes into one file.
+        never interleave writes into one file.  The worker becomes a
+        ``TRACE`` sink only when *ctx* asks for events.
         """
         if (self.enabled and self._pid == os.getpid()
                 and self.trace_id == ctx.trace_id
                 and self._dir == Path(ctx.span_dir)):
             return
-        self._configure(ctx.span_dir, ctx.trace_id, "worker")
+        self._configure(ctx.span_dir, ctx.trace_id, "worker", ctx.events)
 
     def finish(self, *, status: str = "ok") -> Path | None:
         """Close the root span (if any) and stop recording.
@@ -241,6 +267,7 @@ class SpanRecorder:
         Returns the capture directory so callers can stitch it."""
         if not self.enabled:
             return None
+        TRACE.remove_sink(self)
         while self._stack and self._stack[-1] is not self._root:
             self._close(self._stack[-1])
         if self._root is not None:
@@ -250,6 +277,7 @@ class SpanRecorder:
         if self._fh is not None:
             self._fh.close()
         self.enabled = False
+        self.events = False
         self.trace_id = None
         self._dir = None
         self._fh = None
@@ -272,7 +300,7 @@ class SpanRecorder:
             return None
         return TraceContext(trace_id=self.trace_id,
                             parent_span_id=self.current_id or "",
-                            span_dir=str(self._dir))
+                            span_dir=str(self._dir), events=self.events)
 
     def _next_seq(self, parent_id: str | None, name: str) -> int:
         with self._lock:
@@ -343,6 +371,16 @@ class SpanRecorder:
         span.status = status
         self._write(span)
 
+    def emit(self, event) -> None:
+        """``TRACE`` sink: write *event*'s ``phantom.trace/1`` record
+        plus the innermost open span's id; it reaches the disk with the
+        next span record."""
+        record = event.to_dict()
+        record["span_id"] = self.current_id
+        line = json.dumps(record, separators=(",", ":")) + "\n"
+        with self._lock:
+            self._fh.write(line)
+
 
 #: The process-wide recorder every instrumentation point emits into.
 SPANS = SpanRecorder()
@@ -350,12 +388,11 @@ SPANS = SpanRecorder()
 
 # -- stitching ---------------------------------------------------------------
 
-def read_spans(source) -> list[dict]:
-    """Load raw span records from a capture directory or a single file.
-
-    Directories are read as every ``*.jsonl`` except the stitched
-    output; malformed lines are skipped (a SIGKILLed worker may tear
-    its last record — that costs one span, not the trace).
+def _read_records(source, schemas):
+    """``(file, line number, record)`` for each record of *schemas* in
+    a capture directory (every ``*.jsonl`` except the stitched output)
+    or a single file.  Malformed lines are skipped (a SIGKILLed worker
+    may tear its last record — that costs one record, not the trace).
     """
     source = Path(source)
     if source.is_dir():
@@ -363,20 +400,21 @@ def read_spans(source) -> list[dict]:
                        if p.name != STITCHED_NAME)
     else:
         paths = [source]
-    records: list[dict] = []
     for path in paths:
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
+            for number, line in enumerate(fh):
                 try:
                     doc = json.loads(line)
                 except json.JSONDecodeError:
                     continue
-                if isinstance(doc, dict) and doc.get("schema") == SPAN_SCHEMA:
-                    records.append(doc)
-    return records
+                if isinstance(doc, dict) and doc.get("schema") in schemas:
+                    yield str(path), number, doc
+
+
+def read_spans(source) -> list[dict]:
+    """Load raw span records (not trace events) from a capture
+    directory or a single file."""
+    return [doc for _, _, doc in _read_records(source, (SPAN_SCHEMA,))]
 
 
 @dataclass
@@ -446,16 +484,65 @@ def stitch(records: list[dict]) -> StitchedTrace:
                          by_id=by_id, children=children)
 
 
-def stitch_to_file(span_dir, *, out=None) -> Path:
+def stitch_to_file(span_dir) -> Path:
     """Stitch a capture directory and write the ordered trace to
-    ``<dir>/trace.jsonl`` (or *out*); returns the written path."""
-    span_dir = Path(span_dir)
-    trace = stitch(read_spans(span_dir))
-    path = Path(out) if out is not None else span_dir / STITCHED_NAME
+    ``<dir>/trace.jsonl``; returns its path."""
+    return write_jsonl(Path(span_dir) / STITCHED_NAME,
+                       stitch(read_spans(span_dir)).spans)
+
+
+def write_jsonl(path, records) -> Path:
+    """Write *records* one compact JSON object per line; returns *path*."""
     with open(path, "w", encoding="utf-8") as fh:
-        for record in trace.spans:
+        for record in records:
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-    return path
+    return Path(path)
+
+
+def stitch_events(source) -> list[dict]:
+    """A capture's ``phantom.trace/1`` events in one order.
+
+    Within a process each event keeps its place in that process's
+    file: emission order.  The events of a span that ran in another
+    process than its parent (a job on a pool worker) go, in sibling
+    start order, just before the parent's first line in the parent's
+    file — after what the parent traced before the campaign, before
+    its ``reduce``.  So ``--jobs 1`` gives plain emission order, and
+    each job's own sequence is the same at any ``--jobs``.  Events of
+    an unrecorded span follow the rest, per file.
+    """
+    spans: dict[str, tuple] = {}   # span_id -> (file, line, record)
+    events: list[tuple] = []
+    for item in _read_records(source, (SPAN_SCHEMA, TRACE_SCHEMA)):
+        if item[2]["schema"] == SPAN_SCHEMA:
+            spans[item[2]["span_id"]] = item
+        else:
+            events.append(item)
+
+    def chain(span_id, path):      # *span_id* and its ancestors in *path*
+        while span_id in spans and spans[span_id][0] == path:
+            yield span_id
+            span_id = spans[span_id][2]["parent_id"]
+
+    first: dict[str, int] = {}     # a span's first subtree line, own file
+    for path, number, doc in events + list(spans.values()):
+        for span_id in chain(doc["span_id"], path):
+            first[span_id] = min(first.get(span_id, number), number)
+
+    @functools.cache
+    def prefix(span_id, path) -> tuple:
+        """Sort-key levels above an item of *path* under *span_id*."""
+        top = None
+        for top in chain(span_id, path):
+            pass
+        parent = spans[top][2]["parent_id"] if top else None
+        if parent in spans:        # *top* ran in another process
+            return prefix(parent, spans[parent][0]) + (
+                (first[parent] - 0.5, spans[top][2]["start_s"], top),)
+        return () if top and parent is None else ((math.inf, path),)
+
+    events.sort(key=lambda e: prefix(e[2]["span_id"], e[0]) + ((e[1],),))
+    return [doc for _, _, doc in events]
 
 
 def trace_structure(trace: StitchedTrace) -> tuple:
@@ -493,8 +580,9 @@ def _fmt_s(seconds: float) -> str:
 
 
 def summarize_trace(trace: StitchedTrace) -> list[str]:
-    """Text summary: critical path, then a per-span-name table
-    (count / total / mean / min / max) — the phase histogram."""
+    """Text summary: critical path, a per-span-name table (count /
+    total / mean / min / max) — the phase histogram — and each job's
+    cost on both clocks: host time and simulated cycles."""
     lines: list[str] = []
     if not trace.spans:
         return ["no spans"]
@@ -523,6 +611,15 @@ def summarize_trace(trace: StitchedTrace) -> list[str]:
             f"{_fmt_s(sum(durations)):>9s}  "
             f"{_fmt_s(sum(durations) / len(durations)):>9s}  "
             f"{_fmt_s(min(durations)):>9s}  {_fmt_s(max(durations)):>9s}")
+    jobs = [span for span in trace.spans if "cycles" in span["attrs"]]
+    if jobs:
+        lines.append("jobs:")
+        width = max(len(span["name"]) for span in jobs)
+        lines.append(f"  {'job':<{width}s}  {'host':>9s}  {'cycles':>12s}")
+        for span in jobs:
+            lines.append(f"  {span['name']:<{width}s}  "
+                         f"{_fmt_s(span['duration_s']):>9s}  "
+                         f"{span['attrs']['cycles']:>12,d}")
     errors = [s for s in trace.spans if s["status"] != "ok"]
     if errors:
         lines.append(f"errors: {len(errors)} span(s) closed with "

@@ -3,11 +3,13 @@
 The simulator emits *events* — instruction retire, speculation episode,
 frontend/backend resteer, syscall, probe round — into a process-wide
 :class:`TraceCollector`, the CPU's only per-step observation
-channel.  Sinks (anything with ``emit(event)`` and ``close()``) consume
-them: a JSON-lines file sink (one object per line, schema-versioned)
-for machine processing, an in-memory sink, and programmatic consumers
-such as :class:`repro.analysis.Tracer`, whose text timeline is just one
-rendering of the same event stream.
+channel.  Sinks (anything with ``emit(event)``) consume them: the span
+recorder (:data:`repro.telemetry.spans.SPANS`, which files each event
+under its enclosing span — the CLI's ``--trace-out``), an in-memory
+sink, and programmatic consumers such as
+:class:`repro.analysis.Tracer`, whose text timeline is just one
+rendering of the same event stream (and whose ``write_jsonl`` is the
+JSON-lines file sink's one user).
 
 Emission is a no-op while the collector is disabled; enabling it never
 touches simulated state, so tracing is behaviour-neutral by
@@ -29,11 +31,6 @@ Event kinds and their extra fields:
 * ``trace_truncated`` — limit (the tracer's instruction limit; emitted
                       once, by the first instruction beyond it)
 * ``orphan_episodes`` — count (episodes with no traced instruction)
-
-Checkpoint lifecycle event (cycle 0 — it happens in real time, not
-simulated time; see :mod:`repro.resilience`):
-
-* ``checkpoint_write_error`` — job, error
 """
 
 from __future__ import annotations
@@ -69,9 +66,6 @@ class MemorySink:
     def emit(self, event: TraceEvent) -> None:
         self.events.append(event)
 
-    def close(self) -> None:
-        pass
-
 
 class JsonLinesSink:
     """Writes one JSON object per event to a file."""
@@ -99,7 +93,9 @@ class TraceCollector:
     # -- sink management ---------------------------------------------------
 
     def add_sink(self, sink) -> None:
-        self._sinks.append(sink)
+        """Attach *sink* (once: attaching it again changes nothing)."""
+        if sink not in self._sinks:
+            self._sinks.append(sink)
         self.enabled = True
 
     def remove_sink(self, sink) -> None:
@@ -107,12 +103,6 @@ class TraceCollector:
             self._sinks.remove(sink)
         if not self._sinks:
             self.enabled = False
-
-    def close(self) -> None:
-        for sink in self._sinks:
-            sink.close()
-        self._sinks.clear()
-        self.enabled = False
 
     @contextmanager
     def sink(self, sink):

@@ -25,9 +25,9 @@ def test_add_arguments_jobs_default_override():
 
 
 def test_from_args_collects_only_present_fields():
-    args = argparse.Namespace(jobs=3, progress="-")   # no resume etc.
+    args = argparse.Namespace(jobs=3, spans="s")   # no resume etc.
     options = CampaignOptions.from_args(args)
-    assert options.jobs == 3 and options.progress == "-"
+    assert options.jobs == 3 and options.spans == "s"
     assert options.resume is None
 
 
@@ -66,9 +66,9 @@ def test_campaign_kwargs_shapes(tmp_path):
     assert kwargs == {"checkpoint": tmp_path / "kaslr-checkpoint.jsonl"}
     sentinel = object()
     kwargs = CampaignOptions(resume="j.jsonl").campaign_kwargs(
-        "leak", progress=sentinel)
+        "leak", on_job_done=sentinel)
     assert kwargs["resume"] == "j.jsonl"
-    assert kwargs["progress"] is sentinel
+    assert kwargs["on_job_done"] is sentinel
 
 
 def test_frozen():

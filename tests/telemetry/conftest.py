@@ -14,5 +14,6 @@ def clean_telemetry():
     REGISTRY.disable()
     REGISTRY.reset()
     REGISTRY.set_base_labels()
-    TRACE.close()
     SPANS.finish()
+    for sink in list(TRACE._sinks):
+        TRACE.remove_sink(sink)

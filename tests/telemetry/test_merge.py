@@ -1,5 +1,5 @@
 """Merging per-job telemetry into campaign views: counter and PMC sums,
-archived gauge/histogram blocks, absorb lineage."""
+archived gauge/histogram blocks, absorbed resume lineage."""
 
 from repro.telemetry import RunManifest
 from repro.telemetry.merge import merge_metric_snapshots, merge_pmc
@@ -49,18 +49,14 @@ def test_absorb_merges_counters_and_lifts_observability_lineage():
         "totals": {"cycles": 10, "simulated_seconds": 0.5},
         "outcome": {"status": "success",
                     "resume": {"from": "journal.jsonl",
-                               "jobs_skipped": 4, "jobs_rerun": 2},
-                    "spans": {"trace_id": "ab" * 16, "count": 42},
-                    "progress": {"done": 6, "failed": 0}},
+                               "jobs_skipped": 4, "jobs_rerun": 2}},
     }
     host.absorb(campaign)
     assert host.metrics["counters"] == {"btb_installs": 4}
     assert host.pmc["syscalls"] == 2
-    # Recovery AND observability lineage lift into the host outcome.
+    # Resume lineage lifts into the host outcome ...
     assert host.outcome["resume"] == {"from": "journal.jsonl",
                                       "jobs_skipped": 4, "jobs_rerun": 2}
-    assert host.outcome["spans"] == {"trace_id": "ab" * 16, "count": 42}
-    assert host.outcome["progress"] == {"done": 6, "failed": 0}
-    # But absorb never overwrites lineage the host already carries.
-    host.absorb({"outcome": {"spans": {"count": 0}}})
-    assert host.outcome["spans"]["count"] == 42
+    # ... but never overwrites lineage the host already carries.
+    host.absorb({"outcome": {"resume": {"jobs_skipped": 0}}})
+    assert host.outcome["resume"]["jobs_skipped"] == 4

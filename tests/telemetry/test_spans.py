@@ -9,8 +9,10 @@ from repro.telemetry import SchemaError
 from repro.telemetry.spans import (SPAN_JSON_SCHEMA, SPANS, STITCHED_NAME,
                                    SpanRecorder, TraceContext, critical_path,
                                    derive_span_id, new_trace_id, read_spans,
-                                   stitch, stitch_to_file, summarize_trace,
-                                   trace_structure, validate_span)
+                                   stitch, stitch_events, stitch_to_file,
+                                   summarize_trace, trace_structure,
+                                   validate_span)
+from repro.telemetry.trace import TRACE
 
 SCHEMA_COPY = Path(__file__).parent.parent / "data" / "span.schema.json"
 
@@ -132,6 +134,41 @@ def test_adopt_is_idempotent_per_process(tmp_path):
     assert record["parent_id"] == ctx.parent_span_id
 
 
+def test_trace_events_ride_the_span_file_only_when_asked(tmp_path):
+    recorder = SpanRecorder()
+    recorder.start(tmp_path / "off", name="unit")
+    assert not TRACE.enabled and not recorder.context().events
+    recorder.finish()
+
+    root = recorder.start(tmp_path / "on", name="unit", events=True)
+    assert TRACE.enabled and recorder.context().events
+    TRACE.emit("syscall", 7, nr=39)
+    with recorder.span("phase") as phase:
+        TRACE.emit("retire", 9, pc=1)
+    recorder.finish()
+    assert not TRACE.enabled
+    assert [r["name"] for r in read_spans(tmp_path / "on")] \
+        == ["phase", "run:unit"]             # span records only
+    assert stitch_events(tmp_path / "on") == [
+        {"schema": "phantom.trace/1", "kind": "syscall", "cycle": 7,
+         "nr": 39, "span_id": root.span_id},
+        {"schema": "phantom.trace/1", "kind": "retire", "cycle": 9,
+         "pc": 1, "span_id": phase.span_id}]
+
+
+def test_adopt_attaches_to_trace_only_for_an_events_context(tmp_path):
+    """A reused pool worker follows each new context: a sink for a
+    capture with events, not for the next capture without."""
+    recorder = SpanRecorder()
+    for events in (False, True, True, False):
+        recorder.adopt(TraceContext(trace_id=new_trace_id(),
+                                    parent_span_id="f" * 16,
+                                    span_dir=str(tmp_path), events=events))
+        assert TRACE.enabled is events
+    recorder.finish()
+    assert not TRACE.enabled
+
+
 def test_context_carries_innermost_span(tmp_path):
     recorder = SpanRecorder()
     root = recorder.start(tmp_path, name="unit")
@@ -194,6 +231,36 @@ def test_stitch_to_file_writes_and_rereads_cleanly(tmp_path):
     assert [r["name"] for r in lines] == ["run:unit", "phase"]
     # The stitched file is excluded when re-reading the directory.
     assert len(read_spans(tmp_path)) == 2
+
+
+def _event(span_id, cycle):
+    return {"schema": "phantom.trace/1", "kind": "retire", "cycle": cycle,
+            "span_id": span_id}
+
+
+def _write(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+
+def test_stitch_events_keeps_process_order_and_slots_in_pooled_jobs(
+        tmp_path):
+    """The parent traces before the campaign, its two jobs run on two
+    workers, then the parent traces again: jobs go, in start order,
+    where the campaign sits in the parent's file."""
+    _write(tmp_path / "parent-1.jsonl", [
+        _event("rr", 1),
+        _record("reduce", "re", "cc", start=9.0, pid=1),
+        _record("campaign:x", "cc", "rr", start=2.0, pid=1),
+        _event("rr", 50),
+        _record("run:x", "rr", None, pid=1)])
+    _write(tmp_path / "worker-2.jsonl", [
+        _event("jb", 20), _record("job-b", "jb", "cc", start=4.0, pid=2)])
+    _write(tmp_path / "worker-3.jsonl", [
+        _event("ms", 10), _record("measure", "ms", "ja", start=3.1, pid=3),
+        _event("ja", 11), _record("job-a", "ja", "cc", start=3.0, pid=3),
+        _event("lost", 99)])
+    assert [e["cycle"] for e in stitch_events(tmp_path)] \
+        == [1, 10, 11, 20, 50, 99]
 
 
 def test_read_spans_skips_torn_lines(tmp_path):
@@ -273,7 +340,7 @@ def test_branch_heavy_spans_bracket_phases_not_instructions(tmp_path):
         instructions = run()
     finally:
         SPANS.finish()
-    spans = read_spans(tmp_path)
+    spans = read_spans(tmp_path)          # span records, never events
     assert any(s["name"] == "fastpath:compile" for s in spans)
     per_1000 = len(spans) * 1000 / instructions
     assert per_1000 <= MAX_SPANS_PER_1000_INSTRUCTIONS, (

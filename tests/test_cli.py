@@ -406,22 +406,23 @@ def test_trace_export_openmetrics_from_manifest(capsys, tmp_path):
     assert out.rstrip().endswith("# EOF")
 
 
-def test_progress_flag_streams_events(capsys, tmp_path):
-    import json
+def test_progress_line_renders_on_a_terminal(capsys, monkeypatch):
+    """With stderr a terminal, the completion callback draws one line
+    per campaign; stdout (the result) is unchanged."""
+    import io
 
-    progress = tmp_path / "progress.jsonl"
-    code, _ = run(capsys, "matrix", "--uarch", "zen 1", "--jobs", "1",
-                  "--progress", str(progress))
-    assert code == 0
-    events = [json.loads(line)
-              for line in progress.read_text().splitlines()]
-    assert events[0]["event"] == "campaign_begin"
-    assert events[-1]["event"] == "campaign_end"
-    assert events[-1]["status"] == "success"
-    assert all(e["schema"] == "phantom.progress/1" for e in events)
-    done = [e for e in events if e["event"] == "job_done"]
-    assert len(done) == 22                  # one per matrix cell
-    assert done[-1]["done"] == 22
+    class Terminal(io.StringIO):
+        def isatty(self):
+            return True
+
+    _, plain = run(capsys, "matrix", "--uarch", "zen 1", "--jobs", "1")
+    terminal = Terminal()
+    monkeypatch.setattr("sys.stderr", terminal)
+    code, out = run(capsys, "matrix", "--uarch", "zen 1", "--jobs", "1")
+    assert code == 0 and out == plain
+    text = terminal.getvalue()
+    assert "[matrix]" in text and "22/22 done  0 failed" in text
+    assert text.count("\n") == 1
 
 
 def test_interrupted_campaign_exit_codes(capsys, monkeypatch):
@@ -474,15 +475,75 @@ def test_checkpoint_every_flag_is_a_usage_error(capsys):
     assert "--checkpoint-every" in capsys.readouterr().err
 
 
-def test_trace_out_with_a_worker_pool_is_a_usage_error(capsys, tmp_path):
-    """Forked workers would share the parent's open trace file."""
-    path = tmp_path / "trace.jsonl"
-    code = main(["matrix", "--uarch", "zen2", "--jobs", "2",
-                 "--trace-out", str(path)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert len(err.strip().splitlines()) == 1 and "--jobs 1" in err
-    assert not path.exists()
+def _events_by_job(path, span_dir):
+    """The --trace-out events of *path* per job span (the child of a
+    ``campaign:`` span enclosing each one), without their span ids."""
+    import json
+
+    from repro.telemetry import TRACE_SCHEMA, read_spans
+
+    spans = {s["span_id"]: s for s in read_spans(span_dir)}
+
+    def job(span_id):
+        span = spans[span_id]
+        parent = spans[span["parent_id"]]
+        return span["name"] if parent["name"].startswith("campaign:") \
+            else job(parent["span_id"])
+
+    by_job = {}
+    for line in path.read_text().splitlines():
+        event = json.loads(line)          # raises on a torn line
+        assert event["schema"] == TRACE_SCHEMA
+        span_id = event.pop("span_id")
+        by_job.setdefault(job(span_id), []).append(event)
+    return by_job
+
+
+def test_trace_out_gives_each_job_the_same_events_at_any_jobs(capsys,
+                                                              tmp_path):
+    """Events ride the per-worker span files, so a worker pool records
+    them too; each job's sequence (kind, cycle, fields) is the same."""
+    from repro.telemetry import TRACE
+
+    by_jobs = []
+    for jobs in ("1", "2"):
+        path = tmp_path / f"trace{jobs}.jsonl"
+        spans = tmp_path / f"spans{jobs}"
+        code, _ = run(capsys, "matrix", "--uarch", "zen2", "--jobs", jobs,
+                      "--trace-out", str(path), "--spans", str(spans))
+        assert code == 0
+        assert not TRACE.enabled
+        by_jobs.append(_events_by_job(path, spans))
+    assert len(by_jobs[0]) == 22
+    assert by_jobs[0] == by_jobs[1]
+
+
+def test_spans_capture_without_trace_out_holds_no_events(capsys, tmp_path):
+    """--spans alone records host-timed spans only: TRACE stays off (so
+    the fast engine keeps compiled dispatch) in the parent and in every
+    worker."""
+    spans = tmp_path / "spans"
+    code, _ = run(capsys, "matrix", "--uarch", "zen2", "--jobs", "2",
+                  "--spans", str(spans))
+    assert code == 0
+    files = list(spans.glob("worker-*.jsonl"))
+    assert files
+    for path in spans.glob("*.jsonl"):
+        assert "phantom.trace/1" not in path.read_text()
+    assert "fastpath:compile" in (spans / "trace.jsonl").read_text()
+
+
+def test_trace_summarize_shows_each_jobs_host_time_and_cycles(capsys,
+                                                              tmp_path):
+    spans = tmp_path / "spans"
+    run(capsys, "matrix", "--uarch", "zen2", "--spans", str(spans))
+    code, out = run(capsys, "trace", "summarize", str(spans))
+    assert code == 0
+    table = out[out.index("jobs:\n"):].splitlines()
+    assert table[1].split() == ["job", "host", "cycles"]
+    rows = [line for line in table[2:] if line.startswith("  matrix[")]
+    assert len(rows) == 22
+    assert all(int(row.split()[-1].replace(",", "")) > 0 for row in rows)
 
 
 def test_trace_out_with_one_worker_writes_whole_lines(capsys, tmp_path):
