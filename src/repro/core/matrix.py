@@ -136,7 +136,10 @@ def measure_cell(uarch: Microarch, train_kind: TrainKind,
                                   combos=((train_kind, victim_kind),),
                                   seed=seed, mitigations=mitigations)
     [spec] = experiment.job_specs()
-    return experiment.run_one(spec, JobContext()).result
+    ctx = JobContext()
+    cell = experiment.run_one(spec, ctx)
+    ctx.release()
+    return cell.result
 
 
 def run_matrix(uarches, *, combos=ASYMMETRIC_COMBOS, seed: int = 0,

@@ -78,7 +78,8 @@ def check_no_transient_architectural_effect(
     """
     if program.uses_rdtsc:
         return []
-    nospec, _ = run_program(program, despeculated(uarch), fastpath=True)
+    nospec, world = run_program(program, despeculated(uarch), fastpath=True)
+    world.cpu.release()
     diffs = compare_observables(reference, nospec,
                                 exclude=SPECULATIVE_FIELDS)
     return [Violation("transient-architectural",

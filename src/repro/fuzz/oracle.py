@@ -122,6 +122,7 @@ def check_program(program: FuzzProgram,
             for violation in check_cache_coherence(world):
                 report.append(Divergence("invariant", uarch.name,
                                          str(violation)))
+            world.cpu.release()
         for violation in check_episodes(fast, uarch):
             report.append(Divergence("invariant", uarch.name,
                                      str(violation)))

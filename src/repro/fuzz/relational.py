@@ -189,6 +189,8 @@ def _run_variant(variant: BuiltProgram, uarch, mitigation: Mitigation,
         report.append(Divergence("engine", uarch.name, diff))
     slow_trace = capture(slow_world.cpu, slow_world.mem)
     fast_trace = capture(fast_world.cpu, fast_world.mem)
+    slow_world.cpu.release()
+    fast_world.cpu.release()
     for channel, summary in slow_trace.diff(fast_trace):
         report.append(Divergence("engine", uarch.name,
                                  f"trace-{channel}: {summary}"))

@@ -95,7 +95,9 @@ def run_listing(name: str, uarch: str, mitigations, secret: int
     else:
         raise ValueError(f"unknown listing {name!r} "
                          f"(one of {LISTINGS})")
-    return capture(machine.cpu, machine.mem)
+    trace = capture(machine.cpu, machine.mem)
+    machine.cpu.release()
+    return trace
 
 
 @dataclass

@@ -203,24 +203,26 @@ class _TransientState:
     """Register/store state of an in-flight transient path.
 
     The load/store callbacks the executor needs are bound here once per
-    window.  ``stores`` keeps *program order*:
+    window.  The store buffer keeps *program order*:
     a store to an address that already has a buffered entry re-inserts
     it, so youngest-first scans (store-to-load forwarding) see the
-    latest write last-inserted.
+    latest write last-inserted.  The callbacks close over the buffer
+    and the CPU's bound ``_transient_load``, never over the state
+    itself, so a finished window is freed by reference count.
     """
 
-    __slots__ = ("arch", "stores", "load", "store")
+    __slots__ = ("arch", "load", "store")
 
     def __init__(self, cpu: "CPU", arch: ArchState) -> None:
         self.arch = arch
-        self.stores: dict[int, tuple[int, int]] = {}
+        stores: dict[int, tuple[int, int]] = {}
         user = not cpu.kernel_mode
+        transient_load = cpu._transient_load
 
         def load(addr: int, size: int) -> int:
-            return cpu._transient_load(addr, size, self, user)
+            return transient_load(addr, size, stores, user)
 
         def store(addr: int, size: int, value: int) -> None:
-            stores = self.stores
             if addr in stores:
                 del stores[addr]
             stores[addr] = (size, value)
@@ -288,6 +290,23 @@ class CPU:
                                            flavour="phantom")
         self._m_spectre = _metrics.counter("speculation_episodes",
                                            flavour="spectre")
+
+    def release(self) -> None:
+        """End of life: drop what ties the CPU into reference cycles.
+
+        Step closures capture the CPU, and the trap handler is its
+        machine's bound ``_trap`` (or a fuzz world's closure), so a
+        finished machine would otherwise wait for the cyclic collector.
+        Clearing the compiled and transient caches only costs a
+        recompile; cycles, PMCs and episodes stay readable, but running
+        the CPU again raises "unhandled trap" at its next trap.  Owners
+        call this once they are done with the machine, never on a
+        per-instruction path.
+        """
+        self._code_user.clear()
+        self._code_kernel.clear()
+        self._transient_cache.clear()
+        self.trap_handler = None
 
     # ------------------------------------------------------------------
     # decode path
@@ -1002,8 +1021,8 @@ class CPU:
         return executed
 
     def _transient_load(self, addr: int, size: int,
-                        transient: _TransientState, user: bool) -> int:
-        stores = transient.stores
+                        stores: dict[int, tuple[int, int]],
+                        user: bool) -> int:
         if stores:
             # Store-to-load forwarding: the youngest buffered store that
             # fully contains the load forwards its bytes (hardware

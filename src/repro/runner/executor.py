@@ -102,7 +102,7 @@ class JobContext:
         the machine for cycle/PMC accounting."""
         from ..kernel import Machine
 
-        with SPANS.span("boot", arch=getattr(spec, "name", "")):
+        with SPANS.span("boot", arch=spec.uarch):
             return self.track(Machine.from_spec(spec))
 
     def span(self, name: str, **attrs):
@@ -128,6 +128,13 @@ class JobContext:
             for name, value in machine.cpu.pmc.snapshot().items():
                 merged[name] = merged.get(name, 0) + value
         return merged
+
+    def release(self) -> None:
+        """End every tracked machine's life (:meth:`CPU.release`) so it
+        is freed by reference count as soon as the job's value and
+        manifest are out; cycles and PMCs stay readable."""
+        for machine in self.machines:
+            machine.cpu.release()
 
 
 @dataclass
@@ -273,6 +280,7 @@ def execute_job(experiment, spec: JobSpec, *,
     manifest = job_manifest(spec, ctx, registry.snapshot(),
                             status="failure" if failure else "success",
                             wall_time_s=wall, **failure)
+    ctx.release()
     return JobResult(spec=spec, value=value, error=message, error_kind=kind,
                      wall_time_s=wall, manifest=manifest)
 

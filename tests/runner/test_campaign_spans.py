@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.matrix import ASYMMETRIC_COMBOS, MatrixExperiment
 from repro.resilience import spec_fingerprint
 from repro.runner import manifest_fingerprint, run_campaign
 from repro.telemetry import SPANS, TraceContext, validate_span
@@ -97,3 +98,13 @@ def test_trace_context_excluded_from_checkpoint_fingerprint():
                        span_dir="/tmp/anywhere")
     assert spec_fingerprint(replace(spec, trace=ctx)) \
         == spec_fingerprint(spec)
+
+
+def test_boot_span_names_the_booted_uarch(tmp_path):
+    SPANS.start(tmp_path, name="boot-test")
+    run_campaign(MatrixExperiment(uarches=("zen2",),
+                                  combos=ASYMMETRIC_COMBOS[:1]), jobs=1)
+    SPANS.finish()
+    boots = [r for r in read_spans(tmp_path) if r["name"] == "boot"]
+    assert len(boots) == 3   # one fresh machine per channel
+    assert {r["attrs"]["arch"] for r in boots} == {"zen2"}
